@@ -131,7 +131,7 @@ class ScriptedAdversary:
     """
 
     name = "adversary"
-    target = 1.0
+    target = 1.0  # the ratio this opponent is built to force
 
     def __init__(self) -> None:
         self.outcome: str | None = None
@@ -139,11 +139,6 @@ class ScriptedAdversary:
 
     def _fresh(self) -> int:
         return next(self._ids)
-
-    @property
-    def target_ratio(self) -> float:
-        """The ratio this opponent is built to force."""
-        return float(self.target)
 
     def play(self, matcher) -> Iterator[list[Event]]:
         raise NotImplementedError

@@ -1,7 +1,7 @@
 """Online matchers that spend at most ``k`` flips per edge.
 
 Three strategies share one interface (``on_arrival`` / ``on_departure`` /
-``matching``):
+``matching`` / ``guarantee``):
 
 * ``GreedyMatcher`` applies any available augmenting path that avoids spent
   edges. Guarantee: 3/2 for even budgets, 2 for odd.
@@ -38,6 +38,8 @@ class OnlineMatcher(Protocol):
 
     name: str
     graph: Graph
+    model: str  # the departure model of the streams it is fed
+    phase: int | None  # the phase a phased matcher is in, else None
 
     def on_arrival(self, event: Event) -> None: ...
 
@@ -46,6 +48,10 @@ class OnlineMatcher(Protocol):
     def matching(self) -> set[int]: ...
 
     def params(self) -> dict: ...
+
+    def guarantee(self) -> float | None:
+        """Proven worst-case opt/alg ratio while matched edges stay, or None."""
+        ...
 
 
 class NegativeEndpointWeightError(ValueError):
@@ -65,7 +71,7 @@ def effective_budget(k: int) -> int:
     if k % 2 == 0:
         return k
     if k == 1:
-        raise ValueError("bookkeeping matchers need a budget of at least 2")
+        raise bounds.BadBudgetError("bookkeeping matchers need a budget of at least 2")
     return k - 1
 
 
@@ -73,21 +79,11 @@ def effective_budget(k: int) -> int:
 # greedy
 
 
-def greedy_step(g: Graph, banned_at: int | None = None) -> AlternatingComponent | None:
-    """Apply one augmenting path avoiding spent edges, if any exists."""
-    threshold = g.budget if banned_at is None else banned_at
-    allowed = lambda eid: g.edges[eid].etype < threshold
-    _, adj = g.component_view(list(g.vertices), allowed)
-    walk = find_augmenting_path(adj, g.mate_map())
-    if walk is None:
-        return None
-    return g.apply_augmenting_path(g.component_from_vertices(walk))
-
-
 class GreedyMatcher:
     """Apply augmenting paths greedily whenever one is available."""
 
     name = "greedy"
+    phase = None
 
     def __init__(self, k: int, model: str = FULL):
         self.graph = Graph(k)
@@ -96,6 +92,9 @@ class GreedyMatcher:
 
     def params(self) -> dict:
         return {"k": self.graph.budget}
+
+    def guarantee(self) -> float:
+        return bounds.greedy_bound(self.graph.budget)
 
     def matching(self) -> set[int]:
         return self.graph.matching()
@@ -166,12 +165,6 @@ class WeightLedger:
             self.weights[v] = self.weights.get(v, 0.0) + endpoint_share
 
 
-def ledger_distribute(
-    ledger: WeightLedger, g: Graph, component: AlternatingComponent
-) -> None:
-    ledger.distribute(g, component)
-
-
 def lgreedy_step(
     g: Graph, oracle: OracleState, L: int | None, banned_at: int | None = None
 ) -> AlternatingComponent | None:
@@ -183,7 +176,7 @@ def lgreedy_step(
     long or blocked component stays whole and simply disqualifies itself.
     """
     threshold = g.budget if banned_at is None else banned_at
-    components = symmetric_difference(g, g.matching(), oracle.opt, exclude_blocked=False)
+    components = symmetric_difference(g, g.matching(), oracle.opt)
     candidates = [
         c
         for c in components
@@ -208,6 +201,7 @@ class LGreedyMatcher:
     """
 
     name = "lgreedy"
+    phase = None
 
     def __init__(self, k: int, L: int | None = None, model: str = FULL):
         self.graph = Graph(k)
@@ -223,6 +217,9 @@ class LGreedyMatcher:
 
     def params(self) -> dict:
         return {"k": self.graph.budget, "L": self.L, "k_eff": self.k_eff}
+
+    def guarantee(self) -> float | None:
+        return None if self.k_eff < 4 else bounds.lgreedy_bound(self.k_eff, self.L)
 
     def matching(self) -> set[int]:
         return self.graph.matching()
@@ -293,62 +290,6 @@ def floor_log(value: int, r: float) -> int:
     return est
 
 
-def amp_on_arrival(state: AmpState, g: Graph, event: Event) -> bool:
-    """Feed one arrival; returns True when a new phase was opened."""
-    u, v = event.endpoints
-    eid = g.add_edge(u, v)
-    state.oracle.insert(eid, u, v)
-    return _maybe_open_phase(state, g)
-
-
-def amp_on_departure(state: AmpState, g: Graph, event: Event, model: str) -> bool:
-    eid = g.edge_id(*event.endpoints)
-    g.remove_edge(eid, model)
-    state.oracle.delete(eid)
-    return _maybe_open_phase(state, g)
-
-
-def _maybe_open_phase(state: AmpState, g: Graph) -> bool:
-    opt = state.oracle.size
-    if opt == 0:
-        return False
-    ell = floor_log(opt, state.r)
-    if state.ell is not None and ell <= state.ell:
-        return False
-    state.phase += 1
-    state.ell = ell
-    _sync(state, g)
-    state.history.append(
-        PhaseRecord(
-            phase=state.phase,
-            ell=ell,
-            opt_size=opt,
-            alg_size=g.matching_size(),
-            spent_vertices=_spent_vertex_count(g, state.k),
-        )
-    )
-    return True
-
-
-def _sync(state: AmpState, g: Graph) -> None:
-    """Grow the matching to the optimum's size, leaving spent edges alone.
-
-    Only augmenting components are applied: even paths and cycles of the
-    difference would merely move the matching onto other edges at the same
-    size, spending flips for nothing.
-    """
-    components = symmetric_difference(
-        g,
-        g.matching(),
-        state.oracle.opt,
-        exclude_blocked=True,
-        blocked_threshold=state.k,
-    )
-    augmenting = [c for c in components if c.kind == AUGMENTING_PATH]
-    for component in sorted(augmenting, key=lambda c: min(c.edges)):
-        g.apply_augmenting_path(component)
-
-
 def _spent_vertex_count(g: Graph, threshold: int) -> int:
     spent: set[int] = set()
     for e in g.edges.values():
@@ -385,14 +326,59 @@ class AmpMatcher:
     def params(self) -> dict:
         return {"k": self.graph.budget, "r": self.state.r, "k_eff": self.state.k}
 
+    def guarantee(self) -> float | None:
+        k_eff = self.state.k
+        return None if k_eff < 4 else bounds.amp_bound(k_eff, self.state.r)
+
     def matching(self) -> set[int]:
         return self.graph.matching()
 
     def on_arrival(self, event: Event) -> None:
-        amp_on_arrival(self.state, self.graph, event)
+        u, v = event.endpoints
+        eid = self.graph.add_edge(u, v)
+        self.state.oracle.insert(eid, u, v)
+        self._maybe_open_phase()
 
     def on_departure(self, event: Event) -> None:
-        amp_on_departure(self.state, self.graph, event, self.model)
+        g = self.graph
+        eid = g.edge_id(*event.endpoints)
+        g.remove_edge(eid, self.model)
+        self.state.oracle.delete(eid)
+        self._maybe_open_phase()
+
+    def _maybe_open_phase(self) -> None:
+        state, g = self.state, self.graph
+        opt = state.oracle.size
+        if opt == 0:
+            return
+        ell = floor_log(opt, state.r)
+        if state.ell is not None and ell <= state.ell:
+            return
+        state.phase += 1
+        state.ell = ell
+        self._sync()
+        state.history.append(
+            PhaseRecord(
+                phase=state.phase,
+                ell=ell,
+                opt_size=opt,
+                alg_size=g.matching_size(),
+                spent_vertices=_spent_vertex_count(g, state.k),
+            )
+        )
+
+    def _sync(self) -> None:
+        """Grow the matching to the optimum's size, leaving spent edges alone.
+
+        Only augmenting components are applied: even paths and cycles of the
+        difference would merely move the matching onto other edges at the same
+        size, spending flips for nothing.
+        """
+        g, state = self.graph, self.state
+        components = symmetric_difference(g, g.matching(), state.oracle.opt, blocked_at=state.k)
+        augmenting = [c for c in components if c.kind == AUGMENTING_PATH]
+        for component in sorted(augmenting, key=lambda c: min(c.edges)):
+            g.apply_augmenting_path(component)
 
 
 MATCHERS = {

@@ -67,11 +67,17 @@ def amp_default_r(k: int) -> float:
     return (k - 1) ** (1.0 / (k - 2))
 
 
+def amp_bound(k: int, r: float) -> float:
+    """Guarantee of the doubling matcher at growth factor ``r``: r^k/(r^(k-1)-r)."""
+    _require_even(k)
+    if not r > 1:
+        raise BadParamsError(f"need a growth factor above 1, got {r!r}")
+    return r**k / (r ** (k - 1) - r)
+
+
 def amp_bound_improved(k: int) -> float:
     """Improved guarantee of the doubling matcher: min over r of r^k/(r^(k-1)-r)."""
-    _require_even(k)
-    r = amp_default_r(k)
-    return r**k / (r ** (k - 1) - r)
+    return amp_bound(k, amp_default_r(k))
 
 
 def amp_bound_original(k: int) -> float:

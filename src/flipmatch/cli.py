@@ -84,7 +84,7 @@ def simulate_cmd(algo: str, k: int | None, model: str | None, instance: str,
         kwargs["r"] = growth
     try:
         matcher = make_matcher(algo, k, model=model, **kwargs)
-        report = replay(stream.events, matcher, model)
+        report = replay(stream.events, matcher)
     except (ValueError, TypeError) as exc:
         raise click.ClickException(str(exc)) from exc
     _echo_report(report, "events")
@@ -112,10 +112,10 @@ def duel_cmd(opponent: str, algo: str, k: int, epsilon: float, depth: int,
         else:
             adv, model = full_departure_adversary(k), FULL
         matcher = make_matcher(algo, k, model=model)
-        report = run_duel(adv, matcher, model, max_moves=max_moves)
+        report = run_duel(adv, matcher, max_moves=max_moves)
     except (ValueError, TypeError) as exc:
         raise click.ClickException(str(exc)) from exc
-    click.echo(f"opponent:    {adv.name} (target {adv.target_ratio:.6f})")
+    click.echo(f"opponent:    {adv.name} (target {adv.target:.6f})")
     click.echo(f"stop reason: {report.stop_reason}")
     if report.witnessed is not None:
         click.echo(f"witnessed:   {report.witnessed:.6f}")

@@ -7,8 +7,8 @@ edge is matched exactly when its type is odd. Once the counter reaches the
 budget ``k`` the edge is frozen for good -- we call it *blocked*.
 
 The module also knows how to decompose the symmetric difference of two
-matchings into alternating components (paths and cycles) and how to apply such
-components back onto the graph.
+matchings into alternating components (paths and cycles) and how to apply an
+augmenting path back onto the graph.
 """
 
 from __future__ import annotations
@@ -67,10 +67,6 @@ class BlockedPathError(GraphError):
     """An augmenting path touches an edge whose flip budget is exhausted."""
 
     code = "blocked-path"
-
-
-class BlockedComponentError(GraphError):
-    code = "blocked-component"
 
 
 class NotAugmentingError(GraphError):
@@ -194,10 +190,6 @@ class Graph:
     def matched_edge_at(self, v: int) -> int | None:
         return self._mate.get(v)
 
-    def mate_map(self) -> dict[int, int]:
-        """Each matched vertex mapped to its partner."""
-        return {v: self.edges[eid].other(v) for v, eid in self._mate.items()}
-
     def is_free(self, v: int) -> bool:
         return v not in self._mate
 
@@ -300,7 +292,6 @@ class Graph:
         graph's current matching."""
         walk, is_cycle = self._walk(edge_ids)
         states = [self.edge(eid) for eid in edge_ids]
-        types = [e.etype for e in states]
         surplus = sum(1 for e in states if not e.matched) - sum(1 for e in states if e.matched)
         if is_cycle:
             kind = CYCLE
@@ -308,21 +299,14 @@ class Graph:
             odd = len(states) % 2 == 1
             free_ends = self.is_free(walk[0]) and self.is_free(walk[-1])
             kind = AUGMENTING_PATH if odd and free_ends else EVEN_PATH
-        canonical = canonical_type_string(types, cycle=is_cycle)
-        ordered = tuple(edge_ids)
-        if not is_cycle and tuple(reversed(types)) < tuple(types):
-            ordered = tuple(reversed(ordered))
-        return AlternatingComponent(kind, ordered, canonical, surplus)
+        return _oriented_component(self, kind, edge_ids, surplus)
 
     def component_from_vertices(self, walk: Sequence[int]) -> AlternatingComponent:
         edge_ids = [self.edge_id(a, b) for a, b in zip(walk, walk[1:])]
         return self.component_from_edges(edge_ids)
 
     # ------------------------------------------------------------------
-    # applying components
-
-    def _path_states(self, component: AlternatingComponent) -> list[EdgeState]:
-        return [self.edge(eid) for eid in component.edges]
+    # applying augmenting paths
 
     def apply_augmenting_path(
         self, component: AlternatingComponent | Sequence[int]
@@ -335,7 +319,7 @@ class Graph:
         """
         if not isinstance(component, AlternatingComponent):
             component = self.component_from_edges(list(component))
-        states = self._path_states(component)
+        states = [self.edge(eid) for eid in component.edges]
         walk, is_cycle = self._walk(component.edges)
         if is_cycle or len(states) % 2 == 0:
             raise NotAugmentingError("an augmenting path has an odd number of edges")
@@ -352,39 +336,6 @@ class Graph:
             raise BlockedPathError(f"edges {blocked} have exhausted their flip budget")
         self._flip_all(states)
         return component
-
-    def apply_alternating_component(self, component: AlternatingComponent) -> int:
-        """Flip every edge of an alternating component; returns the size delta.
-
-        The component must be blocked-free and must alternate matched and
-        unmatched edges in its current state. Path ends that newly enter the
-        matching must sit on free vertices, otherwise the result would not be
-        a matching.
-        """
-        states = self._path_states(component)
-        blocked = [e.id for e in states if e.etype >= self.budget]
-        if blocked:
-            raise BlockedComponentError(
-                f"edges {blocked} have exhausted their flip budget"
-            )
-        walk, is_cycle = self._walk(component.edges)
-        for prev, cur in zip(states, states[1:]):
-            if prev.matched == cur.matched:
-                raise GraphError("component edges must alternate matched/unmatched")
-        if is_cycle and states[0].matched == states[-1].matched:
-            raise GraphError("an alternating cycle must have even length")
-        if not is_cycle:
-            for end_vertex, end_edge in ((walk[0], states[0]), (walk[-1], states[-1])):
-                if end_edge.matched:
-                    continue  # flips out of the matching; always safe
-                mate = self._mate.get(end_vertex)
-                if mate is not None and mate != end_edge.id:
-                    raise NotAMatchingError(
-                        f"vertex {end_vertex} is already matched outside the component"
-                    )
-        before = self.matching_size()
-        self._flip_all(states)
-        return self.matching_size() - before
 
     # ------------------------------------------------------------------
     # views and checks
@@ -431,17 +382,13 @@ class Graph:
 # module-level operations
 
 
-def canonical_type_string(
-    types: Sequence[int] | AlternatingComponent, *, cycle: bool = False
-) -> tuple[int, ...]:
+def canonical_type_string(types: Sequence[int], *, cycle: bool = False) -> tuple[int, ...]:
     """Canonical form of a type sequence.
 
     Paths compare the sequence with its reversal and keep the smaller one.
     Cycles take the lexicographic minimum over all rotations of both
     directions, so any two walks around the same cycle agree.
     """
-    if isinstance(types, AlternatingComponent):
-        return types.type_string
     seq = tuple(types)
     if not cycle:
         return min(seq, tuple(reversed(seq)))
@@ -468,27 +415,25 @@ def symmetric_difference(
     g: Graph,
     alg: set[int],
     opt: set[int],
-    exclude_blocked: bool = False,
     *,
-    blocked_threshold: int | None = None,
+    blocked_at: int | None = None,
 ) -> list[AlternatingComponent]:
     """Decompose ``alg ^ opt`` into alternating paths and cycles.
 
     Both arguments are edge-id sets and must each form a matching. Components
     are classified against ``alg``: an augmenting path has odd length and both
-    end vertices uncovered by ``alg``. With ``exclude_blocked`` edges at the
-    blocking threshold (the graph budget unless overridden) are dropped first,
-    which may split components into shorter stubs.
+    end vertices uncovered by ``alg``. With ``blocked_at`` set, edges whose
+    type has reached it are dropped first, which may split components into
+    shorter stubs.
 
     The result is deterministic: paths are walked from their smaller end
     vertex, components are sorted by (smallest vertex, type string).
     """
     _check_matching(g, alg, "alg")
     _check_matching(g, opt, "opt")
-    threshold = g.budget if blocked_threshold is None else blocked_threshold
     sym = alg ^ opt
-    if exclude_blocked:
-        sym = {eid for eid in sym if g.edge(eid).etype < threshold}
+    if blocked_at is not None:
+        sym = {eid for eid in sym if g.edge(eid).etype < blocked_at}
 
     adj: dict[int, list[tuple[int, int]]] = {}
     for eid in sym:
@@ -504,7 +449,7 @@ def symmetric_difference(
         alg_covered.update(g.edge(eid).endpoints)
 
     done_edges: set[int] = set()
-    components: list[AlternatingComponent] = []
+    walks: list[tuple[str, list[int]]] = []  # (kind, edge ids)
 
     def walk_from(start: int) -> tuple[list[int], list[int]]:
         """Walk until a dead end or back to start; returns (vertices, edges)."""
@@ -536,45 +481,29 @@ def symmetric_difference(
         odd = len(eids) % 2 == 1
         free_ends = verts[0] not in alg_covered and verts[-1] not in alg_covered
         kind = AUGMENTING_PATH if odd and free_ends else EVEN_PATH
-        components.append(_finish_component(g, kind, verts, eids, opt))
+        walks.append((kind, eids))
     for start in sorted(adj):
         if all(eid in done_edges for _, eid in adj[start]):
             continue
         verts, eids = walk_from(start)
         assert verts[0] == verts[-1], "leftover component must be a cycle"
-        components.append(_finish_component(g, CYCLE, verts, eids, opt))
+        walks.append((CYCLE, eids))
 
+    components = [
+        _oriented_component(g, kind, eids, sum(1 if eid in opt else -1 for eid in eids))
+        for kind, eids in walks
+    ]
     components.sort(key=lambda c: (min(g.edge(e).u for e in c.edges), c.type_string))
     return components
 
 
-def _finish_component(
-    g: Graph, kind: str, verts: list[int], eids: list[int], opt: set[int]
+def _oriented_component(
+    g: Graph, kind: str, eids: Sequence[int], surplus: int
 ) -> AlternatingComponent:
-    types = [g.edge(eid).etype for eid in eids]
-    surplus = sum(1 if eid in opt else -1 for eid in eids)
-    canonical = canonical_type_string(types, cycle=kind == CYCLE)
+    """A component whose paths are walked from the end with the smaller type string."""
+    types = tuple(g.edge(eid).etype for eid in eids)
     ordered = tuple(eids)
-    if kind != CYCLE and tuple(reversed(types)) < tuple(types):
-        ordered = tuple(reversed(ordered))
+    if kind != CYCLE and types[::-1] < types:
+        ordered = ordered[::-1]
+    canonical = canonical_type_string(types, cycle=kind == CYCLE)
     return AlternatingComponent(kind, ordered, canonical, surplus)
-
-
-def add_edge(g: Graph, u: int, v: int) -> int:
-    return g.add_edge(u, v)
-
-
-def remove_edge(g: Graph, edge_id: int, model: str = FULL) -> EdgeState:
-    return g.remove_edge(edge_id, model)
-
-
-def apply_augmenting_path(g: Graph, path) -> AlternatingComponent:
-    return g.apply_augmenting_path(path)
-
-
-def apply_alternating_component(g: Graph, component: AlternatingComponent) -> int:
-    return g.apply_alternating_component(component)
-
-
-def vertex_type(g: Graph, v: int) -> int:
-    return g.vertex_type(v)

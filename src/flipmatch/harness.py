@@ -15,7 +15,7 @@ from typing import Iterable
 
 from . import bounds
 from .adversaries import MOVE_CAP, ScriptedAdversary
-from .algos import AmpMatcher, GreedyMatcher, LGreedyMatcher, OnlineMatcher
+from .algos import AmpMatcher, OnlineMatcher
 from .core import (
     ARRIVAL,
     ARRIVE,
@@ -56,29 +56,6 @@ def ratio_of(alg_size: int, opt_size: int) -> float:
     if alg_size == 0:
         return 1.0 if opt_size == 0 else math.inf
     return opt_size / alg_size
-
-
-def guarantee_for(matcher: OnlineMatcher) -> float | None:
-    """The proven worst-case ratio for this matcher, or None when there is none.
-
-    Guarantees only exist when matched edges are safe from departures; under
-    unrestricted removals every matcher can be starved, so no bound applies.
-    """
-    if getattr(matcher, "model", FULL) == FULL:
-        return None
-    if isinstance(matcher, GreedyMatcher):
-        return bounds.greedy_bound(matcher.graph.budget)
-    if isinstance(matcher, LGreedyMatcher):
-        if matcher.k_eff < 4:
-            return None
-        return bounds.lgreedy_bound(matcher.k_eff, matcher.L)
-    if isinstance(matcher, AmpMatcher):
-        r, k_eff = matcher.r, matcher.state.k
-        if k_eff < 4:
-            return None
-        denominator = r ** (k_eff - 1) - r
-        return r**k_eff / denominator if denominator > 0 else None
-    return None
 
 
 # ----------------------------------------------------------------------
@@ -151,14 +128,16 @@ class RunReport:
 class _Recorder:
     """Feeds events to a matcher while mirroring the offline optimum."""
 
-    def __init__(self, matcher: OnlineMatcher, model: str, cross_check: bool):
+    def __init__(self, matcher: OnlineMatcher):
+        model = matcher.model
         if model not in MODELS:
             raise IllegalEventError(f"unknown departure model {model!r}")
         self.matcher = matcher
         self.model = model
-        self.cross_check = cross_check
         self.oracle = OracleState()
-        self.report = RunReport(bound=guarantee_for(matcher))
+        # under unrestricted removals every matcher can be starved, so no
+        # guarantee applies
+        self.report = RunReport(bound=None if model == FULL else matcher.guarantee())
         self._edge_ids: dict[tuple[int, int], int] = {}
         self._next_id = 0
 
@@ -188,7 +167,7 @@ class _Recorder:
     def snapshot(self, label: str) -> StepRecord:
         alg = self.matcher.graph.matching_size()
         opt = self.oracle.size
-        if self.cross_check and len(self._edge_ids) <= BRUTE_FORCE_EDGE_LIMIT:
+        if len(self._edge_ids) <= BRUTE_FORCE_EDGE_LIMIT:
             exact = brute_force_max_matching(self._edge_ids)
             if exact != opt:
                 raise OracleDriftError(f"incremental optimum {opt}, exhaustive {exact}")
@@ -202,7 +181,7 @@ class _Recorder:
             opt_size=opt,
             ratio=ratio,
             total_flips=self.matcher.graph.total_flips,
-            phase=self.matcher.phase if isinstance(self.matcher, AmpMatcher) else None,
+            phase=self.matcher.phase,
         )
         self.report.records.append(record)
         bound = self.report.bound
@@ -211,19 +190,14 @@ class _Recorder:
         return record
 
 
-def replay(
-    stream: Iterable[Event],
-    matcher: OnlineMatcher,
-    model: str | None = None,
-    cross_check: bool = True,
-) -> RunReport:
+def replay(stream: Iterable[Event], matcher: OnlineMatcher) -> RunReport:
     """Feed a fixed event stream to a matcher, one record per event.
 
-    The model defaults to the matcher's own. Departures the model forbids
-    raise IllegalEventError before the matcher ever sees them; in the limited
-    model that includes removing an edge the matcher currently has matched.
+    Departures the matcher's model forbids raise IllegalEventError before the
+    matcher ever sees them; in the limited model that includes removing an
+    edge the matcher currently has matched.
     """
-    rec = _Recorder(matcher, model or getattr(matcher, "model", FULL), cross_check)
+    rec = _Recorder(matcher)
     for ev in stream:
         rec.feed(ev)
         rec.snapshot(str(ev))
@@ -231,11 +205,7 @@ def replay(
 
 
 def duel(
-    adversary: ScriptedAdversary,
-    matcher: OnlineMatcher,
-    model: str | None = None,
-    max_moves: int = 10_000,
-    cross_check: bool = True,
+    adversary: ScriptedAdversary, matcher: OnlineMatcher, max_moves: int = 10_000
 ) -> RunReport:
     """Let an adaptive opponent drive the matcher; one record per move.
 
@@ -245,7 +215,7 @@ def duel(
     """
     if max_moves <= 0:
         raise ValueError(f"need a positive move cap, got {max_moves}")
-    rec = _Recorder(matcher, model or getattr(matcher, "model", FULL), cross_check)
+    rec = _Recorder(matcher)
     moves = 0
     capped = False
     for batch in adversary.play(matcher):
@@ -360,6 +330,8 @@ def parse_stream(text: str) -> StreamFile:
                 k = int(parts[1])
             except ValueError:
                 raise BadStreamError(f"line {lineno}: bad budget {parts[1]!r}") from None
+            if k < 1:
+                raise BadStreamError(f"line {lineno}: budget must be at least 1, got {k}")
             continue
         if parts[0] == "model" and len(parts) == 2:
             if events:
@@ -429,8 +401,8 @@ def random_churn(
     edges the matcher has left unmatched can leave, so the stream is built
     move by move against the matcher's live state.
     """
-    model = getattr(matcher, "model", FULL)
-    rec = _Recorder(matcher, model, cross_check=True)
+    model = matcher.model
+    rec = _Recorder(matcher)
     for _ in range(n_events):
         g = matcher.graph
         removable = [

@@ -112,14 +112,6 @@ class OracleState:
         assert len(self.mate) == 2 * len(self.opt)
 
 
-def oracle_insert(state: OracleState, edge_id: int, u: int, v: int) -> bool:
-    return state.insert(edge_id, u, v)
-
-
-def oracle_delete(state: OracleState, edge_id: int) -> None:
-    state.delete(edge_id)
-
-
 # ----------------------------------------------------------------------
 # brute force
 

@@ -16,7 +16,6 @@ from flipmatch.algos import (
     WeightLedger,
     effective_budget,
     floor_log,
-    greedy_step,
     lgreedy_step,
     make_matcher,
 )
@@ -24,6 +23,7 @@ from flipmatch import bounds
 from flipmatch.core import (
     ARRIVAL,
     ARRIVE,
+    AUGMENTING_PATH,
     FULL,
     LIMITED,
     Graph,
@@ -54,8 +54,9 @@ def test_01_effective_budget():
     assert effective_budget(4) == 4
     assert effective_budget(3) == 2
     assert effective_budget(5) == 4
-    with pytest.raises(ValueError):
+    with pytest.raises(bounds.BadBudgetError) as err:
         effective_budget(1)
+    assert err.value.code == "bad-k"
 
 
 def test_02_greedy_basic_augmentation():
@@ -111,26 +112,6 @@ def test_05_greedy_odd_budget_uses_all_flips():
     feed(m, [arrive(0, 1), arrive(2, 3)])
     assert g.matching_size() == 1
     assert brute_force_max_matching([(0, 1), (1, 2), (2, 3)]) == 2
-
-
-def test_06_greedy_step_banned_at():
-    g = Graph(4)
-    a = g.add_edge(0, 1)
-    assert greedy_step(g) is not None
-    assert g.edges[a].etype == 1
-    g.add_edge(1, 2)
-    g.add_edge(0, 3)
-    # a type-1 edge may still flip under threshold 2 (it lands AT the ban)
-    assert greedy_step(g, banned_at=2) is not None
-    assert g.edges[a].etype == 2
-    g2 = Graph(4)
-    b = g2.add_edge(0, 1)
-    greedy_step(g2)
-    g2.add_edge(1, 2)
-    g2.add_edge(0, 3)
-    # banning type >= 1 walls off the matched edge and hides 3-0-1-2
-    assert greedy_step(g2, banned_at=1) is None
-    assert g2.edges[b].etype == 1
 
 
 def test_07_weight_ledger_alpha_values():
@@ -215,7 +196,9 @@ def test_11_lgreedy_blind_spot_stays_stalled():
     assert g.is_free(u) and g.is_free(v)
     assert lgreedy_step(g, m.oracle, m.L) is None
     # plain greedy on the same graph would grab the missed edge immediately
-    assert greedy_step(g) is not None
+    assert g.component_from_vertices([u, v]).kind == AUGMENTING_PATH
+    g.apply_augmenting_path([uv.id])
+    assert len(m.matching()) == 5
 
 
 def test_12_lgreedy_ledger_tracks_matching_size():
@@ -402,3 +385,11 @@ if HAVE_HYPOTHESIS:
                 assert m.oracle.size == opt
             elif hasattr(m, "state"):
                 assert m.state.oracle.size == opt
+
+
+@pytest.mark.parametrize("algo", ["lgreedy", "amp"])
+def test_22_bookkeeping_matchers_reject_budget_one(algo):
+    # the reserved last flip leaves them an even budget of 0
+    with pytest.raises(bounds.BadBudgetError) as err:
+        make_matcher(algo, 1)
+    assert err.value.code == "bad-k"

@@ -13,7 +13,6 @@ from flipmatch.core import (
     EVEN_PATH,
     FULL,
     LIMITED,
-    BlockedComponentError,
     BlockedPathError,
     DuplicateEdgeError,
     Graph,
@@ -176,55 +175,6 @@ def test_15_canonical_type_string_cycles():
     assert a == b == (1, 2, 1, 2)
 
 
-def test_16_alternating_cycle_application():
-    g = Graph(4)
-    e1 = g.add_edge(1, 2)
-    e2 = g.add_edge(2, 3)
-    e3 = g.add_edge(3, 4)
-    e4 = g.add_edge(4, 1)
-    g.apply_augmenting_path([e1])
-    g.apply_augmenting_path([e3])
-    comp = g.component_from_edges([e1, e2, e3, e4])
-    assert comp.kind == CYCLE
-    delta = g.apply_alternating_component(comp)
-    assert delta == 0
-    assert g.matching() == {e2, e4}
-    g.validate()
-
-
-def test_17_even_path_application():
-    # matched-unmatched pair: flipping moves the matched edge over
-    g = Graph(4)
-    e1 = g.add_edge(1, 2)
-    e2 = g.add_edge(2, 3)
-    g.apply_augmenting_path([e1])
-    comp = g.component_from_edges([e1, e2])
-    assert comp.kind == EVEN_PATH
-    delta = g.apply_alternating_component(comp)
-    assert delta == 0
-    assert g.matching() == {e2}
-
-
-def test_18_component_application_guards():
-    g = Graph(1)
-    e1 = g.add_edge(1, 2)
-    g.apply_augmenting_path([e1])
-    e2 = g.add_edge(2, 3)
-    comp = g.component_from_edges([e1, e2])
-    with pytest.raises(BlockedComponentError):
-        g.apply_alternating_component(comp)
-
-    h = Graph(4)
-    f1 = h.add_edge(1, 2)
-    f2 = h.add_edge(2, 3)
-    f3 = h.add_edge(3, 4)
-    h.apply_augmenting_path([f2])
-    # flipping f1 in would double-cover vertex 2
-    comp = h.component_from_edges([f1])
-    with pytest.raises(NotAMatchingError):
-        h.apply_alternating_component(comp)
-
-
 def test_19_augmenting_component_kind():
     g = Graph(4)
     eids = build_path(g, [1, 2, 3, 4])
@@ -233,6 +183,13 @@ def test_19_augmenting_component_kind():
     assert comp.kind == AUGMENTING_PATH
     assert comp.surplus == 1
     assert comp.type_string == (0, 1, 0)
+    h = Graph(4)
+    square = build_path(h, [1, 2, 3, 4, 1])
+    h.apply_augmenting_path([square[0]])
+    h.apply_augmenting_path([square[2]])
+    assert h.component_from_edges(square).kind == CYCLE
+    assert h.component_from_edges(square).surplus == 0
+    assert h.component_from_edges(square[:2]).kind == EVEN_PATH
 
 
 def test_20_symmetric_difference_kinds():
@@ -267,9 +224,9 @@ def test_22_symmetric_difference_excluding_blocked_splits():
     assert [g.edge(e).etype for e in eids] == [1, 2, 1]
     alg = g.matching()
     opt = {eids[1]}
-    whole = symmetric_difference(g, alg, opt, exclude_blocked=False)
+    whole = symmetric_difference(g, alg, opt)
     assert len(whole) == 1 and len(whole[0].edges) == 3
-    split = symmetric_difference(g, alg, opt, exclude_blocked=True)
+    split = symmetric_difference(g, alg, opt, blocked_at=2)
     assert len(split) == 2
     assert all(len(c.edges) == 1 for c in split)
     assert all(g.edge(e).etype < 2 for c in split for e in c.edges)

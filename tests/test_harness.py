@@ -24,7 +24,6 @@ from flipmatch.harness import (
     amp_phase_violations,
     duel,
     emit_bound_table,
-    guarantee_for,
     parse_stream,
     random_arrival_stream,
     random_churn,
@@ -91,16 +90,20 @@ def test_05_model_legality():
 
 
 def test_06_guarantees_by_matcher_and_model():
-    assert guarantee_for(GreedyMatcher(4, LIMITED)) == pytest.approx(1.5)
-    assert guarantee_for(GreedyMatcher(3, ARRIVAL)) == pytest.approx(2.0)
-    assert guarantee_for(GreedyMatcher(4, FULL)) is None
-    assert guarantee_for(LGreedyMatcher(8, L=6, model=LIMITED)) == pytest.approx(
-        lgreedy_bound(8, 6)
-    )
-    assert guarantee_for(LGreedyMatcher(2, model=LIMITED)) is None
-    amp = AmpMatcher(6, r=1.5, model=LIMITED)
-    assert guarantee_for(amp) == pytest.approx(1.5**6 / (1.5**5 - 1.5))
-    assert guarantee_for(AmpMatcher(2, model=LIMITED)) is None
+    def bound(matcher):
+        return replay([], matcher).bound
+
+    for model in (ARRIVAL, LIMITED, FULL):
+        # unrestricted departures starve every matcher: no guarantee applies
+        def want(value):
+            return None if model == FULL else pytest.approx(value)
+
+        assert bound(GreedyMatcher(4, model)) == want(1.5)
+        assert bound(GreedyMatcher(3, model)) == want(2.0)
+        assert bound(LGreedyMatcher(8, L=6, model=model)) == want(lgreedy_bound(8, 6))
+        assert bound(LGreedyMatcher(2, model=model)) is None
+        assert bound(AmpMatcher(6, r=1.5, model=model)) == want(1.5**6 / (1.5**5 - 1.5))
+        assert bound(AmpMatcher(2, model=model)) is None
 
 
 def test_07_duel_chain_of_pendants_exact_ratio():
@@ -190,12 +193,17 @@ def test_15_stream_parse_errors():
         "k 4\nmodel full\n+ 0 2\n",  # ids must be positive
         "k 4\nmodel full\n+ 1 2\nk 6\n",  # header after events
         "k x\nmodel full\n",  # unparseable budget
+        "k 0\nmodel full\n",  # no flips at all
+        "k -3\nmodel full\n",  # negative budget
         "k 4\nmodel full\n* 1 2\n",  # unknown line
     ]
     for text in cases:
         with pytest.raises(BadStreamError):
             parse_stream(text)
     assert BadStreamError("x").code == "bad-stream"
+    # a budget below 1 names its line instead of failing later in the matcher
+    with pytest.raises(BadStreamError, match="line 2: budget must be at least 1, got -3"):
+        parse_stream("# no flips\nk -3\nmodel full\n+ 1 2\n")
 
 
 def test_16_random_arrival_streams_stay_bruteforceable():

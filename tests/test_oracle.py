@@ -13,8 +13,6 @@ from flipmatch.oracle import (
     OracleState,
     TooLargeError,
     brute_force_max_matching,
-    oracle_delete,
-    oracle_insert,
 )
 
 try:
@@ -93,9 +91,9 @@ def test_05_blossom_handles_odd_cycles():
 
 def test_06_oracle_insert_grows():
     o = OracleState()
-    assert oracle_insert(o, 0, 1, 2) is True
-    assert oracle_insert(o, 1, 2, 3) is False
-    assert oracle_insert(o, 2, 3, 4) is True
+    assert o.insert(0, 1, 2) is True
+    assert o.insert(1, 2, 3) is False
+    assert o.insert(2, 3, 4) is True
     assert o.size == 2
     o.verify()
 
@@ -108,7 +106,7 @@ def test_07_oracle_delete_repairs():
     assert o.size == 2
     # deleting a matched edge: repair finds the alternative
     matched = sorted(o.opt)
-    oracle_delete(o, matched[0])
+    o.delete(matched[0])
     assert o.size >= 1
     o.verify()
 
@@ -161,3 +159,14 @@ def test_11_deterministic_across_runs():
         return sizes
 
     assert run() == run()
+
+
+def test_12_blossom_never_crosses_a_walled_matched_vertex():
+    # 3-0-1-2 would augment, but the matched edge 0-1 is absent from the
+    # searchable edges (spent), so 0 and 1 are walls and no path exists
+    adj = {0: {3: 1}, 3: {0: 1}, 1: {2: 2}, 2: {1: 2}}
+    mate = {0: 1, 1: 0}
+    assert find_augmenting_path(adj, mate) is None
+    # with the matched edge searchable the same path is found
+    adj[0][1] = adj[1][0] = 0
+    assert find_augmenting_path(adj, mate) == [2, 1, 0, 3]

@@ -335,7 +335,7 @@ def test_19_adversary_reports_name_and_target():
     assert adv.name == "string-game-k6"
     assert adv.epsilon == 0.05
     assert adv.target == pytest.approx(dep_lower_bound(6))
-    assert adv.target_ratio == pytest.approx(24 / 19)
+    assert adv.target == pytest.approx(24 / 19)
     assert adv.outcome is None and adv.moves == 0
 
 
