@@ -393,3 +393,27 @@ def test_22_bookkeeping_matchers_reject_budget_one(algo):
     with pytest.raises(bounds.BadBudgetError) as err:
         make_matcher(algo, 1)
     assert err.value.code == "bad-k"
+
+
+def test_23_lgreedy_tie_break_applies_smaller_edge_id_first():
+    # The spent edge (1,4) sits in the optimum until the last arrival pushes
+    # the optimum onto (4,5) and (0,1): two length-1 candidates with the same
+    # type string (0,). The older (4,5) has the smaller edge id but the larger
+    # vertices, so only the edge-id tie-break puts it first.
+    m = LGreedyMatcher(2, model=FULL)
+    feed(m, [arrive(1, 4), arrive(4, 5), arrive(0, 1), depart(4, 5), depart(0, 1)])
+    g = m.graph
+    assert g.edge(g.edge_id(1, 4)).etype == m.k_eff
+    assert g.matching_size() == 0
+    applied = []
+    apply = g.apply_augmenting_path
+
+    def record(component):
+        applied.append(component.edges)
+        return apply(component)
+
+    g.apply_augmenting_path = record
+    feed(m, [arrive(4, 5), arrive(0, 1)])
+    older, newer = g.edge_id(4, 5), g.edge_id(0, 1)
+    assert older < newer
+    assert applied == [(older,), (newer,)]
