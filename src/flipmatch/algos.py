@@ -165,39 +165,18 @@ class WeightLedger:
             self.weights[v] = self.weights.get(v, 0.0) + endpoint_share
 
 
-def lgreedy_step(
-    g: Graph, oracle: OracleState, L: int | None, banned_at: int | None = None
-) -> AlternatingComponent | None:
-    """Apply one short augmenting component of the symmetric difference.
-
-    Candidates are augmenting-path components of ``matching ^ optimum`` of
-    length at most 2L+1 (any length when L is None) that carry no spent
-    edge. Spent edges are *not* excluded from the decomposition itself -- a
-    long or blocked component stays whole and simply disqualifies itself.
-    """
-    threshold = g.budget if banned_at is None else banned_at
-    components = symmetric_difference(g, g.matching(), oracle.opt)
-    candidates = [
-        c
-        for c in components
-        if c.kind == AUGMENTING_PATH
-        and (L is None or len(c.edges) <= 2 * L + 1)
-        and all(g.edge(eid).etype < threshold for eid in c.edges)
-    ]
-    if not candidates:
-        return None
-    candidates.sort(key=lambda c: (len(c.edges), c.type_string, min(c.edges)))
-    chosen = candidates[0]
-    g.apply_augmenting_path(chosen)
-    return chosen
-
-
 class LGreedyMatcher:
     """Greedy restricted to short augmenting components of ALG ^ OPT.
 
     The default cap is the one the ratio formula optimises; budget 4 gets no
     cap at all (its best ratio is plain greedy's 3/2, so capping only hurts)
     and budgets below 4 fall back to single-edge steps.
+
+    ALG ^ OPT is kept live as a degree-<=2 adjacency (``diff``) instead of being
+    rebuilt per step. An event changes it only at the event edge and at the
+    edges whose optimum membership the event moved, and ``_exhaust`` applies
+    every candidate it is handed, so no candidate outlives an event: each
+    event walks only the components through those edges' endpoints.
     """
 
     name = "lgreedy"
@@ -214,6 +193,7 @@ class LGreedyMatcher:
         self.L = L
         self.oracle = OracleState()
         self.ledger = WeightLedger(self.k_eff, self.L)
+        self.diff: dict[int, dict[int, int]] = {}  # vertex -> {neighbor: edge id} in ALG ^ OPT
 
     def params(self) -> dict:
         return {"k": self.graph.budget, "L": self.L, "k_eff": self.k_eff}
@@ -227,22 +207,99 @@ class LGreedyMatcher:
     def on_arrival(self, event: Event) -> None:
         u, v = event.endpoints
         eid = self.graph.add_edge(u, v)
+        before = set(self.oracle.opt)
         self.oracle.insert(eid, u, v)
-        self._exhaust()
+        self._exhaust(self._candidates_after(eid, (u, v), before))
 
     def on_departure(self, event: Event) -> None:
         g = self.graph
         eid = g.edge_id(*event.endpoints)
         g.remove_edge(eid, self.model)
+        before = set(self.oracle.opt)
         self.oracle.delete(eid)
-        self._exhaust()
+        self._exhaust(self._candidates_after(eid, event.endpoints, before))
 
-    def _exhaust(self) -> None:
-        while True:
-            applied = lgreedy_step(self.graph, self.oracle, self.L, self.k_eff)
-            if applied is None:
-                return
-            self.ledger.distribute(self.graph, applied)
+    def _candidates_after(
+        self, event_edge: int, ends: tuple[int, int], before: set[int]
+    ) -> list[AlternatingComponent]:
+        """Update ``diff`` after an event; return the candidates it opened.
+
+        The event edge is handled even when the optimum did not move: a
+        departing matched edge outside the optimum leaves the difference and
+        frees both its endpoints, which can turn the two pieces of its old
+        component into short augmenting paths.
+        """
+        g, diff, opt = self.graph, self.diff, self.oracle.opt
+        dirty: set[int] = set()
+        for eid in (before ^ opt) | {event_edge}:
+            e = g.edges.get(eid)
+            a, b = ends if e is None else e.endpoints
+            dirty.update((a, b))
+            if e is not None and e.matched != (eid in opt):
+                diff.setdefault(a, {})[b] = eid
+                diff.setdefault(b, {})[a] = eid
+            elif diff.get(a, {}).get(b) == eid:
+                del diff[a][b]
+                del diff[b][a]
+        judged: set[int] = set()
+        found = [self._candidate_at(v, judged) for v in dirty if diff.get(v)]
+        return [c for c in found if c is not None]
+
+    def _candidate_at(self, v: int, judged: set[int]) -> AlternatingComponent | None:
+        """The component of ``diff`` through ``v`` if it is a candidate.
+
+        Candidates are augmenting paths of length at most 2L+1 (any length
+        when L is None) without a spent edge. The walk gives up as soon as
+        the component fails one of these, or reaches an edge in ``judged``,
+        whose component an earlier walk already settled. Every edge it
+        crosses joins ``judged``.
+        """
+        g, diff = self.graph, self.diff
+        cap = None if self.L is None else 2 * self.L + 1
+        halves: list[list[int]] = [[], []]  # edges walked out of v on each side
+        ends = [v, v]
+        length = 0
+        for side, (cur, eid) in enumerate(diff[v].items()):
+            while True:
+                if eid in judged:
+                    return None
+                judged.add(eid)
+                halves[side].append(eid)
+                length += 1
+                if g.edges[eid].etype >= self.k_eff or cur == v:
+                    return None  # spent, or the walk closed a cycle
+                if cap is not None and length > cap:
+                    return None
+                step = next(((n, e) for n, e in diff[cur].items() if e != eid), None)
+                if step is None:
+                    break
+                cur, eid = step
+            ends[side] = cur
+        if length % 2 == 0 or not (g.is_free(ends[0]) and g.is_free(ends[1])):
+            return None
+        # walked from its smaller end, as symmetric_difference walks it
+        edges = halves[0][::-1] + halves[1]
+        if ends[0] > ends[1]:
+            edges.reverse()
+        return g.component_from_edges(edges)
+
+    def _exhaust(self, candidates: list[AlternatingComponent]) -> None:
+        """Apply every candidate, shortest first.
+
+        Applying a component C of D = ALG ^ OPT leaves exactly D minus C and
+        touches no other component's edges, types or end coverage, so one
+        sorted pass applies the same components in the same order as
+        re-picking the minimum after each step.
+        """
+        g, diff = self.graph, self.diff
+        candidates.sort(key=lambda c: (len(c.edges), c.type_string, min(c.edges)))
+        for component in candidates:
+            g.apply_augmenting_path(component)
+            self.ledger.distribute(g, component)
+            for eid in component.edges:
+                a, b = g.edges[eid].endpoints
+                del diff[a][b]
+                del diff[b][a]
 
 
 # ----------------------------------------------------------------------

@@ -17,6 +17,8 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
+from .bounds import BadBudgetError
+
 # Departure models for event streams.
 ARRIVAL = "arrival"
 LIMITED = "limited"
@@ -153,7 +155,7 @@ class Graph:
 
     def __init__(self, budget: int):
         if not isinstance(budget, int) or budget < 1:
-            raise ValueError(f"budget must be an integer >= 1, got {budget!r}")
+            raise BadBudgetError(f"budget must be an integer >= 1, got {budget!r}")
         self.budget = budget
         self.vertices: set[int] = set()
         self.edges: dict[int, EdgeState] = {}
@@ -198,15 +200,6 @@ class Graph:
 
     def matching_size(self) -> int:
         return len(self._mate) // 2
-
-    def vertex_type(self, v: int) -> int:
-        """Largest flip count over the live edges at ``v`` (0 if none)."""
-        if v not in self.vertices:
-            raise UnknownVertexError(f"vertex {v} has never appeared")
-        nbrs = self._adj.get(v)
-        if not nbrs:
-            return 0
-        return max(self.edges[eid].etype for eid in nbrs.values())
 
     # ------------------------------------------------------------------
     # mutation

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import random
 
 import pytest
 
@@ -16,22 +17,25 @@ from flipmatch.algos import (
     WeightLedger,
     effective_budget,
     floor_log,
-    lgreedy_step,
     make_matcher,
 )
-from flipmatch import bounds
+from flipmatch import algos, bounds
 from flipmatch.core import (
     ARRIVAL,
     ARRIVE,
     AUGMENTING_PATH,
     FULL,
     LIMITED,
+    MODELS,
     Graph,
     LimitedDepartureViolation,
     arrive,
     depart,
+    symmetric_difference,
 )
-from flipmatch.oracle import OracleState, brute_force_max_matching
+from flipmatch.harness import duel, random_churn
+from flipmatch.oracle import brute_force_max_matching
+from flipmatch.stringgame import MATCHER_STALLED, string_game_adversary
 
 try:
     from hypothesis import given, settings, strategies as st
@@ -47,6 +51,18 @@ def feed(matcher, events):
             matcher.on_arrival(ev)
         else:
             matcher.on_departure(ev)
+
+
+def lgreedy_candidates(m):
+    """L-Greedy's candidates, from the whole-graph decomposition of ALG ^ OPT."""
+    g = m.graph
+    return [
+        c
+        for c in symmetric_difference(g, g.matching(), m.oracle.opt)
+        if c.kind == AUGMENTING_PATH
+        and (m.L is None or len(c.edges) <= 2 * m.L + 1)
+        and all(g.edge(eid).etype < m.k_eff for eid in c.edges)
+    ]
 
 
 def test_01_effective_budget():
@@ -147,20 +163,19 @@ def test_09_weight_ledger_negative_endpoint():
 
 
 def test_10_lgreedy_step_length_gate():
-    g = Graph(6)
-    eids = [g.add_edge(i, i + 1) for i in range(5)]
-    g.apply_augmenting_path([eids[1]])
-    g.apply_augmenting_path([eids[3]])
-    oracle = OracleState()
-    for eid in eids:
-        oracle.insert(eid, *g.edges[eid].endpoints)
-    assert oracle.size == 3
+    # the arrivals leave ALG = {(1,2), (3,4)} and OPT = {(0,1), (2,3), (4,5)}:
     # the symmetric difference is one length-5 augmenting path
-    assert lgreedy_step(g, oracle, L=1) is None
-    applied = lgreedy_step(g, oracle, L=2)
-    assert applied is not None
-    assert len(applied.edges) == 5
-    assert g.matching_size() == 3
+    path = [arrive(1, 2), arrive(3, 4), arrive(2, 3), arrive(0, 1), arrive(4, 5)]
+    stalled = LGreedyMatcher(6, L=1)
+    feed(stalled, path)
+    assert stalled.oracle.size == 3
+    assert len(stalled.matching()) == 2
+    applied = LGreedyMatcher(6, L=2)
+    feed(applied, path)
+    g = applied.graph
+    assert applied.matching() == applied.oracle.opt
+    # all five edges flipped in one step: the inner two are back out at type 2
+    assert [g.edge(g.edge_id(a, a + 1)).etype for a in range(5)] == [1, 2, 1, 2, 1]
 
 
 def test_11_lgreedy_blind_spot_stays_stalled():
@@ -191,14 +206,17 @@ def test_11_lgreedy_blind_spot_stays_stalled():
     g = m.graph
     assert len(m.matching()) == 4
     assert m.oracle.size == 6
+    # a later arrival elsewhere is served, and the missed edge stays unmatched
+    feed(m, [arrive(12, 13)])
+    assert len(m.matching()) == 5
     uv = g.edge(g.edge_id(u, v))
     assert not uv.matched and uv.etype == 0
     assert g.is_free(u) and g.is_free(v)
-    assert lgreedy_step(g, m.oracle, m.L) is None
+    assert lgreedy_candidates(m) == []
     # plain greedy on the same graph would grab the missed edge immediately
     assert g.component_from_vertices([u, v]).kind == AUGMENTING_PATH
     g.apply_augmenting_path([uv.id])
-    assert len(m.matching()) == 5
+    assert len(m.matching()) == 6
 
 
 def test_12_lgreedy_ledger_tracks_matching_size():
@@ -417,3 +435,41 @@ def test_23_lgreedy_tie_break_applies_smaller_edge_id_first():
     older, newer = g.edge_id(4, 5), g.edge_id(0, 1)
     assert older < newer
     assert applied == [(older,), (newer,)]
+
+
+@pytest.mark.parametrize("model", MODELS)
+@pytest.mark.parametrize("k", [4, 5, 6, 8])
+def test_24_lgreedy_live_difference_matches_whole_graph_rebuild(model, k):
+    # every event hands _exhaust exactly the candidates a whole-graph rebuild
+    # finds, and leaves none behind
+    default_L = bounds.lgreedy_default_L(effective_budget(k))
+    key = lambda c: min(c.edges)
+    checked = 0
+    for L in (None, 1, default_L):
+        for seed in range(6):
+            m = LGreedyMatcher(k, L=L, model=model)
+            exhaust = m._exhaust
+
+            def checked_exhaust(candidates, m=m, exhaust=exhaust):
+                nonlocal checked
+                g = m.graph
+                assert sorted(candidates, key=key) == sorted(lgreedy_candidates(m), key=key)
+                exhaust(candidates)
+                live = {eid for row in m.diff.values() for eid in row.values()}
+                assert live == g.matching() ^ m.oracle.opt
+                assert lgreedy_candidates(m) == []
+                checked += 1
+
+            m._exhaust = checked_exhaust
+            random_churn(random.Random(1000 * k + seed), m, 100)
+    assert checked > 0
+
+
+def test_25_lgreedy_string_duel_never_rebuilds_the_difference(monkeypatch):
+    def whole_graph_rebuild(*args, **kwargs):
+        raise AssertionError("L-Greedy rebuilt ALG ^ OPT over the whole graph")
+
+    monkeypatch.setattr(algos, "symmetric_difference", whole_graph_rebuild)
+    report = duel(string_game_adversary(8), make_matcher("lgreedy", 8, LIMITED))
+    assert report.stop_reason == MATCHER_STALLED
+    assert report.bound_violations == 0

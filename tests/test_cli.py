@@ -113,3 +113,12 @@ def test_09_usage_errors(runner, tmp_path):
     bad.write_text("k 4\n+ 1 2\n")
     result = runner.invoke(main, ["simulate", "--algo", "greedy", "--instance", str(bad)])
     assert result.exit_code != 0
+    # a zero budget overriding a valid header ends in a usage error, not a traceback
+    good = tmp_path / "good.stream"
+    good.write_text("k 4\nmodel arrival\n+ 1 2\n")
+    result = runner.invoke(
+        main, ["simulate", "--algo", "greedy", "--instance", str(good), "--k", "0"]
+    )
+    assert result.exit_code != 0
+    assert isinstance(result.exception, SystemExit)
+    assert "budget must be an integer >= 1" in result.output

@@ -6,6 +6,7 @@ import random
 
 import pytest
 
+from flipmatch.bounds import BadBudgetError
 from flipmatch.core import (
     ARRIVAL,
     AUGMENTING_PATH,
@@ -22,7 +23,6 @@ from flipmatch.core import (
     NotAugmentingError,
     SelfLoopError,
     UnknownEdgeError,
-    UnknownVertexError,
     canonical_type_string,
     symmetric_difference,
 )
@@ -146,20 +146,6 @@ def test_12_not_augmenting_rejected():
     g.apply_augmenting_path([eids[0]])
     with pytest.raises(NotAugmentingError):
         g.apply_augmenting_path([eids[1]])
-
-
-def test_13_vertex_type():
-    g = Graph(5)
-    e1 = g.add_edge(1, 2)
-    e2 = g.add_edge(2, 3)
-    g.apply_augmenting_path([e1])
-    assert g.vertex_type(1) == 1
-    assert g.vertex_type(2) == 1
-    assert g.vertex_type(3) == 0
-    g.remove_edge(e2, FULL)
-    assert g.vertex_type(3) == 0  # survives losing all edges
-    with pytest.raises(UnknownVertexError):
-        g.vertex_type(99)
 
 
 def test_14_canonical_type_string_paths():
@@ -293,10 +279,10 @@ def test_23_symmetric_difference_matches_naive_scan(seed):
 
 
 def test_24_budget_validation():
-    with pytest.raises(ValueError):
-        Graph(0)
-    with pytest.raises(ValueError):
-        Graph(-2)
+    for bad in (0, -2):
+        with pytest.raises(BadBudgetError) as err:
+            Graph(bad)
+        assert err.value.code == "bad-k"
 
 
 def test_25_total_flips_counter():
