@@ -1,7 +1,8 @@
 """Online matchers that spend at most ``k`` flips per edge.
 
-Three strategies share one interface (``on_arrival`` / ``on_departure`` /
-``matching`` / ``guarantee``):
+Three strategies share one base class, ``OnlineMatcher``, which owns the
+board (the graph and its offline optimum) and is the only code that applies
+an event; each strategy reacts to an applied event in ``_react``:
 
 * ``GreedyMatcher`` applies any available augmenting path that avoids spent
   edges. Guarantee: 3/2 for even budgets, 2 for odd.
@@ -18,7 +19,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Protocol
 
 from . import bounds
 from .blossom import find_augmenting_path
@@ -26,6 +26,7 @@ from .core import (
     AUGMENTING_PATH,
     FULL,
     AlternatingComponent,
+    EdgeState,
     Event,
     Graph,
     symmetric_difference,
@@ -33,25 +34,45 @@ from .core import (
 from .oracle import OracleState
 
 
-class OnlineMatcher(Protocol):
-    """What the harness expects from a matcher."""
+class OnlineMatcher:
+    """One board per run: the matcher's graph and the optimum over its edges.
+
+    ``on_arrival`` and ``on_departure`` apply an event to the graph and to
+    the oracle under the same edge id, then hand it to ``_react``. The
+    harness scores the matcher against ``oracle`` instead of keeping a copy.
+    """
 
     name: str
-    graph: Graph
-    model: str  # the departure model of the streams it is fed
-    phase: int | None  # the phase a phased matcher is in, else None
+    phase: int | None = None  # the phase a phased matcher is in, else None
 
-    def on_arrival(self, event: Event) -> None: ...
+    def __init__(self, k: int, model: str = FULL):
+        self.graph = Graph(k)
+        self.model = model  # the departure model of the streams it is fed
+        self.oracle = OracleState()
 
-    def on_departure(self, event: Event) -> None: ...
+    def on_arrival(self, event: Event) -> None:
+        u, v = event.endpoints
+        eid = self.graph.add_edge(u, v)
+        self.oracle.insert(eid, u, v)
+        self._react(eid, (u, v), None)
 
-    def matching(self) -> set[int]: ...
+    def on_departure(self, event: Event) -> None:
+        g = self.graph
+        eid = g.edge_id(*event.endpoints)
+        departed = g.remove_edge(eid, self.model)
+        self.oracle.delete(eid)
+        self._react(eid, event.endpoints, departed)
 
-    def params(self) -> dict: ...
+    def _react(self, eid: int, ends: tuple[int, int], departed: EdgeState | None) -> None:
+        """Respond to edge ``eid`` at ``ends`` arriving, or leaving as ``departed``."""
+        raise NotImplementedError
+
+    def matching(self) -> set[int]:
+        return self.graph.matching()
 
     def guarantee(self) -> float | None:
         """Proven worst-case opt/alg ratio while matched edges stay, or None."""
-        ...
+        raise NotImplementedError
 
 
 class NegativeEndpointWeightError(ValueError):
@@ -79,15 +100,13 @@ def effective_budget(k: int) -> int:
 # greedy
 
 
-class GreedyMatcher:
+class GreedyMatcher(OnlineMatcher):
     """Apply augmenting paths greedily whenever one is available."""
 
     name = "greedy"
-    phase = None
 
     def __init__(self, k: int, model: str = FULL):
-        self.graph = Graph(k)
-        self.model = model
+        super().__init__(k, model)
         self.augmentations = 0
 
     def params(self) -> dict:
@@ -96,20 +115,10 @@ class GreedyMatcher:
     def guarantee(self) -> float:
         return bounds.greedy_bound(self.graph.budget)
 
-    def matching(self) -> set[int]:
-        return self.graph.matching()
-
-    def on_arrival(self, event: Event) -> None:
-        u, v = event.endpoints
-        self.graph.add_edge(u, v)
-        self._exhaust((u, v))
-
-    def on_departure(self, event: Event) -> None:
-        g = self.graph
-        e = g.remove_edge(g.edge_id(*event.endpoints), self.model)
-        if e.matched:
-            # only a departure that tore out a matched edge can open new paths
-            self._exhaust(e.endpoints)
+    def _react(self, eid: int, ends: tuple[int, int], departed: EdgeState | None) -> None:
+        # only a departure that tore out a matched edge can open new paths
+        if departed is None or departed.matched:
+            self._exhaust(ends)
 
     def _exhaust(self, seeds: tuple[int, int]) -> None:
         g = self.graph
@@ -165,7 +174,7 @@ class WeightLedger:
             self.weights[v] = self.weights.get(v, 0.0) + endpoint_share
 
 
-class LGreedyMatcher:
+class LGreedyMatcher(OnlineMatcher):
     """Greedy restricted to short augmenting components of ALG ^ OPT.
 
     The default cap is the one the ratio formula optimises; budget 4 gets no
@@ -180,18 +189,17 @@ class LGreedyMatcher:
     """
 
     name = "lgreedy"
-    phase = None
 
     def __init__(self, k: int, L: int | None = None, model: str = FULL):
-        self.graph = Graph(k)
-        self.model = model
+        if L is not None and (not isinstance(L, int) or isinstance(L, bool) or L < 0):
+            raise bounds.BadParamsError(f"length cap L must be an integer >= 0, got {L!r}")
+        super().__init__(k, model)
         self.k_eff = effective_budget(k)
         if L is None and self.k_eff >= 6:
             L = bounds.lgreedy_default_L(self.k_eff)
         elif L is None and self.k_eff < 4:
             L = 1
         self.L = L
-        self.oracle = OracleState()
         self.ledger = WeightLedger(self.k_eff, self.L)
         self.diff: dict[int, dict[int, int]] = {}  # vertex -> {neighbor: edge id} in ALG ^ OPT
 
@@ -201,49 +209,30 @@ class LGreedyMatcher:
     def guarantee(self) -> float | None:
         return None if self.k_eff < 4 else bounds.lgreedy_bound(self.k_eff, self.L)
 
-    def matching(self) -> set[int]:
-        return self.graph.matching()
+    def _react(self, eid: int, ends: tuple[int, int], departed: EdgeState | None) -> None:
+        """Update ``diff`` after an event and apply the candidates it opened.
 
-    def on_arrival(self, event: Event) -> None:
-        u, v = event.endpoints
-        eid = self.graph.add_edge(u, v)
-        before = set(self.oracle.opt)
-        self.oracle.insert(eid, u, v)
-        self._exhaust(self._candidates_after(eid, (u, v), before))
-
-    def on_departure(self, event: Event) -> None:
-        g = self.graph
-        eid = g.edge_id(*event.endpoints)
-        g.remove_edge(eid, self.model)
-        before = set(self.oracle.opt)
-        self.oracle.delete(eid)
-        self._exhaust(self._candidates_after(eid, event.endpoints, before))
-
-    def _candidates_after(
-        self, event_edge: int, ends: tuple[int, int], before: set[int]
-    ) -> list[AlternatingComponent]:
-        """Update ``diff`` after an event; return the candidates it opened.
-
-        The event edge is handled even when the optimum did not move: a
-        departing matched edge outside the optimum leaves the difference and
-        frees both its endpoints, which can turn the two pieces of its old
-        component into short augmenting paths.
+        The edges whose optimum membership moved are the event edge and the
+        oracle's last repair path. The event edge is handled even when the
+        optimum did not move: a departing matched edge outside the optimum
+        leaves the difference and frees both its endpoints, which can turn the
+        two pieces of its old component into short augmenting paths.
         """
         g, diff, opt = self.graph, self.diff, self.oracle.opt
         dirty: set[int] = set()
-        for eid in (before ^ opt) | {event_edge}:
-            e = g.edges.get(eid)
+        for moved in self.oracle.flipped | {eid}:
+            e = g.edges.get(moved)
             a, b = ends if e is None else e.endpoints
             dirty.update((a, b))
-            if e is not None and e.matched != (eid in opt):
-                diff.setdefault(a, {})[b] = eid
-                diff.setdefault(b, {})[a] = eid
-            elif diff.get(a, {}).get(b) == eid:
+            if e is not None and e.matched != (moved in opt):
+                diff.setdefault(a, {})[b] = moved
+                diff.setdefault(b, {})[a] = moved
+            elif diff.get(a, {}).get(b) == moved:
                 del diff[a][b]
                 del diff[b][a]
         judged: set[int] = set()
         found = [self._candidate_at(v, judged) for v in dirty if diff.get(v)]
-        return [c for c in found if c is not None]
+        self._exhaust([c for c in found if c is not None])
 
     def _candidate_at(self, v: int, judged: set[int]) -> AlternatingComponent | None:
         """The component of ``diff`` through ``v`` if it is a candidate.
@@ -332,7 +321,7 @@ class AmpState:
         if self.k % 2 != 0:
             raise OddBudgetError(f"doubling matcher needs an even budget, got {self.k}")
         if self.r <= 1:
-            raise ValueError(f"growth factor must exceed 1, got {self.r}")
+            raise bounds.BadParamsError(f"growth factor must exceed 1, got {self.r}")
 
 
 def floor_log(value: int, r: float) -> int:
@@ -355,18 +344,17 @@ def _spent_vertex_count(g: Graph, threshold: int) -> int:
     return len(spent)
 
 
-class AmpMatcher:
+class AmpMatcher(OnlineMatcher):
     """Resync to the optimum whenever it grows by the factor ``r``."""
 
     name = "amp"
 
     def __init__(self, k: int, r: float | None = None, model: str = FULL):
-        self.graph = Graph(k)
-        self.model = model
+        super().__init__(k, model)
         k_eff = effective_budget(k)
         if r is None:
             r = bounds.amp_default_r(k_eff) if k_eff >= 4 else 2.0
-        self.state = AmpState(k_eff, r)
+        self.state = AmpState(k_eff, r, oracle=self.oracle)
 
     @property
     def r(self) -> float:
@@ -387,25 +375,10 @@ class AmpMatcher:
         k_eff = self.state.k
         return None if k_eff < 4 else bounds.amp_bound(k_eff, self.state.r)
 
-    def matching(self) -> set[int]:
-        return self.graph.matching()
-
-    def on_arrival(self, event: Event) -> None:
-        u, v = event.endpoints
-        eid = self.graph.add_edge(u, v)
-        self.state.oracle.insert(eid, u, v)
-        self._maybe_open_phase()
-
-    def on_departure(self, event: Event) -> None:
-        g = self.graph
-        eid = g.edge_id(*event.endpoints)
-        g.remove_edge(eid, self.model)
-        self.state.oracle.delete(eid)
-        self._maybe_open_phase()
-
-    def _maybe_open_phase(self) -> None:
+    def _react(self, eid: int, ends: tuple[int, int], departed: EdgeState | None) -> None:
+        """Open a phase and sync once the optimum has grown by the factor ``r``."""
         state, g = self.state, self.graph
-        opt = state.oracle.size
+        opt = self.oracle.size
         if opt == 0:
             return
         ell = floor_log(opt, state.r)
@@ -432,7 +405,7 @@ class AmpMatcher:
         size, spending flips for nothing.
         """
         g, state = self.graph, self.state
-        components = symmetric_difference(g, g.matching(), state.oracle.opt, blocked_at=state.k)
+        components = symmetric_difference(g, g.matching(), self.oracle.opt, blocked_at=state.k)
         augmenting = [c for c in components if c.kind == AUGMENTING_PATH]
         for component in sorted(augmenting, key=lambda c: min(c.edges)):
             g.apply_augmenting_path(component)

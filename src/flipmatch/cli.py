@@ -19,7 +19,7 @@ from .adversaries import (
     lgreedy_lb_stream,
 )
 from .algos import make_matcher
-from .core import ARRIVAL, FULL, LIMITED, MODELS
+from .core import ARRIVAL, FULL, LIMITED, MODELS, GraphError
 from .harness import RunReport, duel as run_duel, emit_bound_table, parse_stream, replay, write_stream
 from .stringgame import string_game_adversary
 
@@ -85,7 +85,7 @@ def simulate_cmd(algo: str, k: int | None, model: str | None, instance: str,
     try:
         matcher = make_matcher(algo, k, model=model, **kwargs)
         report = replay(stream.events, matcher)
-    except (ValueError, TypeError) as exc:
+    except (ValueError, TypeError, GraphError) as exc:
         raise click.ClickException(str(exc)) from exc
     _echo_report(report, "events")
     _exit_on_violation(report)

@@ -1,9 +1,9 @@
 """Replay streams, run matcher-vs-opponent duels, and emit the bound table.
 
-Everything here is measurement plumbing: it feeds events to a matcher, keeps
-its own maximum-matching mirror for the offline optimum, records per-step
-sizes and ratios, and counts how often a matcher strays above its guarantee
-(which must be never).
+Everything here is measurement plumbing: it feeds events to a matcher, reads
+the offline optimum from the matcher's board (checking it by brute force on
+small boards), records per-step sizes and ratios, and counts how often a
+matcher strays above its guarantee (which must be never).
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from .core import (
     arrive,
     depart,
 )
-from .oracle import BRUTE_FORCE_EDGE_LIMIT, OracleState, brute_force_max_matching
+from .oracle import BRUTE_FORCE_EDGE_LIMIT, brute_force_max_matching
 
 
 class IllegalEventError(ValueError):
@@ -126,7 +126,7 @@ class RunReport:
 
 
 class _Recorder:
-    """Feeds events to a matcher while mirroring the offline optimum."""
+    """Feeds events to a matcher and scores it against its board's optimum."""
 
     def __init__(self, matcher: OnlineMatcher):
         model = matcher.model
@@ -134,41 +134,34 @@ class _Recorder:
             raise IllegalEventError(f"unknown departure model {model!r}")
         self.matcher = matcher
         self.model = model
-        self.oracle = OracleState()
         # under unrestricted removals every matcher can be starved, so no
         # guarantee applies
         self.report = RunReport(bound=None if model == FULL else matcher.guarantee())
-        self._edge_ids: dict[tuple[int, int], int] = {}
-        self._next_id = 0
 
     def feed(self, ev: Event) -> None:
         pair = ev.endpoints
+        g = self.matcher.graph
         if ev.action == ARRIVE:
-            if pair in self._edge_ids:
+            if g.has_edge(*pair):
                 raise IllegalEventError(f"edge {pair} is already on the board")
             self.matcher.on_arrival(ev)
-            self._edge_ids[pair] = self._next_id
-            self.oracle.insert(self._next_id, *pair)
-            self._next_id += 1
             return
         if self.model == ARRIVAL:
             raise IllegalEventError("departures are illegal under the arrival model")
-        if pair not in self._edge_ids:
+        if not g.has_edge(*pair):
             raise IllegalEventError(f"edge {pair} is not on the board")
-        if self.model == LIMITED:
-            eid = self.matcher.graph.edge_id(*pair)
-            if self.matcher.graph.edge(eid).matched:
-                raise IllegalEventError(
-                    f"edge {pair} is matched and may not leave under the limited model"
-                )
+        if self.model == LIMITED and g.edge(g.edge_id(*pair)).matched:
+            raise IllegalEventError(
+                f"edge {pair} is matched and may not leave under the limited model"
+            )
         self.matcher.on_departure(ev)
-        self.oracle.delete(self._edge_ids.pop(pair))
 
     def snapshot(self, label: str) -> StepRecord:
-        alg = self.matcher.graph.matching_size()
-        opt = self.oracle.size
-        if len(self._edge_ids) <= BRUTE_FORCE_EDGE_LIMIT:
-            exact = brute_force_max_matching(self._edge_ids)
+        g = self.matcher.graph
+        alg = g.matching_size()
+        opt = self.matcher.oracle.size
+        if len(g.edges) <= BRUTE_FORCE_EDGE_LIMIT:
+            exact = brute_force_max_matching(e.endpoints for e in g.edges.values())
             if exact != opt:
                 raise OracleDriftError(f"incremental optimum {opt}, exhaustive {exact}")
         if opt < alg:
@@ -180,7 +173,7 @@ class _Recorder:
             alg_size=alg,
             opt_size=opt,
             ratio=ratio,
-            total_flips=self.matcher.graph.total_flips,
+            total_flips=g.total_flips,
             phase=self.matcher.phase,
         )
         self.report.records.append(record)
@@ -347,6 +340,8 @@ def parse_stream(text: str) -> StreamFile:
                 raise BadStreamError(f"line {lineno}: bad endpoints {line!r}") from None
             if u <= 0 or v <= 0:
                 raise BadStreamError(f"line {lineno}: vertex ids must be positive")
+            if u == v:
+                raise BadStreamError(f"line {lineno}: self-loop at vertex {u}")
             events.append(arrive(u, v) if parts[0] == "+" else depart(u, v))
             continue
         raise BadStreamError(f"line {lineno}: cannot parse {line!r}")

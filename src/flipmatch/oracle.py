@@ -40,6 +40,7 @@ class OracleState:
         self.endpoints: dict[int, tuple[int, int]] = {}  # edge id -> (u, v)
         self.mate: dict[int, int] = {}  # vertex -> matched partner vertex
         self.opt: set[int] = set()  # matched edge ids
+        self.flipped: set[int] = set()  # edge ids the last update's repair path flipped
 
     @property
     def size(self) -> int:
@@ -49,6 +50,7 @@ class OracleState:
         """Register a new edge; returns True when the matching grew."""
         if edge_id in self.endpoints:
             raise ValueError(f"edge id {edge_id} already registered")
+        self.flipped = set()
         self.endpoints[edge_id] = (u, v)
         self.adj.setdefault(u, {})[v] = edge_id
         self.adj.setdefault(v, {})[u] = edge_id
@@ -60,6 +62,7 @@ class OracleState:
             u, v = self.endpoints.pop(edge_id)
         except KeyError:
             raise UnknownEdgeError(f"oracle has no edge with id {edge_id}") from None
+        self.flipped = set()
         del self.adj[u][v]
         del self.adj[v][u]
         if edge_id in self.opt:
@@ -93,6 +96,7 @@ class OracleState:
             return False
         for i, (a, b) in enumerate(zip(walk, walk[1:])):
             eid = self.adj[a][b]
+            self.flipped.add(eid)
             if i % 2 == 0:
                 self.opt.add(eid)
                 self.mate[a] = b

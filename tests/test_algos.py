@@ -313,8 +313,9 @@ def test_18_amp_rejects_odd_budget_state():
     with pytest.raises(OddBudgetError) as err:
         AmpState(5, 1.5)
     assert err.value.code == "odd-budget"
-    with pytest.raises(ValueError):
+    with pytest.raises(bounds.BadParamsError) as err:
         AmpState(4, 1.0)
+    assert err.value.code == "bad-params"
     # the matcher front-end rounds odd budgets down instead
     m = AmpMatcher(5)
     assert m.state.k == 4
@@ -330,6 +331,12 @@ def test_19_make_matcher():
     assert m.params()["L"] == 2
     with pytest.raises(ValueError):
         make_matcher("optimal", 4)
+    # the length cap must be a non-negative integer; L=0 allows single edges only
+    for bad in (-1, 1.5, True):
+        with pytest.raises(bounds.BadParamsError) as err:
+            make_matcher("lgreedy", 6, model=ARRIVAL, L=bad)
+        assert err.value.code == "bad-params"
+    assert make_matcher("lgreedy", 6, model=ARRIVAL, L=0).guarantee() == pytest.approx(2.0)
 
 
 GUARANTEES = [

@@ -122,3 +122,15 @@ def test_09_usage_errors(runner, tmp_path):
     assert result.exit_code != 0
     assert isinstance(result.exception, SystemExit)
     assert "budget must be an integer >= 1" in result.output
+    # a self-loop names its line instead of ending in a traceback
+    loop = tmp_path / "loop.stream"
+    loop.write_text("k 4\nmodel arrival\n+ 3 3\n")
+    result = runner.invoke(main, ["simulate", "--algo", "greedy", "--instance", str(loop)])
+    assert result.exit_code != 0
+    assert isinstance(result.exception, SystemExit)
+    assert "line 3: self-loop at vertex 3" in result.output
+    # matcher parameters out of range are usage errors too
+    for flags in (["--algo", "lgreedy", "--L", "-1"], ["--algo", "amp", "--r", "0.5"]):
+        result = runner.invoke(main, ["simulate", *flags, "--instance", str(good)])
+        assert result.exit_code != 0
+        assert isinstance(result.exception, SystemExit)

@@ -13,12 +13,19 @@ from flipmatch.adversaries import (
     full_departure_adversary,
     greedy_lb_stream,
 )
-from flipmatch.algos import AmpMatcher, GreedyMatcher, LGreedyMatcher, PhaseRecord
+from flipmatch.algos import (
+    AmpMatcher,
+    GreedyMatcher,
+    LGreedyMatcher,
+    PhaseRecord,
+    make_matcher,
+)
 from flipmatch.bounds import BadParamsError, lgreedy_bound
-from flipmatch.core import ARRIVAL, FULL, LIMITED, arrive, depart
+from flipmatch.core import ARRIVAL, FULL, LIMITED, MODELS, GraphError, arrive, depart
 from flipmatch.harness import (
     BadStreamError,
     IllegalEventError,
+    OracleDriftError,
     RunReport,
     TABLE_HEADER,
     amp_phase_violations,
@@ -31,6 +38,7 @@ from flipmatch.harness import (
     replay,
     write_stream,
 )
+from flipmatch.oracle import OracleState
 from flipmatch.stringgame import string_game_adversary
 
 try:
@@ -196,6 +204,7 @@ def test_15_stream_parse_errors():
         "k 0\nmodel full\n",  # no flips at all
         "k -3\nmodel full\n",  # negative budget
         "k 4\nmodel full\n* 1 2\n",  # unknown line
+        "k 4\nmodel full\n+ 3 3\n",  # self-loop
     ]
     for text in cases:
         with pytest.raises(BadStreamError):
@@ -204,6 +213,8 @@ def test_15_stream_parse_errors():
     # a budget below 1 names its line instead of failing later in the matcher
     with pytest.raises(BadStreamError, match="line 2: budget must be at least 1, got -3"):
         parse_stream("# no flips\nk -3\nmodel full\n+ 1 2\n")
+    with pytest.raises(BadStreamError, match="line 4: self-loop at vertex 3"):
+        parse_stream("k 4\nmodel full\n+ 1 3\n- 3 3\n")
 
 
 def test_16_random_arrival_streams_stay_bruteforceable():
@@ -267,6 +278,59 @@ def test_20_reports_start_empty():
     assert report.bound is None and report.stop_reason is None
 
 
+class _Drifter(GreedyMatcher):
+    """Greedy that corrupts its own optimum once its board holds ``at`` edges."""
+
+    def __init__(self, at, corrupt):
+        super().__init__(4, ARRIVAL)
+        self.at, self.corrupt = at, corrupt
+
+    def _react(self, eid, ends, departed):
+        super()._react(eid, ends, departed)
+        if len(self.graph.edges) == self.at:
+            self.corrupt(self.oracle.opt)
+
+
+@pytest.mark.parametrize(
+    "at,corrupt,message",
+    [
+        # one phantom edge keeps opt above alg: only brute force can see it
+        (3, lambda opt: opt.add(-1), "incremental optimum 4, exhaustive 3"),
+        # past the brute-force limit, an optimum below the matching still trips
+        (25, lambda opt: opt.clear(), "optimum 0 fell below the matching size 25"),
+    ],
+)
+def test_22_referee_catches_a_drifting_optimum(at, corrupt, message):
+    stream = [arrive(2 * i + 1, 2 * i + 2) for i in range(30)]  # disjoint edges
+    matcher = _Drifter(at, corrupt)
+    with pytest.raises(OracleDriftError, match=message) as err:
+        replay(stream, matcher)
+    assert err.value.code == "oracle-drift"
+    assert len(matcher.graph.edges) == at
+
+
+@pytest.mark.parametrize("algo", ["greedy", "lgreedy", "amp"])
+def test_23_one_oracle_per_run(algo, monkeypatch):
+    calls = {"insert": [], "delete": []}
+    for name, log in calls.items():
+        method = getattr(OracleState, name)
+
+        def counted(self, *args, method=method, log=log):
+            log.append(self)
+            return method(self, *args)
+
+        monkeypatch.setattr(OracleState, name, counted)
+    arrivals = greedy_lb_stream(4, 3)
+    stream = arrivals + [depart(*ev.endpoints) for ev in arrivals[::3]]
+    matcher = make_matcher(algo, 4, model=FULL)
+    replay(stream, matcher)
+    assert len(calls["insert"]) == len(arrivals)
+    assert len(calls["delete"]) == len(stream) - len(arrivals)
+    assert all(o is matcher.oracle for log in calls.values() for o in log)
+    if algo == "amp":
+        assert matcher.state.oracle is matcher.oracle
+
+
 if HAVE_HYPOTHESIS:
 
     @given(seed=st.integers(0, 10_000), k=st.sampled_from([4, 6, 8]))
@@ -276,3 +340,71 @@ if HAVE_HYPOTHESIS:
         report = replay(stream, GreedyMatcher(k, ARRIVAL))
         assert report.bound_violations == 0
         assert all(r.opt_size >= r.alg_size for r in report.records)
+
+    # a grammar for stream files: a header in either order, then mostly legal
+    # events, with self-loops, zero ids, refused events, late headers,
+    # comments and junk mixed in
+    _headers = st.tuples(
+        st.sampled_from([2, 4, 6, 8] * 5 + [0, 1, 3]).map(lambda k: f"k {k}"),
+        st.sampled_from(MODELS * 6 + ("sometimes",)).map(lambda m: f"model {m}"),
+    ).flatmap(st.permutations)
+    _items = st.lists(
+        st.tuples(
+            st.sampled_from(
+                ["pair"] * 80 + ["quiet"] * 4 + ["flip", "loop", "zero", "header", "junk"]
+            ),
+            st.integers(1, 6),
+            st.integers(1, 6),
+            st.text(alphabet="+-# kmodel0123x", max_size=8),
+        ),
+        max_size=24,
+    )
+
+    def _render(head, items):
+        """Stream text: the header lines, then one line per item.
+
+        A ``pair`` item arrives when its edge is off the board and departs
+        when it is on; a ``flip`` item does the opposite, which the harness
+        must refuse.
+        """
+        lines, on = list(head), set()
+        for kind, u, v, junk in items:
+            if kind in ("pair", "flip"):
+                v = v if v != u else u % 6 + 1
+                edge = frozenset((u, v))
+                arrives = (edge in on) == (kind == "flip")
+                if kind == "pair":
+                    on ^= {edge}
+                lines.append(f"{'+' if arrives else '-'} {u} {v}")
+                continue
+            lines.append({
+                "quiet": "" if u % 2 else "# a comment",
+                "loop": f"+ {u} {u}",
+                "zero": f"- 0 {v}",
+                "header": f"k {u}",
+                "junk": junk,
+            }[kind])
+        return "\n".join(lines)
+
+    def _checked(events, matcher):
+        """Yield the events, checking the board after the harness applied each."""
+        for ev in events:
+            yield ev
+            matcher.graph.validate()
+            matcher.oracle.verify()
+
+    @given(
+        text=st.builds(_render, _headers, _items),
+        algo=st.sampled_from(["greedy", "lgreedy", "amp"]),
+    )
+    @settings(max_examples=1000, deadline=None)
+    def test_24_any_stream_text_replays_or_fails_typed(text, algo):
+        try:
+            stream = parse_stream(text)
+            matcher = make_matcher(algo, stream.k, model=stream.model)
+            replay(_checked(stream.events, matcher), matcher)
+        except (GraphError, ValueError) as exc:
+            assert getattr(exc, "code", None), repr(exc)
+        else:
+            matcher.graph.validate()
+            matcher.oracle.verify()

@@ -170,3 +170,31 @@ def test_12_blossom_never_crosses_a_walled_matched_vertex():
     # with the matched edge searchable the same path is found
     adj[0][1] = adj[1][0] = 0
     assert find_augmenting_path(adj, mate) == [2, 1, 0, 3]
+
+
+def test_13_flipped_is_the_last_repair_path():
+    o = OracleState()
+    for eid, (u, v) in enumerate([(1, 2), (2, 3), (3, 4), (0, 1)]):
+        o.insert(eid, u, v)
+    assert o.flipped == set()  # 0 is free, but no path reaches another free vertex
+    o.insert(4, 4, 5)
+    assert o.flipped == {0, 1, 2, 3, 4}  # 0-1-2-3-4-5 augmented
+    o.delete(0)  # unmatched now: nothing to repair
+    assert o.flipped == set()
+    # under churn, flipped is exactly the edges whose membership moved
+    o, rng = OracleState(), random.Random(3)
+    live: dict[int, tuple[int, int]] = {}
+    for eid in range(400):
+        before = set(o.opt)
+        if live and rng.random() < 0.4:
+            gone = rng.choice(sorted(live))
+            del live[gone]
+            o.delete(gone)
+            assert o.flipped == (before ^ o.opt) - {gone}
+        else:
+            u, v = rng.sample(range(12), 2)
+            if any({u, v} == set(p) for p in live.values()):
+                continue
+            live[eid] = (u, v)
+            o.insert(eid, u, v)
+            assert o.flipped == before ^ o.opt
