@@ -118,18 +118,28 @@ class GreedyMatcher(OnlineMatcher):
     def _react(self, eid: int, ends: tuple[int, int], departed: EdgeState | None) -> None:
         # only a departure that tore out a matched edge can open new paths
         if departed is None or departed.matched:
-            self._exhaust(ends)
+            spent = departed is not None and departed.etype >= self.graph.budget
+            self._exhaust(ends, 2 if spent else 1)
 
-    def _exhaust(self, seeds: tuple[int, int]) -> None:
+    def _exhaust(self, seeds: tuple[int, int], paths: int) -> None:
+        """Apply up to ``paths`` augmenting paths found from ``seeds``, one at a time.
+
+        Let G* be the unspent edges without the walls (vertices whose matched
+        edge is spent) and M* the matched edges in G*. M* stays maximum in G*
+        after every event. An arrival adds one edge and the departure of an
+        unspent matched edge removes one matched edge, so either leaves
+        ν(G*) <= |M*| + 1, and one augmentation reaches it. The edges that path
+        spends keep M* maximum: a spent unmatched edge leaves G*, which cannot
+        raise ν, and a spent matched edge walls its two ends, which lowers ν
+        and |M*| by one each. A departing spent matched edge turns two walls
+        back into vertices of G*, which can raise ν by two, hence ``paths`` of
+        2 there. A further search could only confirm that no path is left.
+        """
         g = self.graph
-        allowed = lambda eid: g.edges[eid].etype < g.budget
-        while True:
-            vertices, adj = g.component_view(seeds, allowed)
-            mate = {}
-            for v in vertices:
-                eid = g.matched_edge_at(v)
-                if eid is not None:
-                    mate[v] = g.edges[eid].other(v)
+        for _ in range(paths):
+            vertices, adj, mate = g.component_view(seeds)
+            if len(vertices) - len(mate) < 2:
+                return  # an augmenting path needs two free ends
             walk = find_augmenting_path(adj, mate)
             if walk is None:
                 return

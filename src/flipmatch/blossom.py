@@ -29,16 +29,10 @@ def find_augmenting_path(
 
     A matched vertex whose matched edge is missing from ``adj`` is a wall:
     every matched vertex on an augmenting path carries its matched edge on
-    the path, so no augmenting path can visit it. Such vertices are dropped
-    from the search instead of being traversed through their mate.
+    the path, so no augmenting path can visit it. The search skips a wall
+    when it scans it as a neighbor, so it is never traversed through its
+    mate; neighbors that have no row in ``adj`` are skipped the same way.
     """
-    walls = {v for v in adj if v in mate and mate[v] not in adj[v]}
-    if walls:
-        adj = {
-            v: {w: eid for w, eid in nbrs.items() if w not in walls}
-            for v, nbrs in adj.items()
-            if v not in walls
-        }
     if roots is None:
         roots = [v for v in adj if v not in mate]
     for root in sorted(roots):
@@ -53,60 +47,71 @@ def find_augmenting_path(
 def _search(
     root: int, adj: Mapping[int, Mapping[int, int]], mate: Mapping[int, int]
 ) -> list[int] | None:
-    """BFS a single alternating tree from ``root``, contracting odd cycles."""
-    base = {v: v for v in adj}
+    """BFS a single alternating tree from ``root``, contracting odd cycles.
+
+    ``base`` holds only the vertices a contraction moved; every other vertex
+    is its own base, hence the ``base.get(v, v)`` reads.
+    """
+    base: dict[int, int] = {}
     parent: dict[int, int] = {}
     used = {root}
     queue = deque([root])
 
     def lca(a: int, b: int) -> int:
         seen = set()
-        a = base[a]
+        a = base.get(a, a)
         while True:
             seen.add(a)
             if a not in mate:
                 break
-            a = base[parent[mate[a]]]
-        b = base[b]
+            a = parent[mate[a]]
+            a = base.get(a, a)
+        b = base.get(b, b)
         while b not in seen:
-            b = base[parent[mate[b]]]
+            b = parent[mate[b]]
+            b = base.get(b, b)
         return b
 
     def mark_path(v: int, b: int, child: int, blossom: set[int]) -> None:
-        while base[v] != b:
-            blossom.add(base[v])
-            blossom.add(base[mate[v]])
+        while (bv := base.get(v, v)) != b:
+            w = mate[v]
+            blossom.add(bv)
+            blossom.add(base.get(w, w))
             parent[v] = child
-            child = mate[v]
-            v = parent[mate[v]]
+            child = w
+            v = parent[w]
 
     while queue:
         v = queue.popleft()
+        v_mate = mate.get(v)
         for to in sorted(adj[v]):
-            if to not in base:
-                continue  # outside the searched component view
-            if base[v] == base[to] or mate.get(v) == to:
+            row = adj.get(to)
+            if row is None:
+                continue  # outside the searched view
+            to_mate = mate.get(to)
+            if to_mate is not None and to_mate not in row:
+                continue  # a wall
+            if base.get(v, v) == base.get(to, to) or v_mate == to:
                 continue
-            if to == root or (to in mate and mate[to] in parent):
+            if to == root or (to_mate is not None and to_mate in parent):
                 # found an odd cycle: contract it
                 cur_base = lca(v, to)
                 blossom: set[int] = set()
                 mark_path(v, cur_base, to, blossom)
                 mark_path(to, cur_base, v, blossom)
-                for u in base:
-                    if base[u] in blossom:
+                for u in adj:
+                    if base.get(u, u) in blossom:
                         base[u] = cur_base
                         if u not in used:
                             used.add(u)
                             queue.append(u)
             elif to not in parent:
                 parent[to] = v
-                if to not in mate:
+                if to_mate is None:
                     return _extract(root, to, parent, mate)
-                w = mate[to]
-                if w not in used:
-                    used.add(w)
-                    queue.append(w)
+                if to_mate not in used:
+                    used.add(to_mate)
+                    queue.append(to_mate)
     return None
 
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, KeysView, Sequence
 
 from .bounds import BadBudgetError
 
@@ -157,7 +157,6 @@ class Graph:
         if not isinstance(budget, int) or budget < 1:
             raise BadBudgetError(f"budget must be an integer >= 1, got {budget!r}")
         self.budget = budget
-        self.vertices: set[int] = set()
         self.edges: dict[int, EdgeState] = {}
         self.total_flips = 0
         self._adj: dict[int, dict[int, int]] = {}  # vertex -> {neighbor: edge id}
@@ -167,6 +166,11 @@ class Graph:
 
     # ------------------------------------------------------------------
     # basic queries
+
+    @property
+    def vertices(self) -> KeysView[int]:
+        """Every vertex that has had an edge (a read-only view)."""
+        return self._adj.keys()
 
     def edge(self, edge_id: int) -> EdgeState:
         try:
@@ -188,9 +192,6 @@ class Graph:
     def neighbors(self, v: int) -> dict[int, int]:
         """Live neighbors of ``v`` mapped to the connecting edge id."""
         return self._adj.get(v, {})
-
-    def matched_edge_at(self, v: int) -> int | None:
-        return self._mate.get(v)
 
     def is_free(self, v: int) -> bool:
         return v not in self._mate
@@ -215,7 +216,6 @@ class Graph:
         self.edges[eid] = EdgeState(eid, key[0], key[1])
         self._pair[key] = eid
         for a, b in ((u, v), (v, u)):
-            self.vertices.add(a)
             self._adj.setdefault(a, {})[b] = eid
         return eid
 
@@ -334,28 +334,36 @@ class Graph:
     # views and checks
 
     def component_view(
-        self, seeds: Iterable[int], allowed=None
-    ) -> tuple[set[int], dict[int, dict[int, int]]]:
-        """Vertices and adjacency reachable from ``seeds`` over allowed edges.
+        self, seeds: Iterable[int]
+    ) -> tuple[set[int], dict[int, dict[int, int]], dict[int, int]]:
+        """The searchable view of the component of ``seeds`` over unspent edges.
 
-        ``allowed`` is an optional predicate on edge ids; edges failing it are
-        treated as absent (useful for skipping blocked edges).
+        Returns the vertices reachable from ``seeds`` over edges whose flip
+        budget is not spent, their adjacency over those edges, and the partner
+        of every matched vertex among them. A vertex whose matched edge is
+        spent keeps its partner but not the edge, which makes it a wall for
+        ``blossom.find_augmenting_path``.
         """
+        budget, edges, rows, matched = self.budget, self.edges, self._adj, self._mate
         seen: set[int] = set()
         adj: dict[int, dict[int, int]] = {}
-        queue = deque(s for s in seeds if s in self.vertices)
+        mate: dict[int, int] = {}
+        queue = deque(s for s in seeds if s in rows)
         seen.update(queue)
         while queue:
             v = queue.popleft()
-            row = adj.setdefault(v, {})
-            for nbr, eid in self._adj.get(v, {}).items():
-                if allowed is not None and not allowed(eid):
+            row = adj[v] = {}
+            matched_edge = matched.get(v)
+            for nbr, eid in rows[v].items():
+                if eid == matched_edge:
+                    mate[v] = nbr
+                if edges[eid].etype >= budget:
                     continue
                 row[nbr] = eid
                 if nbr not in seen:
                     seen.add(nbr)
                     queue.append(nbr)
-        return seen, adj
+        return seen, adj, mate
 
     def validate(self) -> None:
         """Assert internal invariants (meant for tests)."""

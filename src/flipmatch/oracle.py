@@ -21,7 +21,7 @@ from functools import lru_cache
 from typing import Iterable
 
 from .blossom import find_augmenting_path
-from .core import UnknownEdgeError
+from .core import DuplicateEdgeError, UnknownEdgeError
 
 BRUTE_FORCE_EDGE_LIMIT = 24
 
@@ -50,6 +50,10 @@ class OracleState:
         """Register a new edge; returns True when the matching grew."""
         if edge_id in self.endpoints:
             raise ValueError(f"edge id {edge_id} already registered")
+        if v in self.adj.get(u, ()):
+            raise DuplicateEdgeError(
+                f"edge {self.adj[u][v]} between {u} and {v} is already live"
+            )
         self.flipped = set()
         self.endpoints[edge_id] = (u, v)
         self.adj.setdefault(u, {})[v] = edge_id
@@ -73,25 +77,31 @@ class OracleState:
 
     # ------------------------------------------------------------------
 
-    def _component(self, seeds: Iterable[int]) -> dict[int, dict[int, int]]:
-        seen: set[int] = set()
-        stack = [s for s in seeds if s in self.adj]
-        seen.update(stack)
+    def _augment_around(self, seeds: tuple[int, int]) -> bool:
+        """Apply the first augmenting path in the component of ``seeds``, if any.
+
+        One DFS collects the component's rows, in the order it pops them
+        (the order the search's blossom relabelling iterates), and its free
+        vertices. A component with fewer than two free vertices has no
+        augmenting path, so it is not searched.
+        """
+        adj, mate = self.adj, self.mate
         view: dict[int, dict[int, int]] = {}
+        roots: list[int] = []
+        stack = list(seeds)
+        seen = set(stack)
         while stack:
             x = stack.pop()
-            row = self.adj.get(x, {})
-            view[x] = row
+            row = view[x] = adj[x]
+            if x not in mate:
+                roots.append(x)
             for nbr in row:
                 if nbr not in seen:
                     seen.add(nbr)
                     stack.append(nbr)
-        return view
-
-    def _augment_around(self, seeds: tuple[int, int]) -> bool:
-        view = self._component(seeds)
-        roots = sorted(x for x in view if x not in self.mate)
-        walk = find_augmenting_path(view, self.mate, roots)
+        if len(roots) < 2:
+            return False
+        walk = find_augmenting_path(view, mate, roots)
         if walk is None:
             return False
         for i, (a, b) in enumerate(zip(walk, walk[1:])):
@@ -114,6 +124,11 @@ class OracleState:
             assert not {u, v} & seen
             seen.update((u, v))
         assert len(self.mate) == 2 * len(self.opt)
+        # the adjacency lists exactly the registered edges, each in both rows
+        listed = {(a, b, eid) for a, row in self.adj.items() for b, eid in row.items()}
+        registered = {(u, v, eid) for eid, (u, v) in self.endpoints.items()}
+        registered |= {(v, u, eid) for u, v, eid in registered}
+        assert listed == registered, "adjacency and edge set disagree"
 
 
 # ----------------------------------------------------------------------

@@ -20,6 +20,7 @@ from flipmatch.algos import (
     make_matcher,
 )
 from flipmatch import algos, bounds
+from flipmatch.blossom import find_augmenting_path
 from flipmatch.core import (
     ARRIVAL,
     ARRIVE,
@@ -480,3 +481,31 @@ def test_25_lgreedy_string_duel_never_rebuilds_the_difference(monkeypatch):
     report = duel(string_game_adversary(8), make_matcher("lgreedy", 8, LIMITED))
     assert report.stop_reason == MATCHER_STALLED
     assert report.bound_violations == 0
+
+
+def test_26_greedy_leaves_no_augmenting_path_after_any_event():
+    # _exhaust stops after one path, or two when a spent matched edge
+    # departs; a fresh search of the allowed component from the event's ends
+    # must then find nothing. Only an odd budget in the full model lets a
+    # spent edge stay matched and depart, so those runs get more seeds.
+    second_paths = 0
+    for model in MODELS:
+        for k in range(2, 10):
+            seeds = 40 if model == FULL and k % 2 == 1 else 10
+            for seed in range(seeds):
+                m = GreedyMatcher(k, model)
+                react = m._react
+
+                def checked_react(eid, ends, departed, m=m, react=react):
+                    nonlocal second_paths
+                    before = m.augmentations
+                    react(eid, ends, departed)
+                    _, adj, mate = m.graph.component_view(ends)
+                    assert find_augmenting_path(adj, mate) is None, (model, k, seed)
+                    if m.augmentations - before == 2:
+                        assert departed.matched and departed.etype == m.graph.budget
+                        second_paths += 1
+
+                m._react = checked_react
+                random_churn(random.Random(seed), m, 100, max_vertices=10)
+    assert second_paths >= 10

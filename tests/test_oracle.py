@@ -7,7 +7,7 @@ import random
 import pytest
 
 from flipmatch.blossom import find_augmenting_path
-from flipmatch.core import UnknownEdgeError
+from flipmatch.core import DuplicateEdgeError, UnknownEdgeError
 from flipmatch.oracle import (
     BRUTE_FORCE_EDGE_LIMIT,
     OracleState,
@@ -198,3 +198,87 @@ def test_13_flipped_is_the_last_repair_path():
             live[eid] = (u, v)
             o.insert(eid, u, v)
             assert o.flipped == before ^ o.opt
+
+
+def test_14_oracle_rejects_a_second_edge_on_a_live_pair():
+    o = OracleState()
+    o.insert(3, 0, 1)
+    for u, v in ((1, 0), (0, 1)):
+        with pytest.raises(DuplicateEdgeError) as err:
+            o.insert(72, u, v)
+        assert err.value.code == "duplicate-edge"
+    # refused before any mutation: edge 3 alone holds the pair
+    assert o.endpoints == {3: (0, 1)}
+    assert o.adj == {0: {1: 3}, 1: {0: 3}}
+    assert o.opt == {3}
+    o.verify()
+    with pytest.raises(UnknownEdgeError):
+        o.delete(72)
+    o.delete(3)
+    assert o.size == 0
+    o.verify()
+
+
+@pytest.mark.parametrize(
+    "corrupt",
+    [
+        lambda adj: (adj[1].pop(2), adj[2].pop(1)),  # a live edge lost its rows
+        lambda adj: adj[3].pop(4),  # one row lost a live edge
+        lambda adj: (adj[1].update({4: 9}), adj[4].update({1: 9})),  # an unknown edge
+        lambda adj: (adj[2].update({3: 0}), adj[3].update({2: 0})),  # an id on two pairs
+    ],
+    ids=["lost-edge", "one-sided", "unknown-edge", "moved-id"],
+)
+def test_15_verify_catches_adjacency_that_disagrees_with_the_edges(corrupt):
+    o = OracleState()
+    for eid, (u, v) in enumerate([(1, 2), (2, 3), (3, 4)]):
+        o.insert(eid, u, v)
+    o.verify()
+    corrupt(o.adj)
+    with pytest.raises(AssertionError):
+        o.verify()
+
+
+def _is_wall(adj, mate, v):
+    return v in mate and mate[v] not in adj.get(v, {})
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_16_search_finds_a_path_exactly_when_the_wall_free_graph_has_one(seed):
+    # random boards of at most 10 vertices with a random matching; some
+    # matched edges are left out of adj, which makes their ends walls
+    rng = random.Random(seed)
+    found = 0
+    for _ in range(1500):
+        n = rng.randint(2, 10)
+        pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+        edges = rng.sample(pairs, rng.randint(1, min(len(pairs), 18)))
+        mate: dict[int, int] = {}
+        walled: list[tuple[int, int]] = []
+        for u, v in rng.sample(edges, len(edges)):
+            if u not in mate and v not in mate and rng.random() < 0.6:
+                mate[u], mate[v] = v, u
+                if rng.random() < 0.3:
+                    walled.append((u, v))
+        adj: dict[int, dict[int, int]] = {v: {} for v in range(n) if rng.random() < 0.9}
+        for eid, (u, v) in enumerate(edges):
+            if (u, v) not in walled:
+                adj.setdefault(u, {})[v] = eid
+                adj.setdefault(v, {})[u] = eid
+        walls = {v for v in adj if _is_wall(adj, mate, v)}
+        searchable = [
+            (u, v) for u in adj for v in adj[u] if u < v and not {u, v} & walls
+        ]
+        matched = sum(1 for u, v in searchable if mate.get(u) == v)
+        walk = find_augmenting_path(adj, mate)
+        assert (walk is not None) == (brute_force_max_matching(searchable) > matched)
+        if walk is None:
+            continue
+        found += 1
+        assert len(walk) % 2 == 0 and len(set(walk)) == len(walk)
+        assert walk[0] not in mate and walk[-1] not in mate
+        for i, (a, b) in enumerate(zip(walk, walk[1:])):
+            assert b in adj[a]
+            assert (mate.get(a) == b) == (i % 2 == 1)
+        assert not set(walk) & walls
+    assert found > 50
