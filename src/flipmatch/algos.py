@@ -35,11 +35,12 @@ from .oracle import OracleState
 
 
 class OnlineMatcher:
-    """One board per run: the matcher's graph and the optimum over its edges.
+    """One board per run: the matcher's graph and the optimum over its rows.
 
-    ``on_arrival`` and ``on_departure`` apply an event to the graph and to
-    the oracle under the same edge id, then hand it to ``_react``. The
-    harness scores the matcher against ``oracle`` instead of keeping a copy.
+    ``on_arrival`` and ``on_departure`` apply an event to the graph, report
+    it to the oracle, which searches the graph's own rows, then hand it to
+    ``_react``. The harness scores the matcher against ``oracle`` instead of
+    keeping a copy.
     """
 
     name: str
@@ -48,7 +49,7 @@ class OnlineMatcher:
     def __init__(self, k: int, model: str = FULL):
         self.graph = Graph(k)
         self.model = model  # the departure model of the streams it is fed
-        self.oracle = OracleState()
+        self.oracle = OracleState(self.graph.rows)
 
     def on_arrival(self, event: Event) -> None:
         u, v = event.endpoints
@@ -60,7 +61,7 @@ class OnlineMatcher:
         g = self.graph
         eid = g.edge_id(*event.endpoints)
         departed = g.remove_edge(eid, self.model)
-        self.oracle.delete(eid)
+        self.oracle.delete(eid, departed.u, departed.v)
         self._react(eid, event.endpoints, departed)
 
     def _react(self, eid: int, ends: tuple[int, int], departed: EdgeState | None) -> None:
@@ -324,7 +325,7 @@ class AmpState:
     r: float
     phase: int = 0
     ell: int | None = None
-    oracle: OracleState = field(default_factory=OracleState)
+    oracle: OracleState | None = None  # the matcher's board optimum
     history: list[PhaseRecord] = field(default_factory=list)
 
     def __post_init__(self) -> None:

@@ -159,8 +159,9 @@ class Graph:
         self.budget = budget
         self.edges: dict[int, EdgeState] = {}
         self.total_flips = 0
-        self._adj: dict[int, dict[int, int]] = {}  # vertex -> {neighbor: edge id}
-        self._pair: dict[tuple[int, int], int] = {}  # live (u, v) with u < v -> edge id
+        # vertex -> {neighbor: edge id}: the board's only edge index, which
+        # the oracle searches too
+        self.rows: dict[int, dict[int, int]] = {}
         self._mate: dict[int, int] = {}  # vertex -> matched edge id
         self._next_id = 0
 
@@ -170,7 +171,7 @@ class Graph:
     @property
     def vertices(self) -> KeysView[int]:
         """Every vertex that has had an edge (a read-only view)."""
-        return self._adj.keys()
+        return self.rows.keys()
 
     def edge(self, edge_id: int) -> EdgeState:
         try:
@@ -179,25 +180,19 @@ class Graph:
             raise UnknownEdgeError(f"no live edge with id {edge_id}") from None
 
     def edge_id(self, u: int, v: int) -> int:
-        key = (u, v) if u < v else (v, u)
         try:
-            return self._pair[key]
+            return self.rows[u][v]
         except KeyError:
             raise UnknownEdgeError(f"no live edge between {u} and {v}") from None
 
     def has_edge(self, u: int, v: int) -> bool:
-        key = (u, v) if u < v else (v, u)
-        return key in self._pair
-
-    def neighbors(self, v: int) -> dict[int, int]:
-        """Live neighbors of ``v`` mapped to the connecting edge id."""
-        return self._adj.get(v, {})
+        return v in self.rows.get(u, ())
 
     def is_free(self, v: int) -> bool:
         return v not in self._mate
 
     def matching(self) -> set[int]:
-        return {e.id for e in self.edges.values() if e.matched}
+        return set(self._mate.values())
 
     def matching_size(self) -> int:
         return len(self._mate) // 2
@@ -208,15 +203,13 @@ class Graph:
     def add_edge(self, u: int, v: int) -> int:
         if u == v:
             raise SelfLoopError(f"self-loop at vertex {u}")
-        key = (u, v) if u < v else (v, u)
-        if key in self._pair:
+        if self.has_edge(u, v):
             raise DuplicateEdgeError(f"edge between {u} and {v} is already live")
         eid = self._next_id
         self._next_id += 1
-        self.edges[eid] = EdgeState(eid, key[0], key[1])
-        self._pair[key] = eid
+        self.edges[eid] = EdgeState(eid, min(u, v), max(u, v))
         for a, b in ((u, v), (v, u)):
-            self._adj.setdefault(a, {})[b] = eid
+            self.rows.setdefault(a, {})[b] = eid
         return eid
 
     def remove_edge(self, edge_id: int, model: str = FULL) -> EdgeState:
@@ -231,9 +224,8 @@ class Graph:
             del self._mate[e.u]
             del self._mate[e.v]
         del self.edges[edge_id]
-        del self._pair[(e.u, e.v)]
-        del self._adj[e.u][e.v]
-        del self._adj[e.v][e.u]
+        del self.rows[e.u][e.v]
+        del self.rows[e.v][e.u]
         return e
 
     def _flip_all(self, states: Sequence[EdgeState]) -> None:
@@ -344,7 +336,7 @@ class Graph:
         spent keeps its partner but not the edge, which makes it a wall for
         ``blossom.find_augmenting_path``.
         """
-        budget, edges, rows, matched = self.budget, self.edges, self._adj, self._mate
+        budget, edges, rows, matched = self.budget, self.edges, self.rows, self._mate
         seen: set[int] = set()
         adj: dict[int, dict[int, int]] = {}
         mate: dict[int, int] = {}
@@ -377,6 +369,11 @@ class Graph:
                     assert v not in mates, f"vertex {v} matched twice"
                     mates[v] = e.id
         assert mates == self._mate, "matched-vertex index out of sync"
+        # the rows list exactly the live edges, each in both directions
+        listed = {(a, b, eid) for a, row in self.rows.items() for b, eid in row.items()}
+        live = {(e.u, e.v, e.id) for e in self.edges.values()}
+        live |= {(v, u, eid) for u, v, eid in live}
+        assert listed == live, "rows and live edges disagree"
 
 
 # ----------------------------------------------------------------------

@@ -277,13 +277,8 @@ def emit_bound_table(k_range: Iterable[int]) -> str:
             raise bounds.BadParamsError(f"table rows need even budgets >= 4, got {k!r}")
     lines = [TABLE_HEADER]
     for k in ks:
-        cells = (
-            bounds.det_lower_bound(k),
-            bounds.dep_lower_bound(k),
-            bounds.lgreedy_bound(k),
-            bounds.amp_bound_improved(k),
-            bounds.amp_bound_original(k),
-        )
+        (row,) = bounds.bound_rows(k, k)
+        cells = (row.det_lb, row.dep_lb, row.lgreedy, row.amp_improved, row.amp_original)
         lines.append(f"{k}," + ",".join(f"{cell:.6f}" for cell in cells))
     return "\n".join(lines) + "\n"
 

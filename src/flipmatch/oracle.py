@@ -1,7 +1,9 @@
 """Incrementally maintained maximum matching plus a brute-force reference.
 
-The oracle keeps its own adjacency copy, fed by insert/delete calls, and
-repairs its matching with at most one augmenting-path search per update:
+The oracle searches the rows of the graph it scores (vertex -> {neighbor:
+edge id}) and keeps only its matching. Each update is reported after the
+graph applied it, and the oracle repairs its matching with at most one
+augmenting-path search:
 
 * insert: a new edge can raise the maximum by at most one, and any new
   augmenting path must use it, so one search inside the touched component
@@ -11,8 +13,9 @@ repairs its matching with at most one augmenting-path search per update:
 * delete of an unmatched edge: removing an edge never creates augmenting
   paths, so nothing needs to run.
 
-Budgets are irrelevant here -- the oracle answers "what could an offline
-matcher do with the current edge set".
+The graph refuses self-loops, duplicate pairs and unknown edges before the
+oracle hears of them. Budgets are irrelevant here -- the oracle answers
+"what could an offline matcher do with the current edge set".
 """
 
 from __future__ import annotations
@@ -21,7 +24,6 @@ from functools import lru_cache
 from typing import Iterable
 
 from .blossom import find_augmenting_path
-from .core import DuplicateEdgeError, UnknownEdgeError
 
 BRUTE_FORCE_EDGE_LIMIT = 24
 
@@ -33,11 +35,10 @@ class TooLargeError(Exception):
 
 
 class OracleState:
-    """Maximum matching maintained under edge insertions and deletions."""
+    """Maximum matching over a graph's rows, kept under edge insertions and deletions."""
 
-    def __init__(self) -> None:
-        self.adj: dict[int, dict[int, int]] = {}  # vertex -> {neighbor: edge id}
-        self.endpoints: dict[int, tuple[int, int]] = {}  # edge id -> (u, v)
+    def __init__(self, rows: dict[int, dict[int, int]]) -> None:
+        self.rows = rows  # the graph's vertex -> {neighbor: edge id}, read only
         self.mate: dict[int, int] = {}  # vertex -> matched partner vertex
         self.opt: set[int] = set()  # matched edge ids
         self.flipped: set[int] = set()  # edge ids the last update's repair path flipped
@@ -47,28 +48,13 @@ class OracleState:
         return len(self.opt)
 
     def insert(self, edge_id: int, u: int, v: int) -> bool:
-        """Register a new edge; returns True when the matching grew."""
-        if edge_id in self.endpoints:
-            raise ValueError(f"edge id {edge_id} already registered")
-        if v in self.adj.get(u, ()):
-            raise DuplicateEdgeError(
-                f"edge {self.adj[u][v]} between {u} and {v} is already live"
-            )
+        """Repair after edge ``edge_id`` joined the rows at u-v; True when the matching grew."""
         self.flipped = set()
-        self.endpoints[edge_id] = (u, v)
-        self.adj.setdefault(u, {})[v] = edge_id
-        self.adj.setdefault(v, {})[u] = edge_id
         return self._augment_around((u, v))
 
-    def delete(self, edge_id: int) -> None:
-        """Forget an edge, repairing the matching if it was in it."""
-        try:
-            u, v = self.endpoints.pop(edge_id)
-        except KeyError:
-            raise UnknownEdgeError(f"oracle has no edge with id {edge_id}") from None
+    def delete(self, edge_id: int, u: int, v: int) -> None:
+        """Repair after edge ``edge_id`` left the rows at u-v, if it was matched."""
         self.flipped = set()
-        del self.adj[u][v]
-        del self.adj[v][u]
         if edge_id in self.opt:
             self.opt.discard(edge_id)
             del self.mate[u]
@@ -85,14 +71,14 @@ class OracleState:
         vertices. A component with fewer than two free vertices has no
         augmenting path, so it is not searched.
         """
-        adj, mate = self.adj, self.mate
+        rows, mate = self.rows, self.mate
         view: dict[int, dict[int, int]] = {}
         roots: list[int] = []
         stack = list(seeds)
         seen = set(stack)
         while stack:
             x = stack.pop()
-            row = view[x] = adj[x]
+            row = view[x] = rows[x]
             if x not in mate:
                 roots.append(x)
             for nbr in row:
@@ -105,7 +91,7 @@ class OracleState:
         if walk is None:
             return False
         for i, (a, b) in enumerate(zip(walk, walk[1:])):
-            eid = self.adj[a][b]
+            eid = rows[a][b]
             self.flipped.add(eid)
             if i % 2 == 0:
                 self.opt.add(eid)
@@ -116,19 +102,12 @@ class OracleState:
         return True
 
     def verify(self) -> None:
-        """Assert matching consistency (meant for tests)."""
-        seen: set[int] = set()
-        for eid in self.opt:
-            u, v = self.endpoints[eid]
-            assert self.mate.get(u) == v and self.mate.get(v) == u
-            assert not {u, v} & seen
-            seen.update((u, v))
-        assert len(self.mate) == 2 * len(self.opt)
-        # the adjacency lists exactly the registered edges, each in both rows
-        listed = {(a, b, eid) for a, row in self.adj.items() for b, eid in row.items()}
-        registered = {(u, v, eid) for eid, (u, v) in self.endpoints.items()}
-        registered |= {(v, u, eid) for u, v, eid in registered}
-        assert listed == registered, "adjacency and edge set disagree"
+        """Assert that the matching is a matching of live edges (meant for tests)."""
+        for v, w in self.mate.items():
+            assert self.mate.get(w) == v, f"vertex {v} is matched to {w}, not back"
+            eid = self.rows.get(v, {}).get(w)
+            assert eid in self.opt, f"mates {v} and {w} are not joined by an edge in opt"
+        assert len(self.mate) == 2 * len(self.opt), "opt holds edges no mates use"
 
 
 # ----------------------------------------------------------------------

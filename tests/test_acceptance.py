@@ -28,7 +28,7 @@ from flipmatch.bounds import (
     lgreedy_default_L,
     lgreedy_lower_bound,
 )
-from flipmatch.core import ARRIVAL, ARRIVE, FULL, LIMITED, arrive, depart
+from flipmatch.core import ARRIVAL, ARRIVE, FULL, LIMITED, Graph, arrive, depart
 from flipmatch.harness import (
     amp_phase_violations,
     duel,
@@ -298,22 +298,22 @@ def test_incremental_oracle_matches_brute_force():
     steps = 0
     for seed in range(1000):
         rng = random.Random(40_000 + seed)
-        state = OracleState()
+        g = Graph(1)
+        state = OracleState(g.rows)
         live: dict[tuple[int, int], int] = {}
-        next_id = 0
         for _ in range(40):
             delete = live and (len(live) >= 24 or rng.random() < 0.35)
             if delete:
                 pair = rng.choice(sorted(live))
-                state.delete(live.pop(pair))
+                gone = g.remove_edge(live.pop(pair))
+                state.delete(gone.id, gone.u, gone.v)
             else:
                 u, v = rng.sample(range(1, 11), 2)
                 pair = (u, v) if u < v else (v, u)
                 if pair in live:
                     continue
-                live[pair] = next_id
-                state.insert(next_id, *pair)
-                next_id += 1
+                live[pair] = g.add_edge(*pair)
+                state.insert(live[pair], *pair)
             assert state.size == brute_force_max_matching(live), (seed, sorted(live))
             steps += 1
     elapsed = time.perf_counter() - t0

@@ -18,7 +18,7 @@ from flipmatch.adversaries import (
 )
 from flipmatch.algos import AmpMatcher, GreedyMatcher, LGreedyMatcher
 from flipmatch.bounds import BadBudgetError, BadParamsError
-from flipmatch.core import ARRIVAL, ARRIVE, FULL
+from flipmatch.core import ARRIVAL, ARRIVE, FULL, Graph
 from flipmatch.oracle import OracleState, brute_force_max_matching
 
 
@@ -44,13 +44,12 @@ def live_opt(matcher) -> int:
 
 
 def drive_with_oracle(adv, matcher) -> tuple[str | None, OracleState]:
-    """Like drive(), but keeps an exact optimum alongside (arrivals only)."""
-    oracle = OracleState()
-    eid = 0
+    """Like drive(), but keeps an exact optimum on a board alongside (arrivals only)."""
+    g = Graph(1)
+    oracle = OracleState(g.rows)
     for batch in adv.play(matcher):
         for ev in batch:
-            oracle.insert(eid, *ev.endpoints)
-            eid += 1
+            oracle.insert(g.add_edge(*ev.endpoints), *ev.endpoints)
         replay(batch, matcher)
     return adv.outcome, oracle
 
@@ -309,11 +308,12 @@ def test_25_adversaries_report_names_and_targets():
 
 def test_26_lgreedy_stream_oracle_tracks_brute_force():
     events = lgreedy_lb_stream(6, 4)  # L=4 has no pendant pairs at all
-    oracle = OracleState()
+    g = Graph(1)
+    oracle = OracleState(g.rows)
     edges = []
-    for eid, ev in enumerate(events):
+    for ev in events:
         u, v = ev.endpoints
-        oracle.insert(eid, u, v)
+        oracle.insert(g.add_edge(u, v), u, v)
         edges.append((u, v))
     assert oracle.size == brute_force_max_matching(edges)
     matcher = replay(events, LGreedyMatcher(6, L=4, model=ARRIVAL))

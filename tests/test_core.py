@@ -50,9 +50,18 @@ def test_02_self_loop_rejected():
 
 def test_03_duplicate_edge_rejected():
     g = Graph(2)
-    g.add_edge(1, 2)
-    with pytest.raises(DuplicateEdgeError):
-        g.add_edge(2, 1)
+    e = g.add_edge(1, 2)
+    g.apply_augmenting_path([e])
+    for u, v in ((2, 1), (1, 2)):
+        with pytest.raises(DuplicateEdgeError) as err:
+            g.add_edge(u, v)
+        assert err.value.code == "duplicate-edge"
+    # refused before any mutation: edge e alone holds the pair, still matched
+    assert list(g.edges) == [e]
+    assert g.rows == {1: {2: e}, 2: {1: e}}
+    assert g.matching() == {e}
+    g.validate()
+    assert g.add_edge(2, 3) == e + 1  # no edge id was spent on the refusals
 
 
 def test_04_readd_after_departure_is_fresh():

@@ -327,6 +327,8 @@ def test_23_one_oracle_per_run(algo, monkeypatch):
     assert len(calls["insert"]) == len(arrivals)
     assert len(calls["delete"]) == len(stream) - len(arrivals)
     assert all(o is matcher.oracle for log in calls.values() for o in log)
+    # one edge index per board: the oracle searches the graph's own rows
+    assert matcher.oracle.rows is matcher.graph.rows
     if algo == "amp":
         assert matcher.state.oracle is matcher.oracle
 

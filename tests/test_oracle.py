@@ -6,8 +6,9 @@ import random
 
 import pytest
 
+from flipmatch.algos import MATCHERS, make_matcher
 from flipmatch.blossom import find_augmenting_path
-from flipmatch.core import DuplicateEdgeError, UnknownEdgeError
+from flipmatch.core import FULL, Graph, SelfLoopError, arrive, depart
 from flipmatch.oracle import (
     BRUTE_FORCE_EDGE_LIMIT,
     OracleState,
@@ -89,38 +90,47 @@ def test_05_blossom_handles_odd_cycles():
         assert (mate.get(a) == b) == (i % 2 == 1)
 
 
+def board() -> tuple[Graph, OracleState]:
+    """A graph and the oracle over its rows, fed as a matcher feeds them."""
+    g = Graph(1)
+    return g, OracleState(g.rows)
+
+
+def add(g: Graph, o: OracleState, u: int, v: int) -> bool:
+    return o.insert(g.add_edge(u, v), u, v)
+
+
+def remove(g: Graph, o: OracleState, eid: int) -> None:
+    e = g.remove_edge(eid)
+    o.delete(eid, e.u, e.v)
+
+
 def test_06_oracle_insert_grows():
-    o = OracleState()
-    assert o.insert(0, 1, 2) is True
-    assert o.insert(1, 2, 3) is False
-    assert o.insert(2, 3, 4) is True
+    g, o = board()
+    assert add(g, o, 1, 2) is True
+    assert add(g, o, 2, 3) is False
+    assert add(g, o, 3, 4) is True
     assert o.size == 2
     o.verify()
 
 
 def test_07_oracle_delete_repairs():
-    o = OracleState()
-    o.insert(0, 1, 2)
-    o.insert(1, 2, 3)
-    o.insert(2, 3, 4)
+    g, o = board()
+    add(g, o, 1, 2)
+    add(g, o, 2, 3)
+    add(g, o, 3, 4)
     assert o.size == 2
     # deleting a matched edge: repair finds the alternative
     matched = sorted(o.opt)
-    o.delete(matched[0])
+    remove(g, o, matched[0])
     assert o.size >= 1
     o.verify()
 
 
-def test_08_oracle_delete_unknown():
-    o = OracleState()
-    with pytest.raises(UnknownEdgeError):
-        o.delete(5)
-
-
 def test_09_oracle_petersen():
-    o = OracleState()
-    for eid, (u, v) in enumerate(petersen_edges()):
-        o.insert(eid, u, v)
+    g, o = board()
+    for u, v in petersen_edges():
+        add(g, o, u, v)
     assert o.size == 5
     o.verify()
 
@@ -128,33 +138,26 @@ def test_09_oracle_petersen():
 @pytest.mark.parametrize("seed", range(25))
 def test_10_oracle_tracks_brute_force_under_churn(seed):
     rng = random.Random(seed)
-    o = OracleState()
-    live: dict[int, tuple[int, int]] = {}
-    next_id = 0
+    g, o = board()
     n = 9
     for _ in range(60):
-        if live and (rng.random() < 0.35 or len(live) >= 22):
-            eid = rng.choice(sorted(live))
-            o.delete(eid)
-            del live[eid]
+        if g.edges and (rng.random() < 0.35 or len(g.edges) >= 22):
+            remove(g, o, rng.choice(sorted(g.edges)))
         else:
             u, v = rng.sample(range(n), 2)
-            key = (min(u, v), max(u, v))
-            if key in {tuple(sorted(p)) for p in live.values()}:
+            if g.has_edge(u, v):
                 continue
-            o.insert(next_id, u, v)
-            live[next_id] = key
-            next_id += 1
-        assert o.size == brute_force_max_matching(live.values())
+            add(g, o, u, v)
+        assert o.size == brute_force_max_matching(e.endpoints for e in g.edges.values())
         o.verify()
 
 
 def test_11_deterministic_across_runs():
     def run() -> list[int]:
-        o = OracleState()
+        g, o = board()
         sizes = []
-        for eid, (u, v) in enumerate(petersen_edges()):
-            o.insert(eid, u, v)
+        for u, v in petersen_edges():
+            add(g, o, u, v)
             sizes.append(o.size)
         return sizes
 
@@ -173,70 +176,50 @@ def test_12_blossom_never_crosses_a_walled_matched_vertex():
 
 
 def test_13_flipped_is_the_last_repair_path():
-    o = OracleState()
-    for eid, (u, v) in enumerate([(1, 2), (2, 3), (3, 4), (0, 1)]):
-        o.insert(eid, u, v)
+    g, o = board()
+    for u, v in [(1, 2), (2, 3), (3, 4), (0, 1)]:
+        add(g, o, u, v)
     assert o.flipped == set()  # 0 is free, but no path reaches another free vertex
-    o.insert(4, 4, 5)
+    add(g, o, 4, 5)
     assert o.flipped == {0, 1, 2, 3, 4}  # 0-1-2-3-4-5 augmented
-    o.delete(0)  # unmatched now: nothing to repair
+    remove(g, o, 0)  # unmatched now: nothing to repair
     assert o.flipped == set()
     # under churn, flipped is exactly the edges whose membership moved
-    o, rng = OracleState(), random.Random(3)
-    live: dict[int, tuple[int, int]] = {}
-    for eid in range(400):
+    (g, o), rng = board(), random.Random(3)
+    for _ in range(400):
         before = set(o.opt)
-        if live and rng.random() < 0.4:
-            gone = rng.choice(sorted(live))
-            del live[gone]
-            o.delete(gone)
+        if g.edges and rng.random() < 0.4:
+            gone = rng.choice(sorted(g.edges))
+            remove(g, o, gone)
             assert o.flipped == (before ^ o.opt) - {gone}
         else:
             u, v = rng.sample(range(12), 2)
-            if any({u, v} == set(p) for p in live.values()):
+            if g.has_edge(u, v):
                 continue
-            live[eid] = (u, v)
-            o.insert(eid, u, v)
+            add(g, o, u, v)
             assert o.flipped == before ^ o.opt
-
-
-def test_14_oracle_rejects_a_second_edge_on_a_live_pair():
-    o = OracleState()
-    o.insert(3, 0, 1)
-    for u, v in ((1, 0), (0, 1)):
-        with pytest.raises(DuplicateEdgeError) as err:
-            o.insert(72, u, v)
-        assert err.value.code == "duplicate-edge"
-    # refused before any mutation: edge 3 alone holds the pair
-    assert o.endpoints == {3: (0, 1)}
-    assert o.adj == {0: {1: 3}, 1: {0: 3}}
-    assert o.opt == {3}
-    o.verify()
-    with pytest.raises(UnknownEdgeError):
-        o.delete(72)
-    o.delete(3)
-    assert o.size == 0
-    o.verify()
 
 
 @pytest.mark.parametrize(
     "corrupt",
     [
-        lambda adj: (adj[1].pop(2), adj[2].pop(1)),  # a live edge lost its rows
-        lambda adj: adj[3].pop(4),  # one row lost a live edge
-        lambda adj: (adj[1].update({4: 9}), adj[4].update({1: 9})),  # an unknown edge
-        lambda adj: (adj[2].update({3: 0}), adj[3].update({2: 0})),  # an id on two pairs
+        lambda rows: (rows[1].pop(2), rows[2].pop(1)),  # a live edge lost its rows
+        lambda rows: rows[3].pop(4),  # one row lost a live edge
+        lambda rows: (rows[1].update({4: 9}), rows[4].update({1: 9})),  # an unknown edge
+        lambda rows: (rows[2].update({3: 0}), rows[3].update({2: 0})),  # an id on two pairs
     ],
     ids=["lost-edge", "one-sided", "unknown-edge", "moved-id"],
 )
 def test_15_verify_catches_adjacency_that_disagrees_with_the_edges(corrupt):
-    o = OracleState()
-    for eid, (u, v) in enumerate([(1, 2), (2, 3), (3, 4)]):
-        o.insert(eid, u, v)
+    # the oracle searches the graph's rows, so the graph checks them
+    g, o = board()
+    for u, v in [(1, 2), (2, 3), (3, 4)]:
+        add(g, o, u, v)
+    g.validate()
     o.verify()
-    corrupt(o.adj)
+    corrupt(g.rows)
     with pytest.raises(AssertionError):
-        o.verify()
+        g.validate()
 
 
 def _is_wall(adj, mate, v):
@@ -282,3 +265,68 @@ def test_16_search_finds_a_path_exactly_when_the_wall_free_graph_has_one(seed):
             assert (mate.get(a) == b) == (i % 2 == 1)
         assert not set(walk) & walls
     assert found > 50
+
+
+@pytest.mark.parametrize("algo", sorted(MATCHERS))
+def test_17_self_loop_arrival_leaves_the_board_clean(algo):
+    matcher = make_matcher(algo, 4)
+    with pytest.raises(SelfLoopError) as err:
+        matcher.on_arrival(arrive(3, 3))
+    assert err.value.code == "self-loop"
+    matcher.graph.validate()
+    matcher.oracle.verify()
+    assert matcher.oracle.opt == set() and matcher.oracle.mate == {}
+    matcher.on_arrival(arrive(3, 4))
+    assert matcher.oracle.size == 1
+
+
+@pytest.mark.skipif(nx is None, reason="networkx not installed")
+@pytest.mark.parametrize("algo", sorted(MATCHERS))
+def test_18_oracle_matches_networkx_on_large_full_churn(algo):
+    # beyond brute force's 24 edges: the board climbs from 100 live edges to
+    # 300 and back, any edge may leave, and every 25th event is checked
+    rng = random.Random(11)
+    matcher = make_matcher(algo, 4, FULL)
+    g = matcher.graph
+    checks, climbing = 0, True
+    for step in range(1250):
+        if len(g.edges) >= 300:
+            climbing = False
+        elif len(g.edges) <= 100:
+            climbing = True
+        if step < 100 or rng.random() < (0.75 if climbing else 0.25):
+            u, v = rng.sample(range(80), 2)
+            if not g.has_edge(u, v):
+                matcher.on_arrival(arrive(u, v))
+        else:
+            gone = g.edges[rng.choice(list(g.edges))]
+            matcher.on_departure(depart(gone.u, gone.v))
+        if step >= 100 and step % 25 == 0:
+            board = nx.Graph(e.endpoints for e in g.edges.values())
+            expect = len(nx.max_weight_matching(board, maxcardinality=True))
+            assert matcher.oracle.size == expect, step
+            matcher.oracle.verify()
+            checks += 1
+    g.validate()
+    assert checks == 46
+
+
+@pytest.mark.parametrize(
+    "corrupt",
+    [
+        lambda g, o: o.mate.update({1: 9}),  # a mate that does not point back
+        lambda g, o: o.opt.add(7),  # an edge in opt that no mates use
+        lambda g, o: o.opt.discard(0),  # mates joined by an edge outside opt
+        lambda g, o: g.rows.pop(1),  # mates whose edge is no longer live
+    ],
+    ids=["one-way-mate", "unused-opt-edge", "edge-outside-opt", "dead-edge"],
+)
+def test_19_oracle_verify_fails_with_assertion_error_only(corrupt):
+    g, o = board()
+    for u, v in [(1, 2), (2, 3), (3, 4)]:
+        add(g, o, u, v)
+    assert o.opt == {0, 2}
+    o.verify()
+    corrupt(g, o)
+    with pytest.raises(AssertionError):
+        o.verify()
