@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import copy
 import math
 import random
 
@@ -421,35 +422,47 @@ def test_22_bookkeeping_matchers_reject_budget_one(algo):
     assert err.value.code == "bad-k"
 
 
-def test_23_lgreedy_tie_break_applies_smaller_edge_id_first():
+def assert_order_unobservable(m, candidates):
+    """Applying ``candidates`` in found and in reverse order ends on one board."""
+    ends = []
+    for ordered in (candidates, candidates[::-1]):
+        twin = copy.deepcopy(m)
+        LGreedyMatcher._exhaust(twin, list(ordered))
+        g = twin.graph
+        edges = {eid: (e.etype, e.matched) for eid, e in g.edges.items()}
+        ends.append((edges, g._mate, g.total_flips, twin.ledger.weights))
+    assert ends[0] == ends[1]
+
+
+def test_23_lgreedy_applies_both_tied_candidates_in_one_event():
     # The spent edge (1,4) sits in the optimum until the last arrival pushes
-    # the optimum onto (4,5) and (0,1): two length-1 candidates with the same
-    # type string (0,). The older (4,5) has the smaller edge id but the larger
-    # vertices, so only the edge-id tie-break puts it first.
+    # the optimum onto (4,5) and (0,1): two length-1 candidates in one event.
+    # They share no vertex, so applying them in either order ends the same.
     m = LGreedyMatcher(2, model=FULL)
     feed(m, [arrive(1, 4), arrive(4, 5), arrive(0, 1), depart(4, 5), depart(0, 1)])
     g = m.graph
     assert g.edge(g.edge_id(1, 4)).etype == m.k_eff
     assert g.matching_size() == 0
-    applied = []
-    apply = g.apply_augmenting_path
+    handed = []
+    exhaust = m._exhaust
 
-    def record(component):
-        applied.append(component.edges)
-        return apply(component)
+    def checked_exhaust(candidates):
+        handed.append(len(candidates))
+        assert_order_unobservable(m, candidates)
+        exhaust(candidates)
 
-    g.apply_augmenting_path = record
+    m._exhaust = checked_exhaust
     feed(m, [arrive(4, 5), arrive(0, 1)])
-    older, newer = g.edge_id(4, 5), g.edge_id(0, 1)
-    assert older < newer
-    assert applied == [(older,), (newer,)]
+    assert handed[-1] == 2
+    assert g.matching() == {g.edge_id(4, 5), g.edge_id(0, 1)}
 
 
 @pytest.mark.parametrize("model", MODELS)
 @pytest.mark.parametrize("k", [4, 5, 6, 8])
 def test_24_lgreedy_live_difference_matches_whole_graph_rebuild(model, k):
     # every event hands _exhaust exactly the candidates a whole-graph rebuild
-    # finds, and leaves none behind
+    # finds, leaves none behind, and would end on the same board had it
+    # applied them in reverse order
     default_L = bounds.lgreedy_default_L(effective_budget(k))
     key = lambda c: min(c.edges)
     checked = 0
@@ -462,6 +475,7 @@ def test_24_lgreedy_live_difference_matches_whole_graph_rebuild(model, k):
                 nonlocal checked
                 g = m.graph
                 assert sorted(candidates, key=key) == sorted(lgreedy_candidates(m), key=key)
+                assert_order_unobservable(m, candidates)
                 exhaust(candidates)
                 live = {eid for row in m.diff.values() for eid in row.values()}
                 assert live == g.matching() ^ m.oracle.opt
