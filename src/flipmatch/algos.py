@@ -22,15 +22,7 @@ from dataclasses import dataclass, field
 
 from . import bounds
 from .blossom import find_augmenting_path
-from .core import (
-    AUGMENTING_PATH,
-    FULL,
-    AlternatingComponent,
-    EdgeState,
-    Event,
-    Graph,
-    symmetric_difference,
-)
+from .core import FULL, EdgeState, Event, Graph, is_augmenting, symmetric_difference
 from .oracle import OracleState
 
 
@@ -54,7 +46,7 @@ class OnlineMatcher:
     def on_arrival(self, event: Event) -> None:
         u, v = event.endpoints
         eid = self.graph.add_edge(u, v)
-        self.oracle.insert(eid, u, v)
+        self.oracle.insert(u, v)
         self._react(eid, (u, v), None)
 
     def on_departure(self, event: Event) -> None:
@@ -67,9 +59,6 @@ class OnlineMatcher:
     def _react(self, eid: int, ends: tuple[int, int], departed: EdgeState | None) -> None:
         """Respond to edge ``eid`` at ``ends`` arriving, or leaving as ``departed``."""
         raise NotImplementedError
-
-    def matching(self) -> set[int]:
-        return self.graph.matching()
 
     def guarantee(self) -> float | None:
         """Proven worst-case opt/alg ratio while matched edges stay, or None."""
@@ -144,7 +133,7 @@ class GreedyMatcher(OnlineMatcher):
             walk = find_augmenting_path(adj, mate)
             if walk is None:
                 return
-            g.apply_augmenting_path(g.component_from_vertices(walk))
+            g.apply_augmenting_path(walk)
             self.augmentations += 1
 
 
@@ -171,14 +160,14 @@ class WeightLedger:
     def total(self) -> float:
         return sum(self.weights.values())
 
-    def distribute(self, g: Graph, component: AlternatingComponent) -> None:
-        ell = len(component.edges) // 2
+    def distribute(self, walk: list[int]) -> None:
+        """Hand out the unit weight of the augmenting path ``walk``."""
+        ell = (len(walk) - 1) // 2
         endpoint_share = 0.5 - ell * self.alpha
         if endpoint_share < 0:
             raise NegativeEndpointWeightError(
                 f"path of half-length {ell} would hand endpoints {endpoint_share}"
             )
-        walk, _ = g._walk(component.edges)
         for v in walk[1:-1]:
             self.weights[v] = self.weights.get(v, 0.0) + self.alpha
         for v in (walk[0], walk[-1]):
@@ -245,8 +234,8 @@ class LGreedyMatcher(OnlineMatcher):
         found = [self._candidate_at(v, judged) for v in dirty if diff.get(v)]
         self._exhaust([c for c in found if c is not None])
 
-    def _candidate_at(self, v: int, judged: set[int]) -> AlternatingComponent | None:
-        """The component of ``diff`` through ``v`` if it is a candidate.
+    def _candidate_at(self, v: int, judged: set[int]) -> list[int] | None:
+        """The walk of the component of ``diff`` through ``v`` if it is a candidate.
 
         Candidates are augmenting paths of length at most 2L+1 (any length
         when L is None) without a spent edge. The walk gives up as soon as
@@ -256,15 +245,14 @@ class LGreedyMatcher(OnlineMatcher):
         """
         g, diff = self.graph, self.diff
         cap = None if self.L is None else 2 * self.L + 1
-        halves: list[list[int]] = [[], []]  # edges walked out of v on each side
-        ends = [v, v]
+        halves: list[list[int]] = [[], []]  # vertices walked out of v on each side
         length = 0
         for side, (cur, eid) in enumerate(diff[v].items()):
             while True:
                 if eid in judged:
                     return None
                 judged.add(eid)
-                halves[side].append(eid)
+                halves[side].append(cur)
                 length += 1
                 if g.edges[eid].etype >= self.k_eff or cur == v:
                     return None  # spent, or the walk closed a cycle
@@ -274,30 +262,22 @@ class LGreedyMatcher(OnlineMatcher):
                 if step is None:
                     break
                 cur, eid = step
-            ends[side] = cur
-        if length % 2 == 0 or not (g.is_free(ends[0]) and g.is_free(ends[1])):
-            return None
-        # walked from its smaller end, as symmetric_difference walks it
-        edges = halves[0][::-1] + halves[1]
-        if ends[0] > ends[1]:
-            edges.reverse()
-        return g.component_from_edges(edges)
+        walk = halves[0][::-1] + [v] + halves[1]
+        return walk if is_augmenting(g, walk) else None
 
-    def _exhaust(self, candidates: list[AlternatingComponent]) -> None:
-        """Apply every candidate, shortest first.
+    def _exhaust(self, candidates: list[list[int]]) -> None:
+        """Apply every candidate walk, in the order found.
 
-        Applying a component C of D = ALG ^ OPT leaves exactly D minus C and
-        touches no other component's edges, types or end coverage, so one
-        sorted pass applies the same components in the same order as
-        re-picking the minimum after each step.
+        Candidates are distinct components of D = ALG ^ OPT, so they share no
+        vertex. Applying one leaves exactly D minus its edges and touches no
+        other candidate's edges, types or end coverage, so the order cannot
+        change the board or the ledger.
         """
         g, diff = self.graph, self.diff
-        candidates.sort(key=lambda c: (len(c.edges), c.type_string, min(c.edges)))
-        for component in candidates:
-            g.apply_augmenting_path(component)
-            self.ledger.distribute(g, component)
-            for eid in component.edges:
-                a, b = g.edges[eid].endpoints
+        for walk in candidates:
+            g.apply_augmenting_path(walk)
+            self.ledger.distribute(walk)
+            for a, b in zip(walk, walk[1:]):
                 del diff[a][b]
                 del diff[b][a]
 
@@ -416,10 +396,10 @@ class AmpMatcher(OnlineMatcher):
         size, spending flips for nothing.
         """
         g, state = self.graph, self.state
-        components = symmetric_difference(g, g.matching(), self.oracle.opt, blocked_at=state.k)
-        augmenting = [c for c in components if c.kind == AUGMENTING_PATH]
-        for component in sorted(augmenting, key=lambda c: min(c.edges)):
-            g.apply_augmenting_path(component)
+        walks = symmetric_difference(g, g.matching(), self.oracle.opt, blocked_at=state.k)
+        for walk in walks:
+            if is_augmenting(g, walk):
+                g.apply_augmenting_path(walk)
 
 
 MATCHERS = {

@@ -6,9 +6,10 @@ counter goes up by one and the edge toggles in or out of the matching, so an
 edge is matched exactly when its type is odd. Once the counter reaches the
 budget ``k`` the edge is frozen for good -- we call it *blocked*.
 
-The module also knows how to decompose the symmetric difference of two
-matchings into alternating components (paths and cycles) and how to apply an
-augmenting path back onto the graph.
+A path or cycle is its vertex walk, the list of vertices it visits in
+order; a cycle's walk closes on its start. The module applies an augmenting
+path's walk to the graph, decomposes the symmetric difference of two
+matchings into the walks of its components, and tells augmenting walks apart.
 """
 
 from __future__ import annotations
@@ -24,11 +25,6 @@ ARRIVAL = "arrival"
 LIMITED = "limited"
 FULL = "full"
 MODELS = (ARRIVAL, LIMITED, FULL)
-
-# Component kinds.
-AUGMENTING_PATH = "augmenting-path"
-EVEN_PATH = "even-path"
-CYCLE = "cycle"
 
 ARRIVE = "arrive"
 DEPART = "depart"
@@ -53,10 +49,6 @@ class DuplicateEdgeError(GraphError):
 
 class UnknownEdgeError(GraphError):
     code = "unknown-edge"
-
-
-class UnknownVertexError(GraphError):
-    code = "unknown-vertex"
 
 
 class LimitedDepartureViolation(GraphError):
@@ -117,31 +109,6 @@ class EdgeState:
     @property
     def endpoints(self) -> tuple[int, int]:
         return (self.u, self.v)
-
-    def other(self, vertex: int) -> int:
-        if vertex == self.u:
-            return self.v
-        if vertex == self.v:
-            return self.u
-        raise UnknownVertexError(f"vertex {vertex} is not an endpoint of edge {self.id}")
-
-
-@dataclass
-class AlternatingComponent:
-    """A path or cycle whose edges alternate between two matchings.
-
-    ``edges`` is the ordered edge-id walk, ``type_string`` the canonical type
-    sequence and ``surplus`` the number of currently-unmatched minus
-    currently-matched edges on it (``+1`` for an augmenting path).
-    """
-
-    kind: str
-    edges: tuple[int, ...]
-    type_string: tuple[int, ...]
-    surplus: int = 0
-
-    def __len__(self) -> int:
-        return len(self.edges)
 
 
 class Graph:
@@ -245,72 +212,23 @@ class Graph:
                 self._mate[e.v] = e.id
 
     # ------------------------------------------------------------------
-    # component construction
-
-    def _walk(self, edge_ids: Sequence[int]) -> tuple[list[int], bool]:
-        """Vertex walk realizing ``edge_ids`` in order; returns (walk, is_cycle)."""
-        if not edge_ids:
-            raise GraphError("empty component")
-        states = [self.edge(eid) for eid in edge_ids]
-        if len(states) == 1:
-            return [states[0].u, states[0].v], False
-        # orient the first edge so that it chains into the second
-        first, second = states[0], states[1]
-        shared = set(first.endpoints) & set(second.endpoints)
-        if not shared:
-            raise GraphError("edges do not form a contiguous walk")
-        start = first.other(next(iter(shared)))
-        walk = [start]
-        cur = start
-        for st in states:
-            nxt = st.other(cur)
-            walk.append(nxt)
-            cur = nxt
-        is_cycle = walk[0] == walk[-1] and len(edge_ids) >= 3
-        seen = walk[:-1] if is_cycle else walk
-        if len(set(seen)) != len(seen):
-            raise GraphError("walk revisits a vertex")
-        return walk, is_cycle
-
-    def component_from_edges(self, edge_ids: Sequence[int]) -> AlternatingComponent:
-        """Build a component from an ordered edge walk, classified against the
-        graph's current matching."""
-        walk, is_cycle = self._walk(edge_ids)
-        states = [self.edge(eid) for eid in edge_ids]
-        surplus = sum(1 for e in states if not e.matched) - sum(1 for e in states if e.matched)
-        if is_cycle:
-            kind = CYCLE
-        else:
-            odd = len(states) % 2 == 1
-            free_ends = self.is_free(walk[0]) and self.is_free(walk[-1])
-            kind = AUGMENTING_PATH if odd and free_ends else EVEN_PATH
-        return _oriented_component(self, kind, edge_ids, surplus)
-
-    def component_from_vertices(self, walk: Sequence[int]) -> AlternatingComponent:
-        edge_ids = [self.edge_id(a, b) for a, b in zip(walk, walk[1:])]
-        return self.component_from_edges(edge_ids)
-
-    # ------------------------------------------------------------------
     # applying augmenting paths
 
-    def apply_augmenting_path(
-        self, component: AlternatingComponent | Sequence[int]
-    ) -> AlternatingComponent:
-        """Flip every edge along an augmenting path (+1 matched edge).
+    def apply_augmenting_path(self, walk: Sequence[int]) -> None:
+        """Flip every edge along the augmenting path ``walk`` (+1 matched edge).
 
-        Accepts either a component or an ordered edge-id walk. Validates the
-        path against the *current* state: edges alternate unmatched/matched,
-        both end vertices are free, and no edge is blocked.
+        The walk is checked against the *current* state before any edge
+        flips: it visits no vertex twice, joins live edges, has an odd number
+        of them alternating unmatched/matched, ends on two free vertices, and
+        crosses no edge whose flip budget is spent.
         """
-        if not isinstance(component, AlternatingComponent):
-            component = self.component_from_edges(list(component))
-        states = [self.edge(eid) for eid in component.edges]
-        walk, is_cycle = self._walk(component.edges)
-        if is_cycle or len(states) % 2 == 0:
+        if len(set(walk)) != len(walk):
+            raise GraphError("walk revisits a vertex")
+        states = [self.edges[self.edge_id(a, b)] for a, b in zip(walk, walk[1:])]
+        if len(states) % 2 == 0:
             raise NotAugmentingError("an augmenting path has an odd number of edges")
         for i, e in enumerate(states):
-            want = i % 2 == 1
-            if e.matched != want:
+            if e.matched != (i % 2 == 1):
                 raise NotAugmentingError(
                     f"edge {e.id} breaks the unmatched/matched alternation"
                 )
@@ -320,7 +238,6 @@ class Graph:
         if blocked:
             raise BlockedPathError(f"edges {blocked} have exhausted their flip budget")
         self._flip_all(states)
-        return component
 
     # ------------------------------------------------------------------
     # views and checks
@@ -380,23 +297,15 @@ class Graph:
 # module-level operations
 
 
-def canonical_type_string(types: Sequence[int], *, cycle: bool = False) -> tuple[int, ...]:
-    """Canonical form of a type sequence.
-
-    Paths compare the sequence with its reversal and keep the smaller one.
-    Cycles take the lexicographic minimum over all rotations of both
-    directions, so any two walks around the same cycle agree.
-    """
-    seq = tuple(types)
-    if not cycle:
-        return min(seq, tuple(reversed(seq)))
-    best = None
-    for direction in (seq, tuple(reversed(seq))):
-        for shift in range(len(direction)):
-            rotated = direction[shift:] + direction[:shift]
-            if best is None or rotated < best:
-                best = rotated
-    return best if best is not None else ()
+def is_augmenting(g: Graph, walk: Sequence[int]) -> bool:
+    """True when ``walk`` has an odd number of edges between two ends free in ``g``."""
+    return (
+        len(walk) >= 2
+        and len(walk) % 2 == 0
+        and walk[0] != walk[-1]
+        and g.is_free(walk[0])
+        and g.is_free(walk[-1])
+    )
 
 
 def _check_matching(g: Graph, edge_ids: set[int], label: str) -> None:
@@ -415,17 +324,15 @@ def symmetric_difference(
     opt: set[int],
     *,
     blocked_at: int | None = None,
-) -> list[AlternatingComponent]:
-    """Decompose ``alg ^ opt`` into alternating paths and cycles.
+) -> list[list[int]]:
+    """Decompose ``alg ^ opt`` into the walks of its paths and cycles.
 
-    Both arguments are edge-id sets and must each form a matching. Components
-    are classified against ``alg``: an augmenting path has odd length and both
-    end vertices uncovered by ``alg``. With ``blocked_at`` set, edges whose
-    type has reached it are dropped first, which may split components into
-    shorter stubs.
+    Both arguments are edge-id sets and must each form a matching. With
+    ``blocked_at`` set, edges whose type has reached it are dropped first,
+    which may split components into shorter stubs.
 
     The result is deterministic: paths are walked from their smaller end
-    vertex, components are sorted by (smallest vertex, type string).
+    vertex in increasing order of it, then cycles from their smallest vertex.
     """
     _check_matching(g, alg, "alg")
     _check_matching(g, opt, "opt")
@@ -442,66 +349,30 @@ def symmetric_difference(
         adj[v].sort()
         assert len(adj[v]) <= 2, "two matchings give max degree 2"
 
-    alg_covered: set[int] = set()
-    for eid in alg:
-        alg_covered.update(g.edge(eid).endpoints)
-
     done_edges: set[int] = set()
-    walks: list[tuple[str, list[int]]] = []  # (kind, edge ids)
+    walks: list[list[int]] = []
 
-    def walk_from(start: int) -> tuple[list[int], list[int]]:
-        """Walk until a dead end or back to start; returns (vertices, edges)."""
-        verts = [start]
-        eids: list[int] = []
+    def walk_from(start: int) -> list[int]:
+        """Walk until a dead end or back to start."""
+        walk = [start]
         cur = start
         while True:
-            step = None
-            for nbr, eid in adj[cur]:
-                if eid not in done_edges:
-                    step = (nbr, eid)
-                    break
+            step = next(((n, e) for n, e in adj[cur] if e not in done_edges), None)
             if step is None:
                 break
-            nbr, eid = step
+            cur, eid = step
             done_edges.add(eid)
-            eids.append(eid)
-            verts.append(nbr)
-            cur = nbr
+            walk.append(cur)
             if cur == start:
                 break
-        return verts, eids
+        return walk
 
     endpoints = sorted(v for v, rows in adj.items() if len(rows) == 1)
     for start in endpoints:
-        if all(eid in done_edges for _, eid in adj[start]):
-            continue
-        verts, eids = walk_from(start)
-        odd = len(eids) % 2 == 1
-        free_ends = verts[0] not in alg_covered and verts[-1] not in alg_covered
-        kind = AUGMENTING_PATH if odd and free_ends else EVEN_PATH
-        walks.append((kind, eids))
+        if any(eid not in done_edges for _, eid in adj[start]):
+            walks.append(walk_from(start))
     for start in sorted(adj):
-        if all(eid in done_edges for _, eid in adj[start]):
-            continue
-        verts, eids = walk_from(start)
-        assert verts[0] == verts[-1], "leftover component must be a cycle"
-        walks.append((CYCLE, eids))
-
-    components = [
-        _oriented_component(g, kind, eids, sum(1 if eid in opt else -1 for eid in eids))
-        for kind, eids in walks
-    ]
-    components.sort(key=lambda c: (min(g.edge(e).u for e in c.edges), c.type_string))
-    return components
-
-
-def _oriented_component(
-    g: Graph, kind: str, eids: Sequence[int], surplus: int
-) -> AlternatingComponent:
-    """A component whose paths are walked from the end with the smaller type string."""
-    types = tuple(g.edge(eid).etype for eid in eids)
-    ordered = tuple(eids)
-    if kind != CYCLE and types[::-1] < types:
-        ordered = ordered[::-1]
-    canonical = canonical_type_string(types, cycle=kind == CYCLE)
-    return AlternatingComponent(kind, ordered, canonical, surplus)
+        if any(eid not in done_edges for _, eid in adj[start]):
+            walks.append(walk_from(start))
+            assert walks[-1][0] == walks[-1][-1], "leftover component must be a cycle"
+    return walks

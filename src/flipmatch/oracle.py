@@ -47,8 +47,8 @@ class OracleState:
     def size(self) -> int:
         return len(self.opt)
 
-    def insert(self, edge_id: int, u: int, v: int) -> bool:
-        """Repair after edge ``edge_id`` joined the rows at u-v; True when the matching grew."""
+    def insert(self, u: int, v: int) -> bool:
+        """Repair after an edge joined the rows at u-v; True when the matching grew."""
         self.flipped = set()
         return self._augment_around((u, v))
 

@@ -313,7 +313,7 @@ def test_incremental_oracle_matches_brute_force():
                 if pair in live:
                     continue
                 live[pair] = g.add_edge(*pair)
-                state.insert(live[pair], *pair)
+                state.insert(*pair)
             assert state.size == brute_force_max_matching(live), (seed, sorted(live))
             steps += 1
     elapsed = time.perf_counter() - t0

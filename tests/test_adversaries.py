@@ -49,7 +49,8 @@ def drive_with_oracle(adv, matcher) -> tuple[str | None, OracleState]:
     oracle = OracleState(g.rows)
     for batch in adv.play(matcher):
         for ev in batch:
-            oracle.insert(g.add_edge(*ev.endpoints), *ev.endpoints)
+            g.add_edge(*ev.endpoints)
+            oracle.insert(*ev.endpoints)
         replay(batch, matcher)
     return adv.outcome, oracle
 
@@ -313,7 +314,8 @@ def test_26_lgreedy_stream_oracle_tracks_brute_force():
     edges = []
     for ev in events:
         u, v = ev.endpoints
-        oracle.insert(g.add_edge(u, v), u, v)
+        g.add_edge(u, v)
+        oracle.insert(u, v)
         edges.append((u, v))
     assert oracle.size == brute_force_max_matching(edges)
     matcher = replay(events, LGreedyMatcher(6, L=4, model=ARRIVAL))

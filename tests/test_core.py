@@ -1,4 +1,4 @@
-"""Graph state, flip parity, components, symmetric difference."""
+"""Graph state, flip parity, augmenting walks, symmetric difference."""
 
 from __future__ import annotations
 
@@ -9,9 +9,6 @@ import pytest
 from flipmatch.bounds import BadBudgetError
 from flipmatch.core import (
     ARRIVAL,
-    AUGMENTING_PATH,
-    CYCLE,
-    EVEN_PATH,
     FULL,
     LIMITED,
     BlockedPathError,
@@ -23,13 +20,30 @@ from flipmatch.core import (
     NotAugmentingError,
     SelfLoopError,
     UnknownEdgeError,
-    canonical_type_string,
+    is_augmenting,
     symmetric_difference,
 )
 
 
 def build_path(g: Graph, vertices: list[int]) -> list[int]:
     return [g.add_edge(a, b) for a, b in zip(vertices, vertices[1:])]
+
+
+def board(g: Graph) -> tuple:
+    """Edge types and matched flags, the matching and the flip count."""
+    edges = {eid: (e.etype, e.matched) for eid, e in g.edges.items()}
+    return edges, g.matching(), dict(g._mate), g.total_flips
+
+
+def refuse(g: Graph, walk: list[int], error: type) -> GraphError:
+    """Assert that applying ``walk`` raises exactly ``error`` and changes nothing."""
+    before = board(g)
+    with pytest.raises(error) as err:
+        g.apply_augmenting_path(walk)
+    assert type(err.value) is error
+    assert board(g) == before
+    g.validate()
+    return err.value
 
 
 def test_01_add_edge_basics():
@@ -51,7 +65,7 @@ def test_02_self_loop_rejected():
 def test_03_duplicate_edge_rejected():
     g = Graph(2)
     e = g.add_edge(1, 2)
-    g.apply_augmenting_path([e])
+    g.apply_augmenting_path([1, 2])
     for u, v in ((2, 1), (1, 2)):
         with pytest.raises(DuplicateEdgeError) as err:
             g.add_edge(u, v)
@@ -67,7 +81,7 @@ def test_03_duplicate_edge_rejected():
 def test_04_readd_after_departure_is_fresh():
     g = Graph(3)
     e1 = g.add_edge(1, 2)
-    g.apply_augmenting_path([e1])
+    g.apply_augmenting_path([1, 2])
     g.remove_edge(e1, FULL)
     e2 = g.add_edge(1, 2)
     assert e2 != e1
@@ -77,7 +91,7 @@ def test_04_readd_after_departure_is_fresh():
 def test_05_limited_model_keeps_matched_edges():
     g = Graph(3)
     e = g.add_edge(1, 2)
-    g.apply_augmenting_path([e])
+    g.apply_augmenting_path([2, 1])
     with pytest.raises(LimitedDepartureViolation) as err:
         g.remove_edge(e, LIMITED)
     assert err.value.code == "limited-departure-violation"
@@ -105,7 +119,7 @@ def test_07_unknown_edge():
 def test_08_apply_single_edge_path():
     g = Graph(2)
     e = g.add_edge(1, 2)
-    g.apply_augmenting_path([e])
+    g.apply_augmenting_path([1, 2])
     assert g.edge(e).etype == 1
     assert g.edge(e).matched
     assert g.matching() == {e}
@@ -115,8 +129,8 @@ def test_09_apply_walks_types_up():
     # 0,1,0 -> 1,2,1 -> pushing the middle twice
     g = Graph(4)
     eids = build_path(g, [1, 2, 3, 4])
-    g.apply_augmenting_path([eids[1]])
-    g.apply_augmenting_path(eids)
+    g.apply_augmenting_path([2, 3])
+    g.apply_augmenting_path([1, 2, 3, 4])
     assert [g.edge(e).etype for e in eids] == [1, 2, 1]
     assert g.matching() == {eids[0], eids[2]}
 
@@ -124,81 +138,92 @@ def test_09_apply_walks_types_up():
 def test_10_apply_01210_becomes_12321():
     g = Graph(5)
     eids = build_path(g, [1, 2, 3, 4, 5, 6])
-    g.apply_augmenting_path([eids[2]])
-    g.apply_augmenting_path(eids[1:4])
-    comp = g.component_from_edges(eids)
-    assert comp.type_string == (0, 1, 2, 1, 0)
-    g.apply_augmenting_path(eids)
+    g.apply_augmenting_path([3, 4])
+    g.apply_augmenting_path([5, 4, 3, 2])  # either direction of a walk applies
+    assert [g.edge(e).etype for e in eids] == [0, 1, 2, 1, 0]
+    g.apply_augmenting_path([1, 2, 3, 4, 5, 6])
     assert [g.edge(e).etype for e in eids] == [1, 2, 3, 2, 1]
     g.validate()
 
 
 def test_11_blocked_path_rejected():
     g = Graph(1)
-    eids = build_path(g, [1, 2, 3, 4])
-    g.apply_augmenting_path([eids[1]])  # middle now at type 1 == budget
-    with pytest.raises(BlockedPathError) as err:
-        g.apply_augmenting_path(eids)
-    assert err.value.code == "blocked-path"
+    build_path(g, [1, 2, 3, 4])
+    g.apply_augmenting_path([2, 3])  # middle now at type 1 == budget
+    assert refuse(g, [1, 2, 3, 4], BlockedPathError).code == "blocked-path"
 
 
 def test_12_not_augmenting_rejected():
     g = Graph(4)
-    eids = build_path(g, [1, 2, 3, 4])
+    build_path(g, [1, 2, 3, 4])
     # even-length walk
-    with pytest.raises(NotAugmentingError):
-        g.apply_augmenting_path(eids[:2])
+    refuse(g, [1, 2, 3], NotAugmentingError)
     # alternation broken: all three unmatched
-    with pytest.raises(NotAugmentingError):
-        g.apply_augmenting_path(eids)
+    assert refuse(g, [1, 2, 3, 4], NotAugmentingError).code == "not-augmenting"
+    # no edges at all
+    refuse(g, [1], NotAugmentingError)
+    refuse(g, [], NotAugmentingError)
     # endpoint not free
-    g.apply_augmenting_path([eids[0]])
-    with pytest.raises(NotAugmentingError):
-        g.apply_augmenting_path([eids[1]])
+    g.apply_augmenting_path([1, 2])
+    refuse(g, [2, 3], NotAugmentingError)
 
 
-def test_14_canonical_type_string_paths():
-    assert canonical_type_string([0, 3, 0, 1, 0]) == (0, 1, 0, 3, 0)
-    assert canonical_type_string([0, 1, 2, 1, 0]) == (0, 1, 2, 1, 0)
-    assert canonical_type_string([2, 1]) == (1, 2)
+def test_13_revisiting_walk_rejected():
+    g = Graph(4)
+    build_path(g, [1, 2, 3, 4, 1])
+    g.apply_augmenting_path([2, 3])
+    # a cycle's walk closes on its start
+    assert refuse(g, [1, 2, 3, 4, 1], GraphError).code == "graph-error"
+    # an odd walk that crosses one vertex twice
+    refuse(g, [4, 1, 2, 3, 2, 1], GraphError)
 
 
-def test_15_canonical_type_string_cycles():
-    # same cycle read from different start points and directions
-    a = canonical_type_string([1, 2, 1, 2], cycle=True)
-    b = canonical_type_string([2, 1, 2, 1], cycle=True)
-    assert a == b == (1, 2, 1, 2)
+def test_14_walk_over_missing_edge_rejected():
+    g = Graph(4)
+    build_path(g, [1, 2, 3])
+    g.add_edge(4, 5)
+    g.apply_augmenting_path([2, 3])
+    # the first two edges are live and alternate; 3-4 is not an edge
+    assert refuse(g, [1, 2, 3, 4], UnknownEdgeError).code == "unknown-edge"
+    refuse(g, [6, 7], UnknownEdgeError)
+    # an edge that departed is missing too
+    g.remove_edge(g.edge_id(4, 5), FULL)
+    refuse(g, [4, 5], UnknownEdgeError)
 
 
 def test_19_augmenting_component_kind():
     g = Graph(4)
-    eids = build_path(g, [1, 2, 3, 4])
-    g.apply_augmenting_path([eids[1]])
-    comp = g.component_from_edges(eids)
-    assert comp.kind == AUGMENTING_PATH
-    assert comp.surplus == 1
-    assert comp.type_string == (0, 1, 0)
+    build_path(g, [1, 2, 3, 4])
+    g.apply_augmenting_path([2, 3])
+    assert is_augmenting(g, [1, 2, 3, 4])
+    assert is_augmenting(g, [4, 3, 2, 1])
+    assert not is_augmenting(g, [1, 2, 3])  # even edge count
+    assert not is_augmenting(g, [2, 3])  # matched ends
+    assert not is_augmenting(g, [1])
     h = Graph(4)
-    square = build_path(h, [1, 2, 3, 4, 1])
-    h.apply_augmenting_path([square[0]])
-    h.apply_augmenting_path([square[2]])
-    assert h.component_from_edges(square).kind == CYCLE
-    assert h.component_from_edges(square).surplus == 0
-    assert h.component_from_edges(square[:2]).kind == EVEN_PATH
+    build_path(h, [1, 2, 3, 4, 1])
+    h.apply_augmenting_path([1, 2])
+    h.apply_augmenting_path([3, 4])
+    assert not is_augmenting(h, [1, 2, 3, 4, 1])  # a cycle
+    assert not is_augmenting(h, [1, 2, 3])
+    # an odd cycle has an odd edge count but only one end
+    t = Graph(4)
+    build_path(t, [1, 2, 3, 1])
+    assert not is_augmenting(t, [1, 2, 3, 1])
 
 
 def test_20_symmetric_difference_kinds():
     g = Graph(6)
     eids = build_path(g, [1, 2, 3, 4, 5, 6])
-    g.apply_augmenting_path([eids[1]])
-    g.apply_augmenting_path([eids[3]])
+    g.apply_augmenting_path([2, 3])
+    g.apply_augmenting_path([4, 5])
     alg = g.matching()
     opt = {eids[0], eids[2], eids[4]}
-    comps = symmetric_difference(g, alg, opt)
-    assert len(comps) == 1
-    assert comps[0].kind == AUGMENTING_PATH
-    assert comps[0].surplus == 1
-    assert len(comps[0].edges) == 5
+    walks = symmetric_difference(g, alg, opt)
+    assert walks == [[1, 2, 3, 4, 5, 6]]
+    assert is_augmenting(g, walks[0])
+    g.apply_augmenting_path(walks[0])
+    assert g.matching() == opt
 
 
 def test_21_symmetric_difference_not_a_matching():
@@ -214,18 +239,27 @@ def test_22_symmetric_difference_excluding_blocked_splits():
     # types 1,2,1 at budget 2: dropping the blocked middle splits the path
     g = Graph(2)
     eids = build_path(g, [1, 2, 3, 4])
-    g.apply_augmenting_path([eids[1]])
-    g.apply_augmenting_path(eids)
+    g.apply_augmenting_path([2, 3])
+    g.apply_augmenting_path([1, 2, 3, 4])
     assert [g.edge(e).etype for e in eids] == [1, 2, 1]
     alg = g.matching()
     opt = {eids[1]}
-    whole = symmetric_difference(g, alg, opt)
-    assert len(whole) == 1 and len(whole[0].edges) == 3
+    assert symmetric_difference(g, alg, opt) == [[1, 2, 3, 4]]
     split = symmetric_difference(g, alg, opt, blocked_at=2)
-    assert len(split) == 2
-    assert all(len(c.edges) == 1 for c in split)
-    assert all(g.edge(e).etype < 2 for c in split for e in c.edges)
-    assert all(c.kind == EVEN_PATH for c in split)
+    assert split == [[1, 2], [3, 4]]
+    assert not any(is_augmenting(g, w) for w in split)
+
+
+def test_15_symmetric_difference_cycle_walk_closes():
+    g = Graph(4)
+    square = build_path(g, [5, 6, 7, 8, 5])
+    g.apply_augmenting_path([5, 6])
+    g.apply_augmenting_path([7, 8])
+    path = build_path(g, [1, 2])
+    walks = symmetric_difference(g, g.matching(), {square[1], square[3], path[0]})
+    # paths first, then cycles, each walked from its smallest vertex
+    assert walks == [[1, 2], [5, 6, 7, 8, 5]]
+    assert [is_augmenting(g, w) for w in walks] == [True, False]
 
 
 def _naive_components(g: Graph, alg: set[int], opt: set[int]) -> list[tuple]:
@@ -276,14 +310,16 @@ def test_23_symmetric_difference_matches_naive_scan(seed):
         return chosen
 
     alg, opt = random_matching(), random_matching()
-    comps = symmetric_difference(g, alg, opt)
+    walks = symmetric_difference(g, alg, opt)
+    edge_walks = [[g.edge_id(a, b) for a, b in zip(w, w[1:])] for w in walks]
     got = sorted(
-        ((frozenset(c.edges), c.surplus) for c in comps), key=lambda t: min(t[0])
+        ((frozenset(eids), sum(1 if e in opt else -1 for e in eids)) for eids in edge_walks),
+        key=lambda t: min(t[0]),
     )
     assert got == _naive_components(g, alg, opt)
     # every component is a path or cycle with alternating membership
-    for c in comps:
-        for a, b in zip(c.edges, c.edges[1:]):
+    for eids in edge_walks:
+        for a, b in zip(eids, eids[1:]):
             assert (a in alg) != (b in alg)
 
 
@@ -296,7 +332,7 @@ def test_24_budget_validation():
 
 def test_25_total_flips_counter():
     g = Graph(4)
-    eids = build_path(g, [1, 2, 3, 4])
-    g.apply_augmenting_path([eids[1]])
-    g.apply_augmenting_path(eids)
+    build_path(g, [1, 2, 3, 4])
+    g.apply_augmenting_path([2, 3])
+    g.apply_augmenting_path([1, 2, 3, 4])
     assert g.total_flips == 4

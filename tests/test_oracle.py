@@ -97,7 +97,8 @@ def board() -> tuple[Graph, OracleState]:
 
 
 def add(g: Graph, o: OracleState, u: int, v: int) -> bool:
-    return o.insert(g.add_edge(u, v), u, v)
+    g.add_edge(u, v)
+    return o.insert(u, v)
 
 
 def remove(g: Graph, o: OracleState, eid: int) -> None:
