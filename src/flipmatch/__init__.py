@@ -51,6 +51,7 @@ from .core import (
     Graph,
     arrive,
     depart,
+    is_augmenting,
     symmetric_difference,
 )
 from .harness import (
@@ -120,6 +121,7 @@ __all__ = [
     "full_departure_adversary",
     "greedy_bound",
     "greedy_lb_stream",
+    "is_augmenting",
     "lgreedy_bound",
     "lgreedy_default_L",
     "lgreedy_lb_stream",
