@@ -31,6 +31,8 @@ class OnlineMatcher:
 
     ``on_arrival`` and ``on_departure`` apply an event to the graph, report
     it to the oracle, which searches the graph's own rows, then hand it to
+    ``_react``. The graph, which holds the departure model, is the only
+    check on an event: an event it refuses reaches neither the oracle nor
     ``_react``. The harness scores the matcher against ``oracle`` instead of
     keeping a copy.
     """
@@ -39,8 +41,7 @@ class OnlineMatcher:
     phase: int | None = None  # the phase a phased matcher is in, else None
 
     def __init__(self, k: int, model: str = FULL):
-        self.graph = Graph(k)
-        self.model = model  # the departure model of the streams it is fed
+        self.graph = Graph(k, model)
         self.oracle = OracleState(self.graph.rows)
 
     def on_arrival(self, event: Event) -> None:
@@ -52,7 +53,7 @@ class OnlineMatcher:
     def on_departure(self, event: Event) -> None:
         g = self.graph
         eid = g.edge_id(*event.endpoints)
-        departed = g.remove_edge(eid, self.model)
+        departed = g.remove_edge(eid)
         self.oracle.delete(eid, departed.u, departed.v)
         self._react(eid, event.endpoints, departed)
 
@@ -127,10 +128,10 @@ class GreedyMatcher(OnlineMatcher):
         """
         g = self.graph
         for _ in range(paths):
-            vertices, adj, mate = g.component_view(seeds)
-            if len(vertices) - len(mate) < 2:
+            adj, roots = g.component_view(seeds)
+            if len(roots) < 2:
                 return  # an augmenting path needs two free ends
-            walk = find_augmenting_path(adj, mate)
+            walk = find_augmenting_path(adj, g.mate, roots)
             if walk is None:
                 return
             g.apply_augmenting_path(walk)
@@ -146,9 +147,11 @@ class WeightLedger:
 
     Applying a path of length 2l+1 hands each of the 2l interior vertices an
     extra ``alpha`` and each endpoint ``1/2 - l*alpha``, so the path total is
-    exactly 1 and the ledger sum always equals the matching size.  An
-    uncapped matcher (``L=None``) has nothing to amortise: alpha is 0 and
-    endpoints simply split each path's unit weight.
+    exactly 1. In the arrival and limited models, where no matched edge
+    departs, the ledger sum therefore equals the matching size. In the full
+    model a departing matched edge keeps its endpoints' weights, so the sum
+    can exceed it. An uncapped matcher (``L=None``) has nothing to amortise:
+    alpha is 0 and endpoints simply split each path's unit weight.
     """
 
     def __init__(self, k: int, L: int | None):

@@ -11,21 +11,21 @@ so the returned path is reproducible run to run.
 from __future__ import annotations
 
 from collections import deque
-from typing import Mapping
+from typing import Iterable, Mapping
 
 
 def find_augmenting_path(
     adj: Mapping[int, Mapping[int, int]],
     mate: Mapping[int, int],
-    roots=None,
+    roots: Iterable[int],
 ) -> list[int] | None:
     """Return a vertex walk of an augmenting path, or None.
 
     ``adj`` lists the searchable edges; ``mate`` maps matched vertices to
-    their partner (vertices absent from it are free). ``roots`` restricts the
-    free vertices the search may start from (default: all free vertices in
-    ``adj``). The walk alternates unmatched/matched edges and both end
-    vertices are free.
+    their partner (vertices absent from it are free). ``roots`` are the free
+    vertices of ``adj`` the search starts from, tried in increasing order.
+    The walk alternates unmatched/matched edges and both end vertices are
+    free.
 
     A matched vertex whose matched edge is missing from ``adj`` is a wall:
     every matched vertex on an augmenting path carries its matched edge on
@@ -33,11 +33,7 @@ def find_augmenting_path(
     when it scans it as a neighbor, so it is never traversed through its
     mate; neighbors that have no row in ``adj`` are skipped the same way.
     """
-    if roots is None:
-        roots = [v for v in adj if v not in mate]
     for root in sorted(roots):
-        if root in mate or root not in adj:
-            continue
         path = _search(root, adj, mate)
         if path is not None:
             return path

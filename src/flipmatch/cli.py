@@ -113,7 +113,7 @@ def duel_cmd(opponent: str, algo: str, k: int, epsilon: float, depth: int,
             adv, model = full_departure_adversary(k), FULL
         matcher = make_matcher(algo, k, model=model)
         report = run_duel(adv, matcher, max_moves=max_moves)
-    except (ValueError, TypeError) as exc:
+    except (ValueError, TypeError, GraphError) as exc:
         raise click.ClickException(str(exc)) from exc
     click.echo(f"opponent:    {adv.name} (target {adv.target:.6f})")
     click.echo(f"stop reason: {report.stop_reason}")

@@ -18,7 +18,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, KeysView, Sequence
 
-from .bounds import BadBudgetError
+from .bounds import BadBudgetError, BadParamsError
 
 # Departure models for event streams.
 ARRIVAL = "arrival"
@@ -51,10 +51,10 @@ class UnknownEdgeError(GraphError):
     code = "unknown-edge"
 
 
-class LimitedDepartureViolation(GraphError):
-    """A matched edge tried to leave under the limited departure model."""
+class IllegalEventError(GraphError):
+    """An edge tried to leave where the graph's departure model forbids it."""
 
-    code = "limited-departure-violation"
+    code = "illegal-event-for-model"
 
 
 class BlockedPathError(GraphError):
@@ -117,19 +117,24 @@ class Graph:
     Vertices are integers; they come into existence with their first incident
     edge and persist even after all incident edges are gone. At most one live
     edge per vertex pair; a pair that re-arrives after departing is a brand
-    new edge starting at type 0.
+    new edge starting at type 0. ``model`` is the departure model, which
+    ``remove_edge`` enforces. Every mutation checks its request before it
+    changes anything, so a refused one leaves the graph as it was.
     """
 
-    def __init__(self, budget: int):
+    def __init__(self, budget: int, model: str = FULL):
         if not isinstance(budget, int) or budget < 1:
             raise BadBudgetError(f"budget must be an integer >= 1, got {budget!r}")
+        if model not in MODELS:
+            raise BadParamsError(f"unknown departure model {model!r}; pick one of {MODELS}")
         self.budget = budget
+        self.model = model
         self.edges: dict[int, EdgeState] = {}
         self.total_flips = 0
         # vertex -> {neighbor: edge id}: the board's only edge index, which
         # the oracle searches too
         self.rows: dict[int, dict[int, int]] = {}
-        self._mate: dict[int, int] = {}  # vertex -> matched edge id
+        self.mate: dict[int, int] = {}  # vertex -> matched partner vertex
         self._next_id = 0
 
     # ------------------------------------------------------------------
@@ -156,13 +161,14 @@ class Graph:
         return v in self.rows.get(u, ())
 
     def is_free(self, v: int) -> bool:
-        return v not in self._mate
+        return v not in self.mate
 
     def matching(self) -> set[int]:
-        return set(self._mate.values())
+        rows = self.rows
+        return {rows[v][w] for v, w in self.mate.items()}
 
     def matching_size(self) -> int:
-        return len(self._mate) // 2
+        return len(self.mate) // 2
 
     # ------------------------------------------------------------------
     # mutation
@@ -179,37 +185,21 @@ class Graph:
             self.rows.setdefault(a, {})[b] = eid
         return eid
 
-    def remove_edge(self, edge_id: int, model: str = FULL) -> EdgeState:
+    def remove_edge(self, edge_id: int) -> EdgeState:
         e = self.edge(edge_id)
-        if model == ARRIVAL:
-            raise GraphError("edges never depart under the arrival model")
-        if model == LIMITED and e.matched:
-            raise LimitedDepartureViolation(
+        if self.model == ARRIVAL:
+            raise IllegalEventError("edges never depart under the arrival model")
+        if self.model == LIMITED and e.matched:
+            raise IllegalEventError(
                 f"edge {edge_id} is matched and cannot depart under the limited model"
             )
         if e.matched:
-            del self._mate[e.u]
-            del self._mate[e.v]
+            del self.mate[e.u]
+            del self.mate[e.v]
         del self.edges[edge_id]
         del self.rows[e.u][e.v]
         del self.rows[e.v][e.u]
         return e
-
-    def _flip_all(self, states: Sequence[EdgeState]) -> None:
-        """Toggle a set of edges atomically (leaving edges first, then entering)."""
-        for e in states:
-            e.etype += 1
-            self.total_flips += 1
-            e.matched = not e.matched
-        for e in states:
-            if not e.matched:
-                for v in e.endpoints:
-                    if self._mate.get(v) == e.id:
-                        del self._mate[v]
-        for e in states:
-            if e.matched:
-                self._mate[e.u] = e.id
-                self._mate[e.v] = e.id
 
     # ------------------------------------------------------------------
     # applying augmenting paths
@@ -237,42 +227,49 @@ class Graph:
         blocked = [e.id for e in states if e.etype >= self.budget]
         if blocked:
             raise BlockedPathError(f"edges {blocked} have exhausted their flip budget")
-        self._flip_all(states)
+        # the entering edges (even positions) cover every vertex of the walk,
+        # so setting their partners overwrites every leaving edge's
+        for i, e in enumerate(states):
+            e.etype += 1
+            e.matched = not e.matched
+            if e.matched:
+                a, b = walk[i], walk[i + 1]
+                self.mate[a] = b
+                self.mate[b] = a
+        self.total_flips += len(states)
 
     # ------------------------------------------------------------------
     # views and checks
 
     def component_view(
         self, seeds: Iterable[int]
-    ) -> tuple[set[int], dict[int, dict[int, int]], dict[int, int]]:
+    ) -> tuple[dict[int, dict[int, int]], list[int]]:
         """The searchable view of the component of ``seeds`` over unspent edges.
 
-        Returns the vertices reachable from ``seeds`` over edges whose flip
-        budget is not spent, their adjacency over those edges, and the partner
-        of every matched vertex among them. A vertex whose matched edge is
-        spent keeps its partner but not the edge, which makes it a wall for
+        Returns the adjacency, over edges whose flip budget is not spent, of
+        the vertices reachable from ``seeds`` over those edges, and the free
+        vertices among them. A vertex whose matched edge is spent keeps its
+        partner in ``mate`` but not the edge, which makes it a wall for
         ``blossom.find_augmenting_path``.
         """
-        budget, edges, rows, matched = self.budget, self.edges, self.rows, self._mate
-        seen: set[int] = set()
+        budget, edges, rows, mate = self.budget, self.edges, self.rows, self.mate
         adj: dict[int, dict[int, int]] = {}
-        mate: dict[int, int] = {}
+        roots: list[int] = []
         queue = deque(s for s in seeds if s in rows)
-        seen.update(queue)
+        seen = set(queue)
         while queue:
             v = queue.popleft()
             row = adj[v] = {}
-            matched_edge = matched.get(v)
+            if v not in mate:
+                roots.append(v)
             for nbr, eid in rows[v].items():
-                if eid == matched_edge:
-                    mate[v] = nbr
                 if edges[eid].etype >= budget:
                     continue
                 row[nbr] = eid
                 if nbr not in seen:
                     seen.add(nbr)
                     queue.append(nbr)
-        return seen, adj, mate
+        return adj, roots
 
     def validate(self) -> None:
         """Assert internal invariants (meant for tests)."""
@@ -282,10 +279,10 @@ class Graph:
         mates: dict[int, int] = {}
         for e in self.edges.values():
             if e.matched:
-                for v in e.endpoints:
+                for v, w in ((e.u, e.v), (e.v, e.u)):
                     assert v not in mates, f"vertex {v} matched twice"
-                    mates[v] = e.id
-        assert mates == self._mate, "matched-vertex index out of sync"
+                    mates[v] = w
+        assert mates == self.mate, "partner map out of sync"
         # the rows list exactly the live edges, each in both directions
         listed = {(a, b, eid) for a, row in self.rows.items() for b, eid in row.items()}
         live = {(e.u, e.v, e.id) for e in self.edges.values()}

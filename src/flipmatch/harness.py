@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Iterable
 
 from . import bounds
@@ -20,19 +20,12 @@ from .core import (
     ARRIVAL,
     ARRIVE,
     FULL,
-    LIMITED,
     MODELS,
     Event,
     arrive,
     depart,
 )
 from .oracle import BRUTE_FORCE_EDGE_LIMIT, brute_force_max_matching
-
-
-class IllegalEventError(ValueError):
-    """The stream asked for something its departure model forbids."""
-
-    code = "illegal-event-for-model"
 
 
 class BadStreamError(ValueError):
@@ -75,15 +68,7 @@ class StepRecord:
     phase: int | None = None
 
     def to_dict(self) -> dict:
-        return {
-            "step": self.step,
-            "event": self.event,
-            "alg_size": self.alg_size,
-            "opt_size": self.opt_size,
-            "ratio": self.ratio,
-            "total_flips": self.total_flips,
-            "phase": self.phase,
-        }
+        return asdict(self)
 
 
 @dataclass
@@ -129,32 +114,17 @@ class _Recorder:
     """Feeds events to a matcher and scores it against its board's optimum."""
 
     def __init__(self, matcher: OnlineMatcher):
-        model = matcher.model
-        if model not in MODELS:
-            raise IllegalEventError(f"unknown departure model {model!r}")
         self.matcher = matcher
-        self.model = model
         # under unrestricted removals every matcher can be starved, so no
         # guarantee applies
-        self.report = RunReport(bound=None if model == FULL else matcher.guarantee())
+        full = matcher.graph.model == FULL
+        self.report = RunReport(bound=None if full else matcher.guarantee())
 
     def feed(self, ev: Event) -> None:
-        pair = ev.endpoints
-        g = self.matcher.graph
         if ev.action == ARRIVE:
-            if g.has_edge(*pair):
-                raise IllegalEventError(f"edge {pair} is already on the board")
             self.matcher.on_arrival(ev)
-            return
-        if self.model == ARRIVAL:
-            raise IllegalEventError("departures are illegal under the arrival model")
-        if not g.has_edge(*pair):
-            raise IllegalEventError(f"edge {pair} is not on the board")
-        if self.model == LIMITED and g.edge(g.edge_id(*pair)).matched:
-            raise IllegalEventError(
-                f"edge {pair} is matched and may not leave under the limited model"
-            )
-        self.matcher.on_departure(ev)
+        else:
+            self.matcher.on_departure(ev)
 
     def snapshot(self, label: str) -> StepRecord:
         g = self.matcher.graph
@@ -186,9 +156,12 @@ class _Recorder:
 def replay(stream: Iterable[Event], matcher: OnlineMatcher) -> RunReport:
     """Feed a fixed event stream to a matcher, one record per event.
 
-    Departures the matcher's model forbids raise IllegalEventError before the
-    matcher ever sees them; in the limited model that includes removing an
-    edge the matcher currently has matched.
+    The matcher's graph refuses an illegal event before anything changes:
+    a duplicate arrival raises DuplicateEdgeError, a self-loop
+    SelfLoopError, the departure of an edge not on the board
+    UnknownEdgeError, and a departure the graph's model forbids
+    IllegalEventError (any departure under the arrival model, and the
+    departure of a matched edge under the limited model).
     """
     rec = _Recorder(matcher)
     for ev in stream:
@@ -391,7 +364,7 @@ def random_churn(
     edges the matcher has left unmatched can leave, so the stream is built
     move by move against the matcher's live state.
     """
-    model = matcher.model
+    model = matcher.graph.model
     rec = _Recorder(matcher)
     for _ in range(n_events):
         g = matcher.graph

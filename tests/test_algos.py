@@ -28,7 +28,8 @@ from flipmatch.core import (
     FULL,
     LIMITED,
     MODELS,
-    LimitedDepartureViolation,
+    Graph,
+    IllegalEventError,
     arrive,
     depart,
     is_augmenting,
@@ -109,8 +110,9 @@ def test_03_greedy_full_model_collapse():
 def test_04_greedy_limited_model_guard():
     m = GreedyMatcher(2, model=LIMITED)
     m.on_arrival(arrive(0, 1))
-    with pytest.raises(LimitedDepartureViolation):
+    with pytest.raises(IllegalEventError) as err:
         m.on_departure(depart(0, 1))
+    assert err.value.code == "illegal-event-for-model"
     m.on_arrival(arrive(1, 2))  # stays unmatched: 1 is covered
     m.on_departure(depart(1, 2))  # unmatched edges may leave
     assert m.graph.matching_size() == 1
@@ -428,7 +430,7 @@ def assert_order_unobservable(m, candidates):
         LGreedyMatcher._exhaust(twin, list(ordered))
         g = twin.graph
         edges = {eid: (e.etype, e.matched) for eid, e in g.edges.items()}
-        ends.append((edges, g._mate, g.total_flips, twin.ledger.weights))
+        ends.append((edges, g.mate, g.total_flips, twin.ledger.weights))
     assert ends[0] == ends[1]
 
 
@@ -511,8 +513,9 @@ def test_26_greedy_leaves_no_augmenting_path_after_any_event():
                     nonlocal second_paths
                     before = m.augmentations
                     react(eid, ends, departed)
-                    _, adj, mate = m.graph.component_view(ends)
-                    assert find_augmenting_path(adj, mate) is None, (model, k, seed)
+                    adj, roots = m.graph.component_view(ends)
+                    walk = find_augmenting_path(adj, m.graph.mate, roots)
+                    assert walk is None, (model, k, seed)
                     if m.augmentations - before == 2:
                         assert departed.matched and departed.etype == m.graph.budget
                         second_paths += 1
@@ -520,3 +523,14 @@ def test_26_greedy_leaves_no_augmenting_path_after_any_event():
                 m._react = checked_react
                 random_churn(random.Random(seed), m, 100, max_vertices=10)
     assert second_paths >= 10
+
+
+def test_27_unknown_model_is_refused():
+    # a misspelt model used to act as the full model and let a matched edge go
+    with pytest.raises(bounds.BadParamsError) as err:
+        Graph(4, "limted")
+    assert err.value.code == "bad-params"
+    for algo in ("greedy", "lgreedy", "amp"):
+        with pytest.raises(bounds.BadParamsError) as err:
+            make_matcher(algo, 4, model="limted")
+        assert err.value.code == "bad-params"

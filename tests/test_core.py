@@ -15,7 +15,7 @@ from flipmatch.core import (
     DuplicateEdgeError,
     Graph,
     GraphError,
-    LimitedDepartureViolation,
+    IllegalEventError,
     NotAMatchingError,
     NotAugmentingError,
     SelfLoopError,
@@ -30,9 +30,9 @@ def build_path(g: Graph, vertices: list[int]) -> list[int]:
 
 
 def board(g: Graph) -> tuple:
-    """Edge types and matched flags, the matching and the flip count."""
+    """Edge types and matched flags, the matching, the partner map and the flip count."""
     edges = {eid: (e.etype, e.matched) for eid, e in g.edges.items()}
-    return edges, g.matching(), dict(g._mate), g.total_flips
+    return edges, g.matching(), dict(g.mate), g.total_flips
 
 
 def refuse(g: Graph, walk: list[int], error: type) -> GraphError:
@@ -82,38 +82,51 @@ def test_04_readd_after_departure_is_fresh():
     g = Graph(3)
     e1 = g.add_edge(1, 2)
     g.apply_augmenting_path([1, 2])
-    g.remove_edge(e1, FULL)
+    g.remove_edge(e1)
     e2 = g.add_edge(1, 2)
     assert e2 != e1
     assert g.edge(e2).etype == 0
 
 
 def test_05_limited_model_keeps_matched_edges():
-    g = Graph(3)
+    g = Graph(3, LIMITED)
     e = g.add_edge(1, 2)
     g.apply_augmenting_path([2, 1])
-    with pytest.raises(LimitedDepartureViolation) as err:
-        g.remove_edge(e, LIMITED)
-    assert err.value.code == "limited-departure-violation"
+    before = board(g)
+    with pytest.raises(IllegalEventError) as err:
+        g.remove_edge(e)
+    assert err.value.code == "illegal-event-for-model"
+    assert board(g) == before
     # unmatched edges may leave
     f = g.add_edge(2, 3)
-    g.remove_edge(f, LIMITED)
+    g.remove_edge(f)
     assert not g.has_edge(2, 3)
+    g.validate()
 
 
 def test_06_arrival_model_never_departs():
-    g = Graph(3)
+    g = Graph(3, ARRIVAL)
     e = g.add_edge(1, 2)
-    with pytest.raises(GraphError):
-        g.remove_edge(e, ARRIVAL)
+    with pytest.raises(IllegalEventError) as err:
+        g.remove_edge(e)
+    assert err.value.code == "illegal-event-for-model"
+    assert g.has_edge(1, 2)
+    # the full model lets even a matched edge leave
+    g = Graph(3, FULL)
+    e = g.add_edge(1, 2)
+    g.apply_augmenting_path([1, 2])
+    g.remove_edge(e)
+    assert g.mate == {} and g.matching() == set()
+    g.validate()
 
 
 def test_07_unknown_edge():
-    g = Graph(3)
-    with pytest.raises(UnknownEdgeError):
-        g.remove_edge(7, FULL)
-    with pytest.raises(UnknownEdgeError):
-        g.edge_id(1, 2)
+    for model in (ARRIVAL, LIMITED, FULL):
+        g = Graph(3, model)
+        with pytest.raises(UnknownEdgeError):
+            g.remove_edge(7)
+        with pytest.raises(UnknownEdgeError):
+            g.edge_id(1, 2)
 
 
 def test_08_apply_single_edge_path():
@@ -187,7 +200,7 @@ def test_14_walk_over_missing_edge_rejected():
     assert refuse(g, [1, 2, 3, 4], UnknownEdgeError).code == "unknown-edge"
     refuse(g, [6, 7], UnknownEdgeError)
     # an edge that departed is missing too
-    g.remove_edge(g.edge_id(4, 5), FULL)
+    g.remove_edge(g.edge_id(4, 5))
     refuse(g, [4, 5], UnknownEdgeError)
 
 

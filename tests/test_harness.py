@@ -21,10 +21,22 @@ from flipmatch.algos import (
     make_matcher,
 )
 from flipmatch.bounds import BadParamsError, lgreedy_bound
-from flipmatch.core import ARRIVAL, FULL, LIMITED, MODELS, GraphError, arrive, depart
+from flipmatch.core import (
+    ARRIVAL,
+    ARRIVE,
+    FULL,
+    LIMITED,
+    MODELS,
+    DuplicateEdgeError,
+    GraphError,
+    IllegalEventError,
+    SelfLoopError,
+    UnknownEdgeError,
+    arrive,
+    depart,
+)
 from flipmatch.harness import (
     BadStreamError,
-    IllegalEventError,
     OracleDriftError,
     RunReport,
     TABLE_HEADER,
@@ -91,10 +103,51 @@ def test_05_model_legality():
     # greedy matches 1-2 on arrival, so the limited model must protect it
     with pytest.raises(IllegalEventError):
         replay([arrive(1, 2), depart(1, 2)], GreedyMatcher(4, LIMITED))
-    with pytest.raises(IllegalEventError):
+    with pytest.raises(UnknownEdgeError):
         replay([depart(1, 2)], GreedyMatcher(4, FULL))
-    with pytest.raises(IllegalEventError):
+    with pytest.raises(DuplicateEdgeError):
         replay([arrive(1, 2), arrive(2, 1)], GreedyMatcher(4, FULL))
+
+
+def board_state(matcher) -> tuple:
+    """Everything an event may change on a matcher's board."""
+    g, o = matcher.graph, matcher.oracle
+    edges = {eid: (e.etype, e.matched) for eid, e in g.edges.items()}
+    return edges, dict(g.mate), g.total_flips, g._next_id, dict(o.mate), set(o.opt)
+
+
+@pytest.mark.parametrize("model", [ARRIVAL, LIMITED])
+@pytest.mark.parametrize("algo", ["greedy", "lgreedy", "amp"])
+def test_25_refused_events_leave_the_board_untouched(algo, model):
+    # the graph is the only check on an event: it must refuse before it,
+    # the oracle or the matcher changes anything
+    m = make_matcher(algo, 4, model=model)
+    replay([arrive(1, 2), arrive(2, 3), arrive(3, 4), arrive(4, 5)], m)
+    g = m.graph
+    matched = next(e for e in g.edges.values() if e.matched)
+    unmatched = next(e for e in g.edges.values() if not e.matched)
+    illegal = IllegalEventError, "illegal-event-for-model"
+    refused = [
+        (arrive(2, 1), DuplicateEdgeError, "duplicate-edge"),
+        (arrive(6, 6), SelfLoopError, "self-loop"),
+        (depart(1, 5), UnknownEdgeError, "unknown-edge"),
+        (depart(matched.u, matched.v), *illegal),
+    ]
+    if model == ARRIVAL:
+        refused.append((depart(unmatched.u, unmatched.v), *illegal))
+
+    def direct(ev):
+        (m.on_arrival if ev.action == ARRIVE else m.on_departure)(ev)
+
+    for ev, error, code in refused:
+        for apply in (direct, lambda ev: replay([ev], m)):
+            before = board_state(m)
+            with pytest.raises(error) as err:
+                apply(ev)
+            assert type(err.value) is error and err.value.code == code, ev
+            assert board_state(m) == before, ev
+            g.validate()
+            m.oracle.verify()
 
 
 def test_06_guarantees_by_matcher_and_model():

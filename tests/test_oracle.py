@@ -62,6 +62,11 @@ def test_04_brute_force_size_guard():
     assert err.value.code == "too-large"
 
 
+def free(adj, mate) -> list[int]:
+    """The free vertices of the view ``adj``: every root a search may start from."""
+    return [v for v in adj if v not in mate]
+
+
 def test_05_blossom_handles_odd_cycles():
     # triangle with one tail and a maximum matching: no augmenting path, and
     # the odd cycle must not fool the search into reporting one
@@ -77,11 +82,11 @@ def test_05_blossom_handles_odd_cycles():
     link(3, 1, 3)
     link(3, 4, 4)
     mate = {1: 2, 2: 1, 3: 4, 4: 3}
-    assert find_augmenting_path(adj, mate) is None
+    assert find_augmenting_path(adj, mate, free(adj, mate)) is None
 
     # same graph, weaker matching: now an augmenting path does exist
     mate = {2: 3, 3: 2}
-    walk = find_augmenting_path(adj, mate)
+    walk = find_augmenting_path(adj, mate, free(adj, mate))
     assert walk is not None
     assert len(walk) % 2 == 0
     assert walk[0] not in mate and walk[-1] not in mate
@@ -170,10 +175,10 @@ def test_12_blossom_never_crosses_a_walled_matched_vertex():
     # searchable edges (spent), so 0 and 1 are walls and no path exists
     adj = {0: {3: 1}, 3: {0: 1}, 1: {2: 2}, 2: {1: 2}}
     mate = {0: 1, 1: 0}
-    assert find_augmenting_path(adj, mate) is None
+    assert find_augmenting_path(adj, mate, free(adj, mate)) is None
     # with the matched edge searchable the same path is found
     adj[0][1] = adj[1][0] = 0
-    assert find_augmenting_path(adj, mate) == [2, 1, 0, 3]
+    assert find_augmenting_path(adj, mate, free(adj, mate)) == [2, 1, 0, 3]
 
 
 def test_13_flipped_is_the_last_repair_path():
@@ -254,7 +259,7 @@ def test_16_search_finds_a_path_exactly_when_the_wall_free_graph_has_one(seed):
             (u, v) for u in adj for v in adj[u] if u < v and not {u, v} & walls
         ]
         matched = sum(1 for u, v in searchable if mate.get(u) == v)
-        walk = find_augmenting_path(adj, mate)
+        walk = find_augmenting_path(adj, mate, free(adj, mate))
         assert (walk is not None) == (brute_force_max_matching(searchable) > matched)
         if walk is None:
             continue

@@ -8,7 +8,7 @@ import pytest
 from flipmatch.adversaries import EXPECTATION_MISS, SCRIPT_COMPLETE
 from flipmatch.algos import AmpMatcher, GreedyMatcher, LGreedyMatcher
 from flipmatch.bounds import BadBudgetError, BadParamsError, dep_lower_bound
-from flipmatch.core import ARRIVE, DEPART, FULL, LIMITED, Graph
+from flipmatch.core import ARRIVE, DEPART, LIMITED, Graph
 from flipmatch.stringgame import (
     BadStringError,
     EpsilonTooLargeError,
@@ -414,7 +414,7 @@ def test_24_idle_matcher_is_stalled_and_scored():
             self.graph.add_edge(*event.endpoints)
 
         def on_departure(self, event):  # pragma: no cover - never reached
-            self.graph.remove_edge(self.graph.edge_id(*event.endpoints), FULL)
+            self.graph.remove_edge(self.graph.edge_id(*event.endpoints))
 
     adv = string_game_adversary(4)
     assert drive(adv, Idler()) == MATCHER_STALLED
@@ -434,7 +434,7 @@ def test_25_board_corruption_is_an_expectation_miss():
             if self.seen == 3:
                 g = self.graph
                 victim = next(e.id for e in g.edges.values() if not e.matched)
-                g.remove_edge(victim, FULL)
+                g.remove_edge(victim)
 
     adv = string_game_adversary(4)
     assert drive(adv, Saboteur()) == EXPECTATION_MISS
