@@ -54,7 +54,7 @@ class OnlineMatcher:
         g = self.graph
         eid = g.edge_id(*event.endpoints)
         departed = g.remove_edge(eid)
-        self.oracle.delete(eid, departed.u, departed.v)
+        self.oracle.delete(departed.u, departed.v)
         self._react(eid, event.endpoints, departed)
 
     def _react(self, eid: int, ends: tuple[int, int], departed: EdgeState | None) -> None:
@@ -155,8 +155,6 @@ class WeightLedger:
     """
 
     def __init__(self, k: int, L: int | None):
-        self.k = k
-        self.L = L
         self.alpha = 0.0 if L is None else 1 / (2 * k * (L + 2) - 4)
         self.weights: dict[int, float] = {}
 
@@ -221,13 +219,13 @@ class LGreedyMatcher(OnlineMatcher):
         leaves the difference and frees both its endpoints, which can turn the
         two pieces of its old component into short augmenting paths.
         """
-        g, diff, opt = self.graph, self.diff, self.oracle.opt
+        g, diff, opt = self.graph, self.diff, self.oracle.mate
         dirty: set[int] = set()
         for moved in self.oracle.flipped | {eid}:
             e = g.edges.get(moved)
             a, b = ends if e is None else e.endpoints
             dirty.update((a, b))
-            if e is not None and e.matched != (moved in opt):
+            if e is not None and e.matched != (opt.get(a) == b):
                 diff.setdefault(a, {})[b] = moved
                 diff.setdefault(b, {})[a] = moved
             elif diff.get(a, {}).get(b) == moved:
@@ -302,12 +300,14 @@ class PhaseRecord:
 
 @dataclass
 class AmpState:
-    """Bookkeeping of the doubling matcher: growth factor, phase, level."""
+    """Bookkeeping of the doubling matcher: budget, growth factor, phases.
+
+    The phase count is ``len(history)`` and the current level is the last
+    record's ``ell``.
+    """
 
     k: int
     r: float
-    phase: int = 0
-    ell: int | None = None
     oracle: OracleState | None = None  # the matcher's board optimum
     history: list[PhaseRecord] = field(default_factory=list)
 
@@ -321,7 +321,7 @@ class AmpState:
 def floor_log(value: int, r: float) -> int:
     """Largest integer level with r**level <= value, robust to float noise."""
     if value <= 0:
-        raise ValueError("level is only defined for positive sizes")
+        raise bounds.BadParamsError(f"level is only defined for positive sizes, got {value}")
     est = math.floor(math.log(value) / math.log(r) + 1e-9)
     while r ** (est + 1) <= value * (1 + 1e-12):
         est += 1
@@ -356,7 +356,7 @@ class AmpMatcher(OnlineMatcher):
 
     @property
     def phase(self) -> int:
-        return self.state.phase
+        return len(self.state.history)
 
     @property
     def history(self) -> list[PhaseRecord]:
@@ -376,14 +376,12 @@ class AmpMatcher(OnlineMatcher):
         if opt == 0:
             return
         ell = floor_log(opt, state.r)
-        if state.ell is not None and ell <= state.ell:
+        if state.history and ell <= state.history[-1].ell:
             return
-        state.phase += 1
-        state.ell = ell
         self._sync()
         state.history.append(
             PhaseRecord(
-                phase=state.phase,
+                phase=len(state.history) + 1,
                 ell=ell,
                 opt_size=opt,
                 alg_size=g.matching_size(),
@@ -399,7 +397,7 @@ class AmpMatcher(OnlineMatcher):
         size, spending flips for nothing.
         """
         g, state = self.graph, self.state
-        walks = symmetric_difference(g, g.matching(), self.oracle.opt, blocked_at=state.k)
+        walks = symmetric_difference(g, g.mate, self.oracle.mate, blocked_at=state.k)
         for walk in walks:
             if is_augmenting(g, walk):
                 g.apply_augmenting_path(walk)
@@ -416,5 +414,7 @@ def make_matcher(algo: str, k: int, model: str = FULL, **kwargs) -> OnlineMatche
     try:
         cls = MATCHERS[algo]
     except KeyError:
-        raise ValueError(f"unknown matcher {algo!r}; pick one of {sorted(MATCHERS)}") from None
+        raise bounds.BadParamsError(
+            f"unknown matcher {algo!r}; pick one of {sorted(MATCHERS)}"
+        ) from None
     return cls(k, model=model, **kwargs)

@@ -232,8 +232,6 @@ class BoundRow:
     lgreedy: float
     amp_improved: float
     amp_original: float
-    greedy: float
-    lgreedy_lb: float | None
 
 
 def bound_rows(k_min: int, k_max: int) -> list[BoundRow]:
@@ -242,7 +240,6 @@ def bound_rows(k_min: int, k_max: int) -> list[BoundRow]:
         raise BadParamsError(f"need 4 <= k_min <= k_max, got [{k_min!r}, {k_max!r}]")
     rows = []
     for k in range(k_min + (k_min % 2), k_max + 1, 2):
-        L = lgreedy_default_L(k)
         rows.append(
             BoundRow(
                 k=k,
@@ -251,8 +248,6 @@ def bound_rows(k_min: int, k_max: int) -> list[BoundRow]:
                 lgreedy=lgreedy_bound(k),
                 amp_improved=amp_bound_improved(k),
                 amp_original=amp_bound_original(k),
-                greedy=greedy_bound(k),
-                lgreedy_lb=lgreedy_lower_bound(k, L) if L >= 3 else None,
             )
         )
     return rows

@@ -67,10 +67,6 @@ class NotAugmentingError(GraphError):
     code = "not-augmenting"
 
 
-class NotAMatchingError(GraphError):
-    code = "not-a-matching"
-
-
 @dataclass(frozen=True)
 class Event:
     """One step of an online instance: an edge arrives or departs."""
@@ -98,13 +94,16 @@ def depart(u: int, v: int) -> Event:
 
 @dataclass
 class EdgeState:
-    """A live edge: identity, endpoints, flip counter, matched flag."""
+    """A live edge: identity, endpoints and flip counter."""
 
     id: int
     u: int
     v: int
     etype: int = 0
-    matched: bool = False
+
+    @property
+    def matched(self) -> bool:
+        return self.etype % 2 == 1
 
     @property
     def endpoints(self) -> tuple[int, int]:
@@ -229,13 +228,11 @@ class Graph:
             raise BlockedPathError(f"edges {blocked} have exhausted their flip budget")
         # the entering edges (even positions) cover every vertex of the walk,
         # so setting their partners overwrites every leaving edge's
-        for i, e in enumerate(states):
+        for e in states:
             e.etype += 1
-            e.matched = not e.matched
-            if e.matched:
-                a, b = walk[i], walk[i + 1]
-                self.mate[a] = b
-                self.mate[b] = a
+        for a, b in zip(walk[::2], walk[1::2]):
+            self.mate[a] = b
+            self.mate[b] = a
         self.total_flips += len(states)
 
     # ------------------------------------------------------------------
@@ -275,7 +272,6 @@ class Graph:
         """Assert internal invariants (meant for tests)."""
         for e in self.edges.values():
             assert 0 <= e.etype <= self.budget, f"edge {e.id} type out of range"
-            assert e.matched == (e.etype % 2 == 1), f"edge {e.id} parity broken"
         mates: dict[int, int] = {}
         for e in self.edges.values():
             if e.matched:
@@ -305,43 +301,31 @@ def is_augmenting(g: Graph, walk: Sequence[int]) -> bool:
     )
 
 
-def _check_matching(g: Graph, edge_ids: set[int], label: str) -> None:
-    covered: set[int] = set()
-    for eid in edge_ids:
-        e = g.edge(eid)
-        for v in e.endpoints:
-            if v in covered:
-                raise NotAMatchingError(f"{label} covers vertex {v} twice")
-            covered.add(v)
-
-
 def symmetric_difference(
     g: Graph,
-    alg: set[int],
-    opt: set[int],
+    alg: dict[int, int],
+    opt: dict[int, int],
     *,
     blocked_at: int | None = None,
 ) -> list[list[int]]:
-    """Decompose ``alg ^ opt`` into the walks of its paths and cycles.
+    """Decompose ALG ^ OPT into the walks of its paths and cycles.
 
-    Both arguments are edge-id sets and must each form a matching. With
-    ``blocked_at`` set, edges whose type has reached it are dropped first,
-    which may split components into shorter stubs.
+    Both matchings are partner maps (vertex -> partner), like ``Graph.mate``
+    and ``OracleState.mate``; a pair the other map does not share must be a
+    live edge of ``g``. With ``blocked_at`` set, edges whose type has reached
+    it are dropped first, which may split components into shorter stubs.
 
     The result is deterministic: paths are walked from their smaller end
     vertex in increasing order of it, then cycles from their smallest vertex.
     """
-    _check_matching(g, alg, "alg")
-    _check_matching(g, opt, "opt")
-    sym = alg ^ opt
-    if blocked_at is not None:
-        sym = {eid for eid in sym if g.edge(eid).etype < blocked_at}
-
     adj: dict[int, list[tuple[int, int]]] = {}
-    for eid in sym:
-        e = g.edge(eid)
-        adj.setdefault(e.u, []).append((e.v, eid))
-        adj.setdefault(e.v, []).append((e.u, eid))
+    for mine, other in ((alg, opt), (opt, alg)):
+        for v, w in mine.items():
+            if other.get(v) == w:
+                continue
+            eid = g.edge_id(v, w)
+            if blocked_at is None or g.edges[eid].etype < blocked_at:
+                adj.setdefault(v, []).append((w, eid))
     for v in adj:
         adj[v].sort()
         assert len(adj[v]) <= 2, "two matchings give max degree 2"

@@ -180,7 +180,7 @@ def duel(
     witnessed ratio is opt/alg at the final position.
     """
     if max_moves <= 0:
-        raise ValueError(f"need a positive move cap, got {max_moves}")
+        raise bounds.BadParamsError(f"need a positive move cap, got {max_moves}")
     rec = _Recorder(matcher)
     moves = 0
     capped = False
@@ -350,13 +350,15 @@ def random_arrival_stream(
     return events
 
 
+DEPART_CHANCE = 0.35  # share of churn events that try a departure first
+
+
 def random_churn(
     rng: random.Random,
     matcher: OnlineMatcher,
     n_events: int,
     max_vertices: int = 20,
     max_edges: int = 24,
-    depart_chance: float = 0.35,
 ) -> RunReport:
     """Drive a matcher with random arrivals and legal random departures.
 
@@ -368,13 +370,10 @@ def random_churn(
     rec = _Recorder(matcher)
     for _ in range(n_events):
         g = matcher.graph
-        removable = [
-            e.endpoints
-            for e in sorted(g.edges.values(), key=lambda e: e.id)
-            if model == FULL or not e.matched
-        ]
+        # g.edges is in id order (no edge is re-inserted), which rng.choice relies on
+        removable = [e.endpoints for e in g.edges.values() if model == FULL or not e.matched]
         can_depart = model != ARRIVAL and bool(removable)
-        wants_departure = can_depart and rng.random() < depart_chance
+        wants_departure = can_depart and rng.random() < DEPART_CHANCE
         if not wants_departure and len(g.edges) >= max_edges:
             if not can_depart:
                 break

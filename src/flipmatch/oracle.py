@@ -1,9 +1,9 @@
 """Incrementally maintained maximum matching plus a brute-force reference.
 
 The oracle searches the rows of the graph it scores (vertex -> {neighbor:
-edge id}) and keeps only its matching. Each update is reported after the
-graph applied it, and the oracle repairs its matching with at most one
-augmenting-path search:
+edge id}) and keeps only its matching, as a partner map. Each update is
+reported after the graph applied it, and the oracle repairs its matching
+with at most one augmenting-path search:
 
 * insert: a new edge can raise the maximum by at most one, and any new
   augmenting path must use it, so one search inside the touched component
@@ -40,23 +40,21 @@ class OracleState:
     def __init__(self, rows: dict[int, dict[int, int]]) -> None:
         self.rows = rows  # the graph's vertex -> {neighbor: edge id}, read only
         self.mate: dict[int, int] = {}  # vertex -> matched partner vertex
-        self.opt: set[int] = set()  # matched edge ids
         self.flipped: set[int] = set()  # edge ids the last update's repair path flipped
 
     @property
     def size(self) -> int:
-        return len(self.opt)
+        return len(self.mate) // 2
 
     def insert(self, u: int, v: int) -> bool:
         """Repair after an edge joined the rows at u-v; True when the matching grew."""
         self.flipped = set()
         return self._augment_around((u, v))
 
-    def delete(self, edge_id: int, u: int, v: int) -> None:
-        """Repair after edge ``edge_id`` left the rows at u-v, if it was matched."""
+    def delete(self, u: int, v: int) -> None:
+        """Repair after the edge u-v left the rows, if it was matched."""
         self.flipped = set()
-        if edge_id in self.opt:
-            self.opt.discard(edge_id)
+        if self.mate.get(u) == v:
             del self.mate[u]
             del self.mate[v]
             self._augment_around((u, v))
@@ -90,24 +88,20 @@ class OracleState:
         walk = find_augmenting_path(view, mate, roots)
         if walk is None:
             return False
+        # the entering edges (even positions) cover every vertex of the walk,
+        # so setting their partners overwrites every leaving edge's
         for i, (a, b) in enumerate(zip(walk, walk[1:])):
-            eid = rows[a][b]
-            self.flipped.add(eid)
+            self.flipped.add(rows[a][b])
             if i % 2 == 0:
-                self.opt.add(eid)
-                self.mate[a] = b
-                self.mate[b] = a
-            else:
-                self.opt.discard(eid)
+                mate[a] = b
+                mate[b] = a
         return True
 
     def verify(self) -> None:
         """Assert that the matching is a matching of live edges (meant for tests)."""
         for v, w in self.mate.items():
             assert self.mate.get(w) == v, f"vertex {v} is matched to {w}, not back"
-            eid = self.rows.get(v, {}).get(w)
-            assert eid in self.opt, f"mates {v} and {w} are not joined by an edge in opt"
-        assert len(self.mate) == 2 * len(self.opt), "opt holds edges no mates use"
+            assert w in self.rows.get(v, ()), f"mates {v} and {w} are not joined by a live edge"
 
 
 # ----------------------------------------------------------------------

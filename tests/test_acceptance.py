@@ -306,7 +306,7 @@ def test_incremental_oracle_matches_brute_force():
             if delete:
                 pair = rng.choice(sorted(live))
                 gone = g.remove_edge(live.pop(pair))
-                state.delete(gone.id, gone.u, gone.v)
+                state.delete(gone.u, gone.v)
             else:
                 u, v = rng.sample(range(1, 11), 2)
                 pair = (u, v) if u < v else (v, u)

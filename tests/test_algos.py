@@ -60,7 +60,7 @@ def lgreedy_candidates(m):
     g = m.graph
     return [
         w
-        for w in symmetric_difference(g, g.matching(), m.oracle.opt)
+        for w in symmetric_difference(g, g.mate, m.oracle.mate)
         if is_augmenting(g, w)
         and (m.L is None or len(w) <= 2 * m.L + 2)
         and all(g.edge(g.edge_id(a, b)).etype < m.k_eff for a, b in zip(w, w[1:]))
@@ -175,7 +175,7 @@ def test_10_lgreedy_step_length_gate():
     applied = LGreedyMatcher(6, L=2)
     feed(applied, path)
     g = applied.graph
-    assert applied.graph.matching() == applied.oracle.opt
+    assert applied.graph.mate == applied.oracle.mate
     # all five edges flipped in one step: the inner two are back out at type 2
     assert [g.edge(g.edge_id(a, a + 1)).etype for a in range(5)] == [1, 2, 1, 2, 1]
 
@@ -251,8 +251,9 @@ def test_14_floor_log_boundaries():
     # r**4 == 5 exactly
     assert floor_log(5, 5**0.25) == 4
     assert floor_log(4, 5**0.25) == 3
-    with pytest.raises(ValueError):
+    with pytest.raises(bounds.BadParamsError) as err:
         floor_log(0, 2.0)
+    assert err.value.code == "bad-params"
 
 
 def test_15_amp_phase_trace_k4():
@@ -331,8 +332,9 @@ def test_19_make_matcher():
     m = make_matcher("lgreedy", 6, model=ARRIVAL, L=2)
     assert isinstance(m, LGreedyMatcher)
     assert m.params()["L"] == 2
-    with pytest.raises(ValueError):
+    with pytest.raises(bounds.BadParamsError) as err:
         make_matcher("optimal", 4)
+    assert err.value.code == "bad-params"
     # the length cap must be a non-negative integer; L=0 allows single edges only
     for bad in (-1, 1.5, True):
         with pytest.raises(bounds.BadParamsError) as err:
@@ -477,7 +479,8 @@ def test_24_lgreedy_live_difference_matches_whole_graph_rebuild(model, k):
                 assert_order_unobservable(m, candidates)
                 exhaust(candidates)
                 live = {eid for row in m.diff.values() for eid in row.values()}
-                assert live == g.matching() ^ m.oracle.opt
+                opt = {g.edge_id(v, w) for v, w in m.oracle.mate.items()}
+                assert live == g.matching() ^ opt
                 assert lgreedy_candidates(m) == []
                 checked += 1
 

@@ -16,7 +16,6 @@ from flipmatch.core import (
     Graph,
     GraphError,
     IllegalEventError,
-    NotAMatchingError,
     NotAugmentingError,
     SelfLoopError,
     UnknownEdgeError,
@@ -33,6 +32,15 @@ def board(g: Graph) -> tuple:
     """Edge types and matched flags, the matching, the partner map and the flip count."""
     edges = {eid: (e.etype, e.matched) for eid, e in g.edges.items()}
     return edges, g.matching(), dict(g.mate), g.total_flips
+
+
+def partners(g: Graph, edge_ids: set[int]) -> dict[int, int]:
+    """The partner map (vertex -> partner) of the matching ``edge_ids``."""
+    mate: dict[int, int] = {}
+    for eid in edge_ids:
+        e = g.edge(eid)
+        mate[e.u], mate[e.v] = e.v, e.u
+    return mate
 
 
 def refuse(g: Graph, walk: list[int], error: type) -> GraphError:
@@ -224,22 +232,12 @@ def test_20_symmetric_difference_kinds():
     eids = build_path(g, [1, 2, 3, 4, 5, 6])
     g.apply_augmenting_path([2, 3])
     g.apply_augmenting_path([4, 5])
-    alg = g.matching()
     opt = {eids[0], eids[2], eids[4]}
-    walks = symmetric_difference(g, alg, opt)
+    walks = symmetric_difference(g, g.mate, partners(g, opt))
     assert walks == [[1, 2, 3, 4, 5, 6]]
     assert is_augmenting(g, walks[0])
     g.apply_augmenting_path(walks[0])
     assert g.matching() == opt
-
-
-def test_21_symmetric_difference_not_a_matching():
-    g = Graph(4)
-    e1 = g.add_edge(1, 2)
-    e2 = g.add_edge(2, 3)
-    with pytest.raises(NotAMatchingError) as err:
-        symmetric_difference(g, {e1, e2}, set())
-    assert err.value.code == "not-a-matching"
 
 
 def test_22_symmetric_difference_excluding_blocked_splits():
@@ -249,8 +247,7 @@ def test_22_symmetric_difference_excluding_blocked_splits():
     g.apply_augmenting_path([2, 3])
     g.apply_augmenting_path([1, 2, 3, 4])
     assert [g.edge(e).etype for e in eids] == [1, 2, 1]
-    alg = g.matching()
-    opt = {eids[1]}
+    alg, opt = g.mate, partners(g, {eids[1]})
     assert symmetric_difference(g, alg, opt) == [[1, 2, 3, 4]]
     split = symmetric_difference(g, alg, opt, blocked_at=2)
     assert split == [[1, 2], [3, 4]]
@@ -263,7 +260,8 @@ def test_15_symmetric_difference_cycle_walk_closes():
     g.apply_augmenting_path([5, 6])
     g.apply_augmenting_path([7, 8])
     path = build_path(g, [1, 2])
-    walks = symmetric_difference(g, g.matching(), {square[1], square[3], path[0]})
+    opt = partners(g, {square[1], square[3], path[0]})
+    walks = symmetric_difference(g, g.mate, opt)
     # paths first, then cycles, each walked from its smallest vertex
     assert walks == [[1, 2], [5, 6, 7, 8, 5]]
     assert [is_augmenting(g, w) for w in walks] == [True, False]
@@ -317,7 +315,7 @@ def test_23_symmetric_difference_matches_naive_scan(seed):
         return chosen
 
     alg, opt = random_matching(), random_matching()
-    walks = symmetric_difference(g, alg, opt)
+    walks = symmetric_difference(g, partners(g, alg), partners(g, opt))
     edge_walks = [[g.edge_id(a, b) for a, b in zip(w, w[1:])] for w in walks]
     got = sorted(
         ((frozenset(eids), sum(1 if e in opt else -1 for e in eids)) for eids in edge_walks),
@@ -328,6 +326,18 @@ def test_23_symmetric_difference_matches_naive_scan(seed):
     for eids in edge_walks:
         for a, b in zip(eids, eids[1:]):
             assert (a in alg) != (b in alg)
+
+
+def test_26_symmetric_difference_rejects_a_pair_that_is_no_edge():
+    # a partner map cannot cover a vertex twice, but it can pair two vertices
+    # the graph never joined
+    g = Graph(4)
+    g.add_edge(1, 2)
+    g.apply_augmenting_path([1, 2])
+    with pytest.raises(UnknownEdgeError) as err:
+        symmetric_difference(g, g.mate, {1: 3, 3: 1})
+    assert err.value.code == "unknown-edge"
+    assert symmetric_difference(g, g.mate, {1: 2, 2: 1}) == []
 
 
 def test_24_budget_validation():

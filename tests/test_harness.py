@@ -112,8 +112,8 @@ def test_05_model_legality():
 def board_state(matcher) -> tuple:
     """Everything an event may change on a matcher's board."""
     g, o = matcher.graph, matcher.oracle
-    edges = {eid: (e.etype, e.matched) for eid, e in g.edges.items()}
-    return edges, dict(g.mate), g.total_flips, g._next_id, dict(o.mate), set(o.opt)
+    edges = {eid: e.etype for eid, e in g.edges.items()}
+    return edges, dict(g.mate), g.total_flips, g._next_id, dict(o.mate)
 
 
 @pytest.mark.parametrize("model", [ARRIVAL, LIMITED])
@@ -187,8 +187,9 @@ def test_09_duel_move_cap_is_reported_not_raised():
     )
     assert report.stop_reason == MOVE_CAP
     assert len(report.records) == 3
-    with pytest.raises(ValueError):
+    with pytest.raises(BadParamsError) as err:
         duel(string_game_adversary(4), GreedyMatcher(4, LIMITED), max_moves=0)
+    assert err.value.code == "bad-params"
 
 
 def test_10_duel_full_departures_starve_the_matcher():
@@ -341,16 +342,16 @@ class _Drifter(GreedyMatcher):
     def _react(self, eid, ends, departed):
         super()._react(eid, ends, departed)
         if len(self.graph.edges) == self.at:
-            self.corrupt(self.oracle.opt)
+            self.corrupt(self.oracle.mate)
 
 
 @pytest.mark.parametrize(
     "at,corrupt,message",
     [
-        # one phantom edge keeps opt above alg: only brute force can see it
-        (3, lambda opt: opt.add(-1), "incremental optimum 4, exhaustive 3"),
+        # one phantom mate pair keeps opt above alg: only brute force can see it
+        (3, lambda mate: mate.update({-1: -2, -2: -1}), "incremental optimum 4, exhaustive 3"),
         # past the brute-force limit, an optimum below the matching still trips
-        (25, lambda opt: opt.clear(), "optimum 0 fell below the matching size 25"),
+        (25, lambda mate: mate.clear(), "optimum 0 fell below the matching size 25"),
     ],
 )
 def test_22_referee_catches_a_drifting_optimum(at, corrupt, message):

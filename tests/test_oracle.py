@@ -108,7 +108,7 @@ def add(g: Graph, o: OracleState, u: int, v: int) -> bool:
 
 def remove(g: Graph, o: OracleState, eid: int) -> None:
     e = g.remove_edge(eid)
-    o.delete(eid, e.u, e.v)
+    o.delete(e.u, e.v)
 
 
 def test_06_oracle_insert_grows():
@@ -127,8 +127,8 @@ def test_07_oracle_delete_repairs():
     add(g, o, 3, 4)
     assert o.size == 2
     # deleting a matched edge: repair finds the alternative
-    matched = sorted(o.opt)
-    remove(g, o, matched[0])
+    assert o.mate == {1: 2, 2: 1, 3: 4, 4: 3}
+    remove(g, o, g.edge_id(1, 2))
     assert o.size >= 1
     o.verify()
 
@@ -192,18 +192,21 @@ def test_13_flipped_is_the_last_repair_path():
     assert o.flipped == set()
     # under churn, flipped is exactly the edges whose membership moved
     (g, o), rng = board(), random.Random(3)
+    def opt_ids() -> set[int]:
+        return {g.edge_id(v, w) for v, w in o.mate.items()}
+
     for _ in range(400):
-        before = set(o.opt)
+        before = opt_ids()
         if g.edges and rng.random() < 0.4:
             gone = rng.choice(sorted(g.edges))
             remove(g, o, gone)
-            assert o.flipped == (before ^ o.opt) - {gone}
+            assert o.flipped == (before ^ opt_ids()) - {gone}
         else:
             u, v = rng.sample(range(12), 2)
             if g.has_edge(u, v):
                 continue
             add(g, o, u, v)
-            assert o.flipped == before ^ o.opt
+            assert o.flipped == before ^ opt_ids()
 
 
 @pytest.mark.parametrize(
@@ -281,7 +284,7 @@ def test_17_self_loop_arrival_leaves_the_board_clean(algo):
     assert err.value.code == "self-loop"
     matcher.graph.validate()
     matcher.oracle.verify()
-    assert matcher.oracle.opt == set() and matcher.oracle.mate == {}
+    assert matcher.oracle.mate == {}
     matcher.on_arrival(arrive(3, 4))
     assert matcher.oracle.size == 1
 
@@ -321,17 +324,16 @@ def test_18_oracle_matches_networkx_on_large_full_churn(algo):
     "corrupt",
     [
         lambda g, o: o.mate.update({1: 9}),  # a mate that does not point back
-        lambda g, o: o.opt.add(7),  # an edge in opt that no mates use
-        lambda g, o: o.opt.discard(0),  # mates joined by an edge outside opt
+        lambda g, o: o.mate.update({1: 4, 4: 1, 2: 3, 3: 2}),  # mates 1 and 4 share no edge
         lambda g, o: g.rows.pop(1),  # mates whose edge is no longer live
     ],
-    ids=["one-way-mate", "unused-opt-edge", "edge-outside-opt", "dead-edge"],
+    ids=["one-way-mate", "non-edge-mates", "dead-edge"],
 )
 def test_19_oracle_verify_fails_with_assertion_error_only(corrupt):
     g, o = board()
     for u, v in [(1, 2), (2, 3), (3, 4)]:
         add(g, o, u, v)
-    assert o.opt == {0, 2}
+    assert o.mate == {1: 2, 2: 1, 3: 4, 4: 3}
     o.verify()
     corrupt(g, o)
     with pytest.raises(AssertionError):
