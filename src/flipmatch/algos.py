@@ -72,12 +72,6 @@ class NegativeEndpointWeightError(ValueError):
     code = "negative-endpoint-weight"
 
 
-class OddBudgetError(ValueError):
-    """The doubling matcher's bookkeeping needs an even budget."""
-
-    code = "odd-budget"
-
-
 def effective_budget(k: int) -> int:
     """Even budget the bookkeeping matchers actually spend: k, or k-1 if odd."""
     if k % 2 == 0:
@@ -99,9 +93,6 @@ class GreedyMatcher(OnlineMatcher):
     def __init__(self, k: int, model: str = FULL):
         super().__init__(k, model)
         self.augmentations = 0
-
-    def params(self) -> dict:
-        return {"k": self.graph.budget}
 
     def guarantee(self) -> float:
         return bounds.greedy_bound(self.graph.budget)
@@ -204,9 +195,6 @@ class LGreedyMatcher(OnlineMatcher):
         self.ledger = WeightLedger(self.k_eff, self.L)
         self.diff: dict[int, dict[int, int]] = {}  # vertex -> {neighbor: edge id} in ALG ^ OPT
 
-    def params(self) -> dict:
-        return {"k": self.graph.budget, "L": self.L, "k_eff": self.k_eff}
-
     def guarantee(self) -> float | None:
         return None if self.k_eff < 4 else bounds.lgreedy_bound(self.k_eff, self.L)
 
@@ -300,7 +288,7 @@ class PhaseRecord:
 
 @dataclass
 class AmpState:
-    """Bookkeeping of the doubling matcher: budget, growth factor, phases.
+    """Bookkeeping of the doubling matcher: even budget, growth factor, phases.
 
     The phase count is ``len(history)`` and the current level is the last
     record's ``ell``.
@@ -312,8 +300,6 @@ class AmpState:
     history: list[PhaseRecord] = field(default_factory=list)
 
     def __post_init__(self) -> None:
-        if self.k % 2 != 0:
-            raise OddBudgetError(f"doubling matcher needs an even budget, got {self.k}")
         if self.r <= 1:
             raise bounds.BadParamsError(f"growth factor must exceed 1, got {self.r}")
 
@@ -361,9 +347,6 @@ class AmpMatcher(OnlineMatcher):
     @property
     def history(self) -> list[PhaseRecord]:
         return self.state.history
-
-    def params(self) -> dict:
-        return {"k": self.graph.budget, "r": self.state.r, "k_eff": self.state.k}
 
     def guarantee(self) -> float | None:
         k_eff = self.state.k

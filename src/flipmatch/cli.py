@@ -18,7 +18,7 @@ from .adversaries import (
     greedy_lb_stream,
     lgreedy_lb_stream,
 )
-from .algos import make_matcher
+from .algos import MATCHERS, make_matcher
 from .core import ARRIVAL, FULL, LIMITED, MODELS, GraphError
 from .harness import RunReport, duel as run_duel, emit_bound_table, parse_stream, replay, write_stream
 from .stringgame import string_game_adversary
@@ -60,7 +60,7 @@ def bounds_cmd(k_min: int, k_max: int) -> None:
 
 
 @main.command("simulate")
-@click.option("--algo", type=click.Choice(["greedy", "lgreedy", "amp"]), required=True)
+@click.option("--algo", type=click.Choice(sorted(MATCHERS)), required=True)
 @click.option("--k", type=int, default=None, help="Flip budget; defaults to the file header.")
 @click.option("--model", type=click.Choice(list(MODELS)), default=None,
               help="Departure model; defaults to the file header.")
@@ -94,7 +94,7 @@ def simulate_cmd(algo: str, k: int | None, model: str | None, instance: str,
 @main.command("duel")
 @click.option("--adversary", "opponent", type=click.Choice(["det", "string", "fulldep"]),
               required=True)
-@click.option("--algo", type=click.Choice(["greedy", "lgreedy", "amp"]), required=True)
+@click.option("--algo", type=click.Choice(sorted(MATCHERS)), required=True)
 @click.option("--k", type=int, required=True)
 @click.option("--epsilon", type=float, default=0.05, show_default=True,
               help="Slack parameter of the string game.")
@@ -136,15 +136,15 @@ def gen_cmd(family: str, k: int, n: int, cap: int | None, copies: int, out: str)
     """Write a hard instance to a stream file."""
     try:
         if family == "greedy-lb":
-            events, model = greedy_lb_stream(k, n), ARRIVAL
+            events = greedy_lb_stream(k, n)
         else:
             if cap is None:
                 cap = max(3, bounds_mod.lgreedy_default_L(k))
-            events, model = lgreedy_lb_stream(k, cap, copies=copies), ARRIVAL
+            events = lgreedy_lb_stream(k, cap, copies=copies)
     except (ValueError, TypeError) as exc:
         raise click.ClickException(str(exc)) from exc
     with open(out, "w", encoding="utf-8") as fh:
-        fh.write(write_stream(k, model, events))
+        fh.write(write_stream(k, ARRIVAL, events))
     click.echo(f"wrote {len(events)} events to {out}")
 
 

@@ -87,7 +87,7 @@ def _increment(s: PathString) -> PathString:
 
 
 class StringConfig:
-    """A multiset of path strings plus the game's phase bookkeeping."""
+    """A multiset of path strings, its family count, and the game's phase."""
 
     def __init__(
         self,
@@ -100,6 +100,8 @@ class StringConfig:
         self.epsilon = epsilon
         self.strings: list[PathString] = list(strings)
         self.phase = phase
+        # (family, index) label -> number of strings carrying it
+        self.counts = Counter(classify_string(s.digits, k) for s in self.strings)
 
     @classmethod
     def from_digits(
@@ -115,28 +117,34 @@ class StringConfig:
             strings.append(PathString(digits, verts))
         return cls(k, epsilon, strings, phase)
 
-    def counters(self) -> Counter:
-        """Multiset of (family, index) labels over all strings."""
-        counts: Counter = Counter()
-        for s in self.strings:
-            counts[classify_string(s.digits, self.k)] += 1
-        return counts
+    def replace(self, old: PathString | None, new: Sequence[PathString]) -> None:
+        """Put ``new`` where ``old`` stood, or after the last string if None."""
+        if old is None:
+            at = end = len(self.strings)
+        else:
+            at = self.strings.index(old)
+            end = at + 1
+            self.counts[classify_string(old.digits, self.k)] -= 1
+        self.strings[at:end] = new
+        self.counts.update(classify_string(s.digits, self.k) for s in new)
 
-    def validate(self) -> None:
-        seen: set[int] = set()
-        for s in self.strings:
-            if len(s.verts) != len(s.digits) + 1 or not s.digits:
-                raise BadStringError(f"string {s.digits} / walk {s.verts} mismatch")
-            for a, b in zip(s.digits, s.digits[1:]):
-                if (a + b) % 2 == 0:
-                    raise BadStringError(f"types {s.digits} do not alternate")
-            for d in s.digits:
-                if not 0 <= d <= self.k:
-                    raise BadStringError(f"type {d} outside budget {self.k}")
-            overlap = seen.intersection(s.verts)
-            if overlap or len(set(s.verts)) != len(s.verts):
-                raise BadStringError(f"walk {s.verts} reuses a vertex")
-            seen.update(s.verts)
+
+def validate_strings(strings: Iterable[PathString], k: int) -> None:
+    """Raise ``BadStringError`` unless a graph of budget ``k`` could hold them."""
+    seen: set[int] = set()
+    for s in strings:
+        if len(s.verts) != len(s.digits) + 1 or not s.digits:
+            raise BadStringError(f"string {s.digits} / walk {s.verts} mismatch")
+        for a, b in zip(s.digits, s.digits[1:]):
+            if (a + b) % 2 == 0:
+                raise BadStringError(f"types {s.digits} do not alternate")
+        for d in s.digits:
+            if not 0 <= d <= k:
+                raise BadStringError(f"type {d} outside budget {k}")
+        overlap = seen.intersection(s.verts)
+        if overlap or len(set(s.verts)) != len(s.verts):
+            raise BadStringError(f"walk {s.verts} reuses a vertex")
+        seen.update(s.verts)
 
 
 def _as_digits(spec) -> tuple[int, ...]:
@@ -295,27 +303,29 @@ def augment_response(
 # configurations <-> event batches
 
 
-def compile_strings_to_events(cfg: StringConfig, prev: StringConfig) -> list[Event]:
-    """Event batch that rewrites the realised ``prev`` into ``cfg``.
+def compile_strings_to_events(
+    new: Sequence[PathString], prev: Sequence[PathString], k: int
+) -> list[Event]:
+    """Event batch that rewrites the realised strings ``prev`` into ``new``.
 
     ``prev`` is the state right after the matcher's flip (so its strings may
-    start and end odd); ``cfg`` is what the adversary wants on the board.
+    start and end odd); ``new`` is what the adversary wants on the board.
     Only unmatched (even) edges may depart, every arriving edge must be a
     0-edge, and surviving edges keep their type; anything else raises
     ``IllegalTransitionError``.
     """
-    cfg.validate()
-    prev.validate()
+    validate_strings(new, k)
+    validate_strings(prev, k)
 
-    def edge_map(config: StringConfig) -> dict[frozenset, int]:
+    def edge_map(strings: Sequence[PathString]) -> dict[frozenset, int]:
         mapping: dict[frozenset, int] = {}
-        for s in config.strings:
+        for s in strings:
             for i, d in enumerate(s.digits):
                 mapping[frozenset((s.verts[i], s.verts[i + 1]))] = d
         return mapping
 
-    old_edges, new_edges = edge_map(prev), edge_map(cfg)
-    old_verts = {v for s in prev.strings for v in s.verts}
+    old_edges, new_edges = edge_map(prev), edge_map(new)
+    old_verts = {v for s in prev for v in s.verts}
 
     departures = []
     for key, d in old_edges.items():
@@ -348,33 +358,32 @@ def compile_strings_to_events(cfg: StringConfig, prev: StringConfig) -> list[Eve
     return ordered
 
 
-def _string_status(g: Graph, s: PathString) -> str | None:
-    """"same", "augmented", or None when the graph disagrees with ``s``."""
-    kept = lifted = 0
-    for i, d in enumerate(s.digits):
-        try:
-            eid = g.edge_id(s.verts[i], s.verts[i + 1])
-        except UnknownEdgeError:
+def _flipped(g: Graph, strings: Iterable[PathString]) -> list[PathString] | None:
+    """The strings ``g`` shows flipped whole; None once one is not realised.
+
+    A string is realised when every edge is live and either all of them kept
+    their type or all of them rose by exactly one.
+    """
+    out = []
+    for s in strings:
+        lifts = set()
+        for d, u, v in zip(s.digits, s.verts, s.verts[1:]):
+            try:
+                lifts.add(g.edge(g.edge_id(u, v)).etype - d)
+            except UnknownEdgeError:
+                return None
+        if lifts == {1}:
+            out.append(s)
+        elif lifts != {0}:
             return None
-        etype = g.edge(eid).etype
-        if etype == d:
-            kept += 1
-        elif etype == d + 1:
-            lifted += 1
-        else:
-            return None
-    if lifted == len(s.digits):
-        return "augmented"
-    if kept == len(s.digits):
-        return "same"
-    return None
+    return out
 
 
 def config_matches_graph(cfg: StringConfig, g: Graph) -> bool:
     """True when the graph realises every string, up to whole-string flips."""
     if len(g.edges) != sum(len(s.digits) for s in cfg.strings):
         return False
-    return all(_string_status(g, s) is not None for s in cfg.strings)
+    return _flipped(g, cfg.strings) is not None
 
 
 # ----------------------------------------------------------------------
@@ -385,32 +394,25 @@ def _family_total(counts: Counter, family: str) -> int:
     return sum(n for (fam, _), n in counts.items() if fam == family)
 
 
-def _threshold_ok(counts: Counter, k: int, epsilon: float) -> bool:
-    lhs = sum(
-        (j * j - 4 * j + 7) * n for (fam, j), n in counts.items() if fam == "a"
-    )
-    rhs = (4 * k - 12) / epsilon - (k - 1)
-    return lhs > rhs if k == 4 else lhs >= rhs
-
-
-def _balance_ok(counts: Counter, k: int) -> bool:
-    lhs = (
-        2 * (_family_total(counts, "x") + _family_total(counts, "w"))
-        + _family_total(counts, "y")
-        + (k - 4) * _family_total(counts, "v")
-    )
-    rhs = 1 + sum((j - 3) * n for (fam, j), n in counts.items() if fam == "a")
-    return lhs <= rhs
-
-
 def invariant_threshold(cfg: StringConfig) -> bool:
     """Reservoir test that ends phase one (and must then keep holding)."""
-    return _threshold_ok(cfg.counters(), cfg.k, cfg.epsilon)
+    lhs = sum(
+        (j * j - 4 * j + 7) * n for (fam, j), n in cfg.counts.items() if fam == "a"
+    )
+    rhs = (4 * cfg.k - 12) / cfg.epsilon - (cfg.k - 1)
+    return lhs > rhs if cfg.k == 4 else lhs >= rhs
 
 
 def invariant_balance(cfg: StringConfig) -> bool:
     """Live strings never outgrow the reservoir once phase one is over."""
-    return _balance_ok(cfg.counters(), cfg.k)
+    counts = cfg.counts
+    lhs = (
+        2 * (_family_total(counts, "x") + _family_total(counts, "w"))
+        + _family_total(counts, "y")
+        + (cfg.k - 4) * _family_total(counts, "v")
+    )
+    rhs = 1 + sum((j - 3) * n for (fam, j), n in counts.items() if fam == "a")
+    return lhs <= rhs
 
 
 # ----------------------------------------------------------------------
@@ -444,91 +446,59 @@ class StringGameAdversary(ScriptedAdversary):
                 f"slack {epsilon} >= {limit:.6g}: phase one would be over "
                 "before the first string arrives"
             )
-        self.k = k
-        self.epsilon = float(epsilon)
         self.name = f"string-game-k{k}"
         self.target = dep_lower_bound(k)
-        self.cfg = StringConfig(k, self.epsilon)
+        self.cfg = StringConfig(k, float(epsilon))
         self.moves = 0
         self.witnessed: float | None = None
         self.terminal: tuple[int, int] | None = None
-        self._counts: Counter = Counter()
 
     def play(self, matcher) -> Iterator[list[Event]]:
-        cfg = self.cfg
+        cfg, k = self.cfg, self.cfg.k
         seed = PathString((0,), (self._fresh(), self._fresh()))
-        cfg.strings.append(seed)
-        self._counts[("seed", 0)] += 1
-        yield compile_strings_to_events(cfg, StringConfig(self.k, self.epsilon))
+        cfg.replace(None, [seed])
+        yield compile_strings_to_events([seed], [], k)
         # Strings already seen flipped stay flipped until answered, so a
         # full board scan is only needed when the queue runs dry -- which is
         # also the only point a stall may be declared.
         queue: deque[PathString] = deque()
         watch: list[PathString] = [seed]
         while True:
-            for s in watch:
-                status = _string_status(matcher.graph, s)
-                if status is None:
-                    self._stop(EXPECTATION_MISS)
+            flipped = _flipped(matcher.graph, watch)
+            if flipped == [] and not queue:
+                live = [s for s in cfg.strings if not s.blocked(k)]
+                flipped = _flipped(matcher.graph, live)
+                if flipped == []:
+                    self._stop(MATCHER_STALLED if live else SCRIPT_COMPLETE)
                     return
-                if status == "augmented":
-                    queue.append(s)
-            watch = []
-            if not queue:
-                rescan = self._rescan(matcher)
-                if rescan is None:
-                    self._stop(EXPECTATION_MISS)
-                    return
-                queue.extend(rescan)
-            if not queue:
-                live = any(not s.blocked(self.k) for s in cfg.strings)
-                self._stop(MATCHER_STALLED if live else SCRIPT_COMPLETE)
+            if flipped is None:
+                self._stop(EXPECTATION_MISS)
                 return
+            queue.extend(flipped)
             old = queue.popleft()
-            index = cfg.strings.index(old)
-            replacement = augment_response(old, self.k, cfg.phase, self._fresh)
-            events = compile_strings_to_events(
-                StringConfig(self.k, self.epsilon, replacement),
-                StringConfig(self.k, self.epsilon, [_increment(old)]),
-            )
-            cfg.strings[index : index + 1] = replacement
-            self._counts[classify_string(old.digits, self.k)] -= 1
-            for s in replacement:
-                self._counts[classify_string(s.digits, self.k)] += 1
+            replacement = augment_response(old, k, cfg.phase, self._fresh)
+            events = compile_strings_to_events(replacement, [_increment(old)], k)
+            cfg.replace(old, replacement)
             self.moves += 1
             self._advance_phase()
             if cfg.phase >= 2 and not (
-                _threshold_ok(self._counts, self.k, self.epsilon)
-                and _balance_ok(self._counts, self.k)
+                invariant_threshold(cfg) and invariant_balance(cfg)
             ):
                 raise IllegalTransitionError(
                     f"phase {cfg.phase} invariant broke after move {self.moves}"
                 )
-            watch = [s for s in replacement if not s.blocked(self.k)]
+            watch = [s for s in replacement if not s.blocked(k)]
             yield events
-
-    def _rescan(self, matcher) -> list[PathString] | None:
-        """All flipped live strings; None when the board corrupted."""
-        out = []
-        for s in self.cfg.strings:
-            if s.blocked(self.k):
-                continue
-            status = _string_status(matcher.graph, s)
-            if status is None:
-                return None
-            if status == "augmented":
-                out.append(s)
-        return out
 
     def _advance_phase(self) -> None:
         cfg = self.cfg
-        if cfg.phase == 1 and _threshold_ok(self._counts, self.k, self.epsilon):
+        if cfg.phase == 1 and invariant_threshold(cfg):
             cfg.phase = 2
-        if self.k == 4 and cfg.phase == 2:
+        if cfg.k == 4 and cfg.phase == 2:
             spendable = sum(
-                _family_total(self._counts, fam) for fam in ("x", "y", "v", "w")
+                _family_total(cfg.counts, fam) for fam in ("x", "y", "v", "w")
             )
-            if _family_total(self._counts, "a") >= 8 * spendable:
+            if _family_total(cfg.counts, "a") >= 8 * spendable:
                 cfg.phase = 3
 
     def _stop(self, outcome: str) -> None:

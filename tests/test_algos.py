@@ -14,7 +14,6 @@ from flipmatch.algos import (
     GreedyMatcher,
     LGreedyMatcher,
     NegativeEndpointWeightError,
-    OddBudgetError,
     WeightLedger,
     effective_budget,
     floor_log,
@@ -231,7 +230,6 @@ def test_12_lgreedy_ledger_tracks_matching_size():
 def test_13_lgreedy_odd_budget_reserves_last_flip():
     m = LGreedyMatcher(5, L=1)
     assert m.k_eff == 4
-    assert m.params()["k_eff"] == 4
     # ledger uses the even budget too
     assert m.ledger.alpha == pytest.approx(1 / 20)
     # budget 4 (and odd 5) defaults to no cap; the ledger then has no
@@ -312,14 +310,11 @@ def test_17_amp_sync_skips_spent_edges():
     g.validate()
 
 
-def test_18_amp_rejects_odd_budget_state():
-    with pytest.raises(OddBudgetError) as err:
-        AmpState(5, 1.5)
-    assert err.value.code == "odd-budget"
+def test_18_amp_rejects_bad_growth_and_rounds_odd_budgets():
     with pytest.raises(bounds.BadParamsError) as err:
         AmpState(4, 1.0)
     assert err.value.code == "bad-params"
-    # the matcher front-end rounds odd budgets down instead
+    # the matcher rounds an odd budget down to the even one its state spends
     m = AmpMatcher(5)
     assert m.state.k == 4
     assert m.r == pytest.approx(math.sqrt(3))
@@ -331,7 +326,7 @@ def test_18_amp_rejects_odd_budget_state():
 def test_19_make_matcher():
     m = make_matcher("lgreedy", 6, model=ARRIVAL, L=2)
     assert isinstance(m, LGreedyMatcher)
-    assert m.params()["L"] == 2
+    assert m.L == 2
     with pytest.raises(bounds.BadParamsError) as err:
         make_matcher("optimal", 4)
     assert err.value.code == "bad-params"

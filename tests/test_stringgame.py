@@ -28,6 +28,7 @@ from flipmatch.stringgame import (
     invariant_threshold,
     string_game_adversary,
     string_ratio,
+    validate_strings,
 )
 
 try:
@@ -96,18 +97,16 @@ def test_02_string_ratio_needs_a_matched_edge():
 
 
 def test_03_config_validation():
-    bad_parity = StringConfig(4, 0.05, [PathString((0, 2, 0), (0, 1, 2, 3))])
+    bad_parity = [PathString((0, 2, 0), (0, 1, 2, 3))]
     with pytest.raises(BadStringError):
-        bad_parity.validate()
-    too_high = StringConfig(4, 0.05, [PathString((0, 5, 0), (0, 1, 2, 3))])
+        validate_strings(bad_parity, 4)
+    too_high = [PathString((0, 5, 0), (0, 1, 2, 3))]
     with pytest.raises(BadStringError):
-        too_high.validate()
-    reused = StringConfig(
-        4, 0.05, [PathString((0,), (0, 1)), PathString((0,), (1, 2))]
-    )
+        validate_strings(too_high, 4)
+    reused = [PathString((0,), (0, 1)), PathString((0,), (1, 2))]
     with pytest.raises(BadStringError):
-        reused.validate()
-    cfg_of(4, ["010", "01410"]).validate()
+        validate_strings(reused, 4)
+    validate_strings(cfg_of(4, ["010", "01410"]).strings, 4)
 
 
 @pytest.mark.parametrize(
@@ -237,29 +236,21 @@ def test_13_spent_strings_have_no_response():
 
 
 def test_14_compile_split_is_one_departure():
-    prev = StringConfig(4, 0.05, [PathString((1, 2, 3, 2, 1), tuple(range(6)))])
-    cfg = StringConfig(
-        4,
-        0.05,
-        [PathString((1, 2, 3), (0, 1, 2, 3)), PathString((1,), (4, 5))],
-    )
-    events = compile_strings_to_events(cfg, prev)
+    prev = [PathString((1, 2, 3, 2, 1), tuple(range(6)))]
+    new = [PathString((1, 2, 3), (0, 1, 2, 3)), PathString((1,), (4, 5))]
+    events = compile_strings_to_events(new, prev, 4)
     assert [(ev.action, ev.endpoints) for ev in events] == [(DEPART, (3, 4))]
 
 
 def test_15_compile_merge_and_padding():
-    prev = StringConfig(
-        4, 0.05, [PathString((1,), (0, 1)), PathString((1,), (2, 3))]
-    )
-    cfg = StringConfig(4, 0.05, [PathString((1, 0, 1), (0, 1, 2, 3))])
-    events = compile_strings_to_events(cfg, prev)
+    prev = [PathString((1,), (0, 1)), PathString((1,), (2, 3))]
+    new = [PathString((1, 0, 1), (0, 1, 2, 3))]
+    events = compile_strings_to_events(new, prev, 4)
     assert [(ev.action, ev.endpoints) for ev in events] == [(ARRIVE, (1, 2))]
 
-    prev = StringConfig(4, 0.05, [PathString((1, 0, 1), (0, 1, 2, 3))])
-    cfg = StringConfig(
-        4, 0.05, [PathString((0, 1, 0, 1, 0), (9, 0, 1, 2, 3, 8))]
-    )
-    events = compile_strings_to_events(cfg, prev)
+    prev = new
+    new = [PathString((0, 1, 0, 1, 0), (9, 0, 1, 2, 3, 8))]
+    events = compile_strings_to_events(new, prev, 4)
     assert [(ev.action, ev.endpoints) for ev in events] == [
         (ARRIVE, (0, 9)),
         (ARRIVE, (3, 8)),
@@ -267,34 +258,30 @@ def test_15_compile_merge_and_padding():
 
 
 def test_16_compile_rejects_illegal_moves():
-    base = StringConfig(4, 0.05, [PathString((1, 2, 1), (0, 1, 2, 3))])
+    base = [PathString((1, 2, 1), (0, 1, 2, 3))]
     # tearing out a matched edge
-    torn = StringConfig(
-        4, 0.05, [PathString((1, 2), (0, 1, 2)), PathString((), (3,))]
-    )
+    torn = [PathString((1, 2), (0, 1, 2)), PathString((), (3,))]
     with pytest.raises((IllegalTransitionError, BadStringError)):
-        compile_strings_to_events(torn, base)
-    dropped_end = StringConfig(4, 0.05, [PathString((2, 1), (1, 2, 3))])
+        compile_strings_to_events(torn, base, 4)
+    dropped_end = [PathString((2, 1), (1, 2, 3))]
     with pytest.raises(IllegalTransitionError) as err:
-        compile_strings_to_events(dropped_end, base)
+        compile_strings_to_events(dropped_end, base, 4)
     assert err.value.code == "illegal-transition"
     # silently retyping an edge
-    retyped = StringConfig(4, 0.05, [PathString((1, 2, 3), (0, 1, 2, 3))])
+    retyped = [PathString((1, 2, 3), (0, 1, 2, 3))]
     with pytest.raises(IllegalTransitionError):
-        compile_strings_to_events(retyped, base)
+        compile_strings_to_events(retyped, base, 4)
     # an arrival that would need a nonzero type
-    grown = StringConfig(4, 0.05, [PathString((1, 2, 1, 2), (0, 1, 2, 3, 4))])
+    grown = [PathString((1, 2, 1, 2), (0, 1, 2, 3, 4))]
     with pytest.raises(IllegalTransitionError):
-        compile_strings_to_events(grown, base)
+        compile_strings_to_events(grown, base, 4)
 
 
 def test_17_compile_batch_shape_for_a_split_response():
     old = PathString((0, 1, 2, 1, 0), tuple(range(6)))
     lifted = PathString((1, 2, 3, 2, 1), old.verts)
     replacement = augment_response(old, 4, 1, fresh_from(100))
-    events = compile_strings_to_events(
-        StringConfig(4, 0.05, replacement), StringConfig(4, 0.05, [lifted])
-    )
+    events = compile_strings_to_events(replacement, [lifted], 4)
     kinds = Counter(ev.action for ev in events)
     assert kinds == {DEPART: 2, ARRIVE: 5}
     # departures first, then the merge, then the four pads
@@ -333,7 +320,7 @@ def test_19_adversary_reports_name_and_target():
     adv = string_game_adversary(6)
     assert isinstance(adv, StringGameAdversary)
     assert adv.name == "string-game-k6"
-    assert adv.epsilon == 0.05
+    assert adv.cfg.epsilon == 0.05
     assert adv.target == pytest.approx(dep_lower_bound(6))
     assert adv.target == pytest.approx(24 / 19)
     assert adv.outcome is None and adv.moves == 0
@@ -373,6 +360,10 @@ def test_22_duels_keep_invariants_and_bisimulation(k, algo):
     for batch in adv.play(matcher):
         replay(batch, matcher)
         assert config_matches_graph(adv.cfg, matcher.graph)
+        # the invariants read the maintained count, so pin it to a recount
+        assert adv.cfg.counts == Counter(
+            classify_string(s.digits, k) for s in adv.cfg.strings
+        )
         if adv.cfg.phase >= 2:
             assert invariant_threshold(adv.cfg)
             assert invariant_balance(adv.cfg)
@@ -395,7 +386,7 @@ def test_23_phase_one_balance_is_tight(k):
         replay(batch, matcher)
         if adv.cfg.phase > 1 or adv.moves == 0:
             continue
-        counts = adv.cfg.counters()
+        counts = adv.cfg.counts
         live = (
             2 * sum(n for (fam, _), n in counts.items() if fam in ("x", "w"))
             + sum(n for (fam, _), n in counts.items() if fam == "y")
@@ -459,3 +450,32 @@ if HAVE_HYPOTHESIS:
         assert drive(adv, matcher) == SCRIPT_COMPLETE
         assert set(families(adv.cfg.strings)) <= {(0, 1, 4, 1, 0), ramp4(4)}
         assert adv.witnessed >= 10 / 7 - 1e-9
+
+
+def test_28_config_matches_graph_rejects_unrealised_boards():
+    def board(edges, *walks):
+        g = Graph(4)
+        for u, v in edges:
+            g.add_edge(u, v)
+        for walk in walks:
+            g.apply_augmenting_path(walk)
+        return g
+
+    y = cfg_of(4, ["010"])  # the walk 0-1-2-3
+    path = [(0, 1), (1, 2), (2, 3)]
+    assert config_matches_graph(y, board(path, [1, 2]))
+    assert config_matches_graph(y, board(path, [1, 2], [0, 1, 2, 3]))
+    # a detour through 9 lifts 0-1 and 1-2 but not the later 2-3: types 1,2,0
+    partial = board([(0, 1), (1, 2), (2, 9)], [1, 2], [0, 1, 2, 9])
+    partial.remove_edge(partial.edge_id(2, 9))
+    partial.add_edge(2, 3)
+    assert not config_matches_graph(y, partial)
+    # the seed 0-1 lifted twice by detours through 8 and 9
+    twice = board([(8, 0), (0, 1), (1, 9)], [0, 1], [8, 0, 1, 9])
+    twice.remove_edge(twice.edge_id(0, 8))
+    twice.remove_edge(twice.edge_id(1, 9))
+    assert not config_matches_graph(cfg_of(4, ["0"]), twice)
+    # same edge count, but 2-3 is missing
+    assert not config_matches_graph(y, board([(0, 1), (1, 2), (5, 6)], [1, 2]))
+    # every string realised, plus one live edge no string covers
+    assert not config_matches_graph(y, board(path + [(5, 6)], [1, 2]))
