@@ -24,6 +24,7 @@ from functools import lru_cache
 from typing import Iterable
 
 from .blossom import find_augmenting_path
+from .core import SelfLoopError
 
 BRUTE_FORCE_EDGE_LIMIT = 24
 
@@ -109,59 +110,66 @@ class OracleState:
 
 
 def brute_force_max_matching(edges: Iterable[tuple[int, int]]) -> int:
-    """Exact maximum matching size by exhaustive branching.
+    """Exact maximum matching size by exhaustive branching over edge bitmasks.
 
-    Guarded to at most ``BRUTE_FORCE_EDGE_LIMIT`` edges. Splits into connected
-    components and memoizes per component, which keeps repeated calls on
-    evolving graphs cheap.
+    The input is normalised to a set of unordered pairs, so a reversed
+    duplicate counts once; a self-loop raises ``SelfLoopError``. Guarded to
+    at most ``BRUTE_FORCE_EDGE_LIMIT`` distinct pairs. Each connected
+    component is solved by ``_component_max``, which memoizes within a call
+    on the mask of live edges and across calls on the component's pairs, so
+    repeated calls on evolving graphs stay cheap.
     """
-    edge_list = [tuple(sorted(e)) for e in edges]
-    edge_set = frozenset(edge_list)
-    if len(edge_set) > BRUTE_FORCE_EDGE_LIMIT:
-        raise TooLargeError(
-            f"{len(edge_set)} edges exceed the brute-force limit of {BRUTE_FORCE_EDGE_LIMIT}"
-        )
-    total = 0
-    for comp in _split_components(edge_set):
-        total += _component_max(comp)
-    return total
-
-
-def _split_components(edges: frozenset[tuple[int, int]]) -> list[frozenset[tuple[int, int]]]:
-    parent: dict[int, int] = {}
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
+    pairs: set[tuple[int, int]] = set()
     for u, v in edges:
-        parent.setdefault(u, u)
-        parent.setdefault(v, v)
-        ru, rv = find(u), find(v)
-        if ru != rv:
-            parent[ru] = rv
-    groups: dict[int, set[tuple[int, int]]] = {}
-    for e in edges:
-        groups.setdefault(find(e[0]), set()).add(e)
-    return [frozenset(g) for g in groups.values()]
+        if u == v:
+            raise SelfLoopError(f"self-loop at vertex {u}")
+        pairs.add((u, v) if u < v else (v, u))
+    if len(pairs) > BRUTE_FORCE_EDGE_LIMIT:
+        raise TooLargeError(
+            f"{len(pairs)} edges exceed the brute-force limit of {BRUTE_FORCE_EDGE_LIMIT}"
+        )
+    at: dict[int, list[tuple[int, int]]] = {}
+    for pair in pairs:
+        for x in pair:
+            at.setdefault(x, []).append(pair)
+    total = 0
+    seen: set[int] = set()
+    for start in at:
+        if start in seen:
+            continue
+        seen.add(start)
+        stack = [start]
+        comp: set[tuple[int, int]] = set()
+        while stack:
+            for pair in at[stack.pop()]:
+                comp.add(pair)
+                for y in pair:
+                    if y not in seen:
+                        seen.add(y)
+                        stack.append(y)
+        total += _component_max(frozenset(comp))
+    return total
 
 
 @lru_cache(maxsize=200_000)
 def _component_max(edges: frozenset[tuple[int, int]]) -> int:
-    if not edges:
-        return 0
-    # branch on the lowest vertex that still has edges
-    v = min(min(e) for e in edges)
-    at_v = sorted(e for e in edges if v in e)
-    # option 1: leave v unmatched
-    best = _component_max(frozenset(e for e in edges if v not in e))
-    # option 2: match v along each incident edge
-    for e in at_v:
-        other = e[0] if e[1] == v else e[1]
-        rest = frozenset(f for f in edges if v not in f and other not in f)
-        cand = 1 + _component_max(rest)
-        if cand > best:
-            best = cand
-    return best
+    """Maximum matching size of one component; edge ``i`` of the sorted pairs is bit ``i``."""
+    pairs = sorted(edges)
+    incident: dict[int, int] = {}  # vertex -> mask of its edges
+    for i, (u, v) in enumerate(pairs):
+        incident[u] = incident.get(u, 0) | 1 << i
+        incident[v] = incident.get(v, 0) | 1 << i
+    # the edges that taking edge i rules out, edge i included
+    clash = [incident[u] | incident[v] for u, v in pairs]
+    memo = {0: 0}
+
+    def best(live: int) -> int:
+        got = memo.get(live)
+        if got is None:
+            low = live & -live
+            # either drop the lowest live edge, or take it and clear what it clashes with
+            got = max(best(live ^ low), 1 + best(live & ~clash[low.bit_length() - 1]))
+            memo[live] = got
+        return got
+
+    return best((1 << len(pairs)) - 1)

@@ -42,17 +42,45 @@ def test_02_brute_force_petersen_is_perfect():
     assert brute_force_max_matching(petersen_edges()) == 5
 
 
+def random_board(rng: random.Random) -> list[tuple[int, int]]:
+    """1-24 distinct pairs on 2-14 vertices, as odd cycles, isolated edges and
+    random pieces, often in several components."""
+    n = rng.randint(2, 14)
+    vs = rng.sample(range(50), n)
+    cuts = sorted(rng.sample(range(1, n), rng.randint(0, min(3, n // 3))))
+    pairs: set[tuple[int, int]] = set()
+    for group in (vs[a:b] for a, b in zip([0, *cuts], [*cuts, n])):
+        if len(group) == 2:  # an isolated edge
+            pairs.add((min(group), max(group)))
+        elif len(group) > 2 and len(group) % 2 and rng.random() < 0.5:  # an odd cycle
+            pairs.update((min(p), max(p)) for p in zip(group, group[1:] + group[:1]))
+        else:
+            inside = [(u, v) for u in group for v in group if u < v]
+            pairs.update(rng.sample(inside, rng.randint(min(1, len(inside)), len(inside))))
+    out = sorted(pairs)
+    rng.shuffle(out)
+    return out[:BRUTE_FORCE_EDGE_LIMIT]
+
+
 @pytest.mark.skipif(nx is None, reason="networkx not installed")
 def test_03_brute_force_agrees_with_networkx():
     rng = random.Random(7)
-    for _ in range(30):
-        n = rng.randint(4, 10)
-        pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
-        rng.shuffle(pairs)
-        edges = pairs[: rng.randint(3, min(len(pairs), 16))]
+    odd_cycles = isolated = split = 0
+    for board_no in range(2000):
+        edges = random_board(rng)
         g = nx.Graph(edges)
         expect = len(nx.max_weight_matching(g, maxcardinality=True))
-        assert brute_force_max_matching(edges) == expect
+        if board_no % 3 == 0:
+            # reversed duplicates must count once
+            edges = edges + [(v, u) for u, v in rng.sample(edges, (len(edges) + 1) // 2)]
+            rng.shuffle(edges)
+        assert brute_force_max_matching(edges) == expect, edges
+        parts = [g.subgraph(c) for c in nx.connected_components(g)]
+        odd_cycles += not nx.is_bipartite(g)
+        isolated += any(p.number_of_edges() == 1 for p in parts)
+        split += len(parts) > 1
+    # the generator reaches every shape it promises
+    assert min(odd_cycles, isolated, split) > 200, (odd_cycles, isolated, split)
 
 
 def test_04_brute_force_size_guard():
@@ -60,6 +88,14 @@ def test_04_brute_force_size_guard():
     with pytest.raises(TooLargeError) as err:
         brute_force_max_matching(edges)
     assert err.value.code == "too-large"
+    # the guard counts distinct pairs, and 24 of them are still solved
+    path = [(i, i + 1) for i in range(BRUTE_FORCE_EDGE_LIMIT)]
+    assert brute_force_max_matching(path) == 12
+    # 25 entries, but the last is the first reversed
+    assert brute_force_max_matching(path + [(1, 0)]) == 12
+    # 24 edges in two components: a 13-edge path and an 11-cycle
+    cycle = [(100 + i, 100 + (i + 1) % 11) for i in range(11)]
+    assert brute_force_max_matching(path[:13] + cycle) == 7 + 5
 
 
 def free(adj, mate) -> list[int]:
@@ -338,3 +374,10 @@ def test_19_oracle_verify_fails_with_assertion_error_only(corrupt):
     corrupt(g, o)
     with pytest.raises(AssertionError):
         o.verify()
+
+
+@pytest.mark.parametrize("edges", [[(1, 1)], [(1, 1), (2, 3)], [(2, 3), (4, 4)]])
+def test_20_brute_force_refuses_a_self_loop(edges):
+    with pytest.raises(SelfLoopError) as err:
+        brute_force_max_matching(edges)
+    assert err.value.code == "self-loop"
