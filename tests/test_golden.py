@@ -38,6 +38,8 @@ DUELS = {
     "full-departure": (full_departure_adversary, FULL),
     "string-game": (string_game_adversary, LIMITED),
 }
+CHURN_MODELS = (LIMITED, FULL, ARRIVAL)
+CHURN_BUDGETS = range(2, 9)
 CHURN_SEEDS = range(30)
 CHURN_EVENTS = 30
 
@@ -71,8 +73,8 @@ def units() -> list[tuple[str, object, tuple]]:
     ]
     pinned += [
         (f"churn {model} k={k} {name} seed={seed}", _churn, (model, k, name, seed))
-        for model in (LIMITED, FULL)
-        for k in BUDGETS
+        for model in CHURN_MODELS
+        for k in CHURN_BUDGETS
         for name in MATCHERS
         for seed in CHURN_SEEDS
     ]
