@@ -4,8 +4,10 @@ Works on plain adjacency data (vertex -> {neighbor: edge id}) plus a mate map,
 so the same routine serves both the online matchers (which ban edges whose
 flip budget is spent) and the optimum-tracking oracle (which ignores budgets).
 
-Roots are tried in increasing vertex order and neighbors are scanned sorted,
-so the returned path is reproducible run to run.
+Roots are tried in increasing vertex order, neighbors are scanned sorted and
+a contraction relabels the tree's vertices in the order they joined it, so
+the returned path is reproducible run to run and independent of the order
+of ``adj``.
 """
 
 from __future__ import annotations
@@ -46,11 +48,15 @@ def _search(
     """BFS a single alternating tree from ``root``, contracting odd cycles.
 
     ``base`` holds only the vertices a contraction moved; every other vertex
-    is its own base, hence the ``base.get(v, v)`` reads.
+    is its own base, hence the ``base.get(v, v)`` reads. ``tree`` lists the
+    tree's vertices in the order they joined it: the even ones in ``used``
+    and the odd ones that got a ``parent``. Only they can lie in a blossom,
+    so a contraction relabels them alone and never walks all of ``adj``.
     """
     base: dict[int, int] = {}
     parent: dict[int, int] = {}
     used = {root}
+    tree = [root]
     queue = deque([root])
 
     def lca(a: int, b: int) -> int:
@@ -95,7 +101,7 @@ def _search(
                 blossom: set[int] = set()
                 mark_path(v, cur_base, to, blossom)
                 mark_path(to, cur_base, v, blossom)
-                for u in adj:
+                for u in tree:
                     if base.get(u, u) in blossom:
                         base[u] = cur_base
                         if u not in used:
@@ -105,8 +111,10 @@ def _search(
                 parent[to] = v
                 if to_mate is None:
                     return _extract(root, to, parent, mate)
+                tree.append(to)
                 if to_mate not in used:
                     used.add(to_mate)
+                    tree.append(to_mate)
                     queue.append(to_mate)
     return None
 

@@ -3,13 +3,24 @@
 The oracle searches the rows of the graph it scores (vertex -> {neighbor:
 edge id}) and keeps only its matching, as a partner map. Each update is
 reported after the graph applied it, and the oracle repairs its matching
-with at most one augmenting-path search:
+with at most one augmenting-path search, started only from the vertices
+that can end a new path. Before the update the matching is maximum, so it
+has no augmenting path (Berge), and a free vertex on an augmenting path is
+one of its two ends, since every inner vertex is matched.
 
-* insert: a new edge can raise the maximum by at most one, and any new
-  augmenting path must use it, so one search inside the touched component
-  settles the update;
-* delete of a matched edge: the two freed endpoints are the only candidate
-  ends of a repair path, so searching from them settles the update;
+* insert of u-v: the maximum rises by at most one, and any new augmenting
+  path uses u-v (without it, the path would have augmented the old
+  matching), so it visits u and v.
+  - Both ends free: u-v itself is the path, so it is matched directly.
+  - One end free: that end lies on the path and is free, so it is one of
+    the path's ends. Searching from it alone settles the update.
+  - Both ends matched: the path's ends can be any two free vertices of
+    the component. One DFS collects them as the roots, and fewer than two
+    means there is no path.
+* delete of a matched edge u-v: it frees u and v. An augmenting path of
+  the remaining matching that ends at neither uses only edges and matched
+  pairs the old matching had, so it would have augmented the old matching.
+  So u and v are the roots.
 * delete of an unmatched edge: removing an edge never creates augmenting
   paths, so nothing needs to run.
 
@@ -49,8 +60,19 @@ class OracleState:
 
     def insert(self, u: int, v: int) -> bool:
         """Repair after an edge joined the rows at u-v; True when the matching grew."""
+        mate = self.mate
+        if u not in mate and v not in mate:
+            mate[u] = v
+            mate[v] = u
+            self.flipped = {self.rows[u][v]}
+            return True
         self.flipped = set()
-        return self._augment_around((u, v))
+        if u not in mate:
+            return self._augment((u,))
+        if v not in mate:
+            return self._augment((v,))
+        roots = self._free_in_component(u)
+        return len(roots) >= 2 and self._augment(roots)
 
     def delete(self, u: int, v: int) -> None:
         """Repair after the edge u-v left the rows, if it was matched."""
@@ -58,35 +80,30 @@ class OracleState:
         if self.mate.get(u) == v:
             del self.mate[u]
             del self.mate[v]
-            self._augment_around((u, v))
+            self._augment((u, v))
 
     # ------------------------------------------------------------------
 
-    def _augment_around(self, seeds: tuple[int, int]) -> bool:
-        """Apply the first augmenting path in the component of ``seeds``, if any.
-
-        One DFS collects the component's rows, in the order it pops them
-        (the order the search's blossom relabelling iterates), and its free
-        vertices. A component with fewer than two free vertices has no
-        augmenting path, so it is not searched.
-        """
+    def _free_in_component(self, seed: int) -> list[int]:
+        """The free vertices of ``seed``'s component, in the order one DFS finds them."""
         rows, mate = self.rows, self.mate
-        view: dict[int, dict[int, int]] = {}
         roots: list[int] = []
-        stack = list(seeds)
-        seen = set(stack)
+        stack = [seed]
+        seen = {seed}
         while stack:
             x = stack.pop()
-            row = view[x] = rows[x]
             if x not in mate:
                 roots.append(x)
-            for nbr in row:
+            for nbr in rows[x]:
                 if nbr not in seen:
                     seen.add(nbr)
                     stack.append(nbr)
-        if len(roots) < 2:
-            return False
-        walk = find_augmenting_path(view, mate, roots)
+        return roots
+
+    def _augment(self, roots: Iterable[int]) -> bool:
+        """Apply the first augmenting path the search finds from ``roots``, if any."""
+        rows, mate = self.rows, self.mate
+        walk = find_augmenting_path(rows, mate, roots)
         if walk is None:
             return False
         # the entering edges (even positions) cover every vertex of the walk,

@@ -6,6 +6,7 @@ import random
 
 import pytest
 
+from flipmatch import oracle
 from flipmatch.algos import MATCHERS, make_matcher
 from flipmatch.blossom import find_augmenting_path
 from flipmatch.core import FULL, Graph, SelfLoopError, arrive, depart
@@ -381,3 +382,55 @@ def test_20_brute_force_refuses_a_self_loop(edges):
     with pytest.raises(SelfLoopError) as err:
         brute_force_max_matching(edges)
     assert err.value.code == "self-loop"
+
+
+def test_21_each_update_searches_only_from_the_roots_it_can_open(monkeypatch):
+    calls: list[tuple[int, ...]] = []
+
+    def spy(adj, mate, roots):
+        calls.append(tuple(roots))
+        return find_augmenting_path(adj, mate, roots)
+
+    monkeypatch.setattr(oracle, "find_augmenting_path", spy)
+    g, o = board()
+    # both ends free: matched directly, with no search
+    assert add(g, o, 1, 2) is True
+    assert calls == [] and o.flipped == {g.edge_id(1, 2)}
+    add(g, o, 3, 4)
+    calls.clear()
+    # one free end, on either side: the search starts from it alone
+    assert add(g, o, 0, 1) is False
+    assert calls == [(0,)]
+    calls.clear()
+    assert add(g, o, 4, 5) is False
+    assert calls == [(5,)]
+    calls.clear()
+    # both ends matched: the component's free vertices are the roots
+    assert add(g, o, 2, 3) is True
+    assert sorted(calls[0]) == [0, 5] and len(calls) == 1
+    assert o.mate == {0: 1, 1: 0, 2: 3, 3: 2, 4: 5, 5: 4}
+    calls.clear()
+    # an unmatched delete makes no search; a matched one searches from its ends
+    remove(g, o, g.edge_id(1, 2))
+    assert calls == [] and o.flipped == set()
+    remove(g, o, g.edge_id(2, 3))
+    assert calls == [(2, 3)]
+    assert o.size == 2
+    o.verify()
+
+
+def test_22_a_one_free_end_insert_augments_through_a_blossom():
+    # 1-2 and 3-4 matched, 2-3-4 a triangle, 5 free behind 3: inserting 0-1
+    # opens exactly one path, 0-1-2-4-3-5. The search from 0 first reaches 3
+    # as an odd vertex from 2, so it finds 5 only after contracting the
+    # triangle 2-3-4 and making 3 even
+    g, o = board()
+    for u, v in [(1, 2), (3, 4), (2, 3), (2, 4), (3, 5)]:
+        add(g, o, u, v)
+    assert o.mate == {1: 2, 2: 1, 3: 4, 4: 3}
+    assert add(g, o, 0, 1) is True
+    path = [(0, 1), (1, 2), (2, 4), (4, 3), (3, 5)]
+    assert o.flipped == {g.edge_id(u, v) for u, v in path}
+    assert o.mate == {0: 1, 1: 0, 2: 4, 4: 2, 3: 5, 5: 3}
+    assert o.size == brute_force_max_matching(e.endpoints for e in g.edges.values())
+    o.verify()
