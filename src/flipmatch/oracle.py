@@ -85,7 +85,7 @@ class OracleState:
     # ------------------------------------------------------------------
 
     def _free_in_component(self, seed: int) -> list[int]:
-        """The free vertices of ``seed``'s component, in the order one DFS finds them."""
+        """The free vertices of ``seed``'s component, found by one DFS."""
         rows, mate = self.rows, self.mate
         roots: list[int] = []
         stack = [seed]
