@@ -116,9 +116,16 @@ class GreedyMatcher(OnlineMatcher):
         and |M*| by one each. A departing spent matched edge turns two walls
         back into vertices of G*, which can raise ν by two, hence ``paths`` of
         2 there. A further search could only confirm that no path is left.
+
+        A path has two distinct free ends, and the board has at most
+        ``len(g.rows) - len(g.mate)`` free vertices (every vertex is a key of
+        the rows; walls stay in ``mate``), so with fewer than two no view is
+        built.
         """
         g = self.graph
         for _ in range(paths):
+            if len(g.rows) - len(g.mate) < 2:
+                return  # too few free vertices on the whole board
             adj, roots = g.component_view(seeds)
             if len(roots) < 2:
                 return  # an augmenting path needs two free ends
@@ -300,8 +307,8 @@ class AmpState:
     history: list[PhaseRecord] = field(default_factory=list)
 
     def __post_init__(self) -> None:
-        if self.r <= 1:
-            raise bounds.BadParamsError(f"growth factor must exceed 1, got {self.r}")
+        if not 1 < self.r < math.inf:  # refuses nan too
+            raise bounds.BadParamsError(f"growth factor must be finite and exceed 1, got {self.r}")
 
 
 def floor_log(value: int, r: float) -> int:

@@ -70,8 +70,8 @@ def amp_default_r(k: int) -> float:
 def amp_bound(k: int, r: float) -> float:
     """Guarantee of the doubling matcher at growth factor ``r``: r^k/(r^(k-1)-r)."""
     _require_even(k)
-    if not r > 1:
-        raise BadParamsError(f"need a growth factor above 1, got {r!r}")
+    if not 1 < r < math.inf:  # refuses nan too
+        raise BadParamsError(f"need a finite growth factor above 1, got {r!r}")
     return r**k / (r ** (k - 1) - r)
 
 

@@ -122,7 +122,7 @@ class Graph:
     """
 
     def __init__(self, budget: int, model: str = FULL):
-        if not isinstance(budget, int) or budget < 1:
+        if not isinstance(budget, int) or isinstance(budget, bool) or budget < 1:
             raise BadBudgetError(f"budget must be an integer >= 1, got {budget!r}")
         if model not in MODELS:
             raise BadParamsError(f"unknown departure model {model!r}; pick one of {MODELS}")

@@ -320,6 +320,8 @@ def parse_stream(text: str) -> StreamFile:
 
 def write_stream(k: int, model: str, events: Iterable[Event]) -> str:
     """Inverse of parse_stream; ends with a newline."""
+    if not isinstance(k, int) or isinstance(k, bool) or k < 1:
+        raise BadStreamError(f"budget must be an integer >= 1, got {k!r}")
     if model not in MODELS:
         raise BadStreamError(f"unknown model {model!r}")
     lines = [f"k {k}", f"model {model}"]
@@ -331,6 +333,11 @@ def write_stream(k: int, model: str, events: Iterable[Event]) -> str:
 # randomized churn for the regression suite
 
 
+def _require_two_vertices(max_vertices: int) -> None:
+    if max_vertices < 2:
+        raise bounds.BadParamsError(f"an edge needs two vertices, got max_vertices={max_vertices}")
+
+
 def random_arrival_stream(
     rng: random.Random,
     n_events: int,
@@ -338,6 +345,9 @@ def random_arrival_stream(
     max_edges: int = 24,
 ) -> list[Event]:
     """Random arrival-only stream staying inside the brute-force envelope."""
+    _require_two_vertices(max_vertices)
+    # no more edges than the vertices have pairs, or the loop would never end
+    max_edges = min(max_edges, max_vertices * (max_vertices - 1) // 2)
     present: set[tuple[int, int]] = set()
     events: list[Event] = []
     while len(events) < n_events and len(present) < max_edges:
@@ -366,6 +376,7 @@ def random_churn(
     edges the matcher has left unmatched can leave, so the stream is built
     move by move against the matcher's live state.
     """
+    _require_two_vertices(max_vertices)
     model = matcher.graph.model
     rec = _Recorder(matcher)
     for _ in range(n_events):

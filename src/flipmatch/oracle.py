@@ -24,6 +24,14 @@ one of its two ends, since every inner vertex is matched.
 * delete of an unmatched edge: removing an edge never creates augmenting
   paths, so nothing needs to run.
 
+Before that DFS, an insert with both ends matched counts the board's free
+vertices: every vertex is a key of the rows and every matched one a key of
+``mate``, so there are at most ``len(rows) - len(mate)`` (isolated vertices
+count too, which only makes it an upper bound). An augmenting path has two
+distinct free ends, so with fewer than two there is none, and the update
+ends in O(1) without the DFS or a search. A delete needs no count: it
+frees two vertices.
+
 The graph refuses self-loops, duplicate pairs and unknown edges before the
 oracle hears of them. Budgets are irrelevant here -- the oracle answers
 "what could an offline matcher do with the current edge set".
@@ -71,6 +79,8 @@ class OracleState:
             return self._augment((u,))
         if v not in mate:
             return self._augment((v,))
+        if len(self.rows) - len(mate) < 2:
+            return False  # an augmenting path needs two free ends
         roots = self._free_in_component(u)
         return len(roots) >= 2 and self._augment(roots)
 

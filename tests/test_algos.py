@@ -311,9 +311,13 @@ def test_17_amp_sync_skips_spent_edges():
 
 
 def test_18_amp_rejects_bad_growth_and_rounds_odd_budgets():
-    with pytest.raises(bounds.BadParamsError) as err:
-        AmpState(4, 1.0)
-    assert err.value.code == "bad-params"
+    # an infinite r used to build a matcher whose guarantee() read nan, so
+    # the referee's ratio > bound test never counted a violation
+    for r in (1.0, math.inf, math.nan):
+        for build in (AmpState, AmpMatcher, bounds.amp_bound):
+            with pytest.raises(bounds.BadParamsError) as err:
+                build(4, r)
+            assert err.value.code == "bad-params"
     # the matcher rounds an odd budget down to the even one its state spends
     m = AmpMatcher(5)
     assert m.state.k == 4
@@ -532,3 +536,31 @@ def test_27_unknown_model_is_refused():
         with pytest.raises(bounds.BadParamsError) as err:
             make_matcher(algo, 4, model="limted")
         assert err.value.code == "bad-params"
+
+
+def test_28_greedy_builds_no_view_while_the_board_has_under_two_free_vertices(monkeypatch):
+    views: list[tuple[int, ...]] = []
+    component_view = Graph.component_view
+
+    def spy(self, seeds):
+        views.append(tuple(seeds))
+        return component_view(self, seeds)
+
+    monkeypatch.setattr(Graph, "component_view", spy)
+    m = GreedyMatcher(4, ARRIVAL)
+    feed(m, [arrive(1, 2), arrive(3, 4)])
+    assert len(views) == 2
+    views.clear()
+    # an augmenting path needs two free vertices: none is free when 1-3
+    # arrives, and 0 is the only one when 0-1 and then 2-3 do
+    feed(m, [arrive(1, 3), arrive(0, 1), arrive(2, 3)])
+    assert views == []
+    assert m.graph.matching_size() == 2
+    # 0 and 5 free: 2-3 arrives with both ends matched and opens 0-1-2-3-4-5
+    m = GreedyMatcher(4, ARRIVAL)
+    feed(m, [arrive(1, 2), arrive(3, 4), arrive(0, 1), arrive(4, 5)])
+    assert m.graph.matching_size() == 2
+    feed(m, [arrive(2, 3)])
+    assert m.graph.matching_size() == 3
+    assert m.augmentations == 3
+    m.graph.validate()

@@ -130,7 +130,11 @@ def test_09_usage_errors(runner, tmp_path):
     assert isinstance(result.exception, SystemExit)
     assert "line 3: self-loop at vertex 3" in result.output
     # matcher parameters out of range are usage errors too
-    for flags in (["--algo", "lgreedy", "--L", "-1"], ["--algo", "amp", "--r", "0.5"]):
+    for flags in (
+        ["--algo", "lgreedy", "--L", "-1"],
+        ["--algo", "amp", "--r", "0.5"],
+        ["--algo", "amp", "--r", "inf"],
+    ):
         result = runner.invoke(main, ["simulate", *flags, "--instance", str(good)])
         assert result.exit_code != 0
         assert isinstance(result.exception, SystemExit)

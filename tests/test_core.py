@@ -341,7 +341,8 @@ def test_26_symmetric_difference_rejects_a_pair_that_is_no_edge():
 
 
 def test_24_budget_validation():
-    for bad in (0, -2):
+    # a bool is an int to Python, but True is no budget of 1
+    for bad in (0, -2, True, False):
         with pytest.raises(BadBudgetError) as err:
             Graph(bad)
         assert err.value.code == "bad-k"

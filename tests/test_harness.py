@@ -271,6 +271,33 @@ def test_15_stream_parse_errors():
         parse_stream("k 4\nmodel full\n+ 1 3\n- 3 3\n")
 
 
+@pytest.mark.parametrize("max_vertices", [1, 0, -3])
+def test_26_random_generators_refuse_fewer_than_two_vertices(max_vertices):
+    # rng.sample used to fail with a bare ValueError
+    with pytest.raises(BadParamsError) as err:
+        random_arrival_stream(random.Random(1), 5, max_vertices=max_vertices)
+    assert err.value.code == "bad-params"
+    matcher = GreedyMatcher(4, LIMITED)
+    with pytest.raises(BadParamsError) as err:
+        random_churn(random.Random(1), matcher, 5, max_vertices=max_vertices)
+    assert err.value.code == "bad-params"
+    assert not matcher.graph.edges
+
+
+def test_27_random_arrival_stream_stops_when_every_pair_is_present():
+    # two vertices have one pair; the loop used to resample it forever
+    assert random_arrival_stream(random.Random(1), 5, max_vertices=2) == [arrive(1, 2)]
+    stream = random_arrival_stream(random.Random(1), 40, max_vertices=4)
+    assert len({ev.endpoints for ev in stream}) == len(stream) == 6
+
+
+@pytest.mark.parametrize("k", [0, -1, True])
+def test_28_write_stream_refuses_a_budget_the_parser_would(k):
+    with pytest.raises(BadStreamError) as err:
+        write_stream(k, "full", [arrive(1, 2)])
+    assert err.value.code == "bad-stream"
+
+
 def test_16_random_arrival_streams_stay_bruteforceable():
     rng = random.Random(11)
     stream = random_arrival_stream(rng, 40)

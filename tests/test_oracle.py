@@ -434,3 +434,43 @@ def test_22_a_one_free_end_insert_augments_through_a_blossom():
     assert o.mate == {0: 1, 1: 0, 2: 4, 4: 2, 3: 5, 5: 3}
     assert o.size == brute_force_max_matching(e.endpoints for e in g.edges.values())
     o.verify()
+
+
+def test_23_an_insert_with_both_ends_matched_on_a_board_with_one_free_vertex_walks_nothing(
+    monkeypatch,
+):
+    walks: list[int] = []
+    searches: list[tuple[int, ...]] = []
+    free_in_component = OracleState._free_in_component
+
+    def walk_spy(self, seed):
+        walks.append(seed)
+        return free_in_component(self, seed)
+
+    def search_spy(adj, mate, roots):
+        searches.append(tuple(roots))
+        return find_augmenting_path(adj, mate, roots)
+
+    monkeypatch.setattr(OracleState, "_free_in_component", walk_spy)
+    monkeypatch.setattr(oracle, "find_augmenting_path", search_spy)
+    # 1-2 and 3-4 matched, 0 the board's only free vertex: no augmenting
+    # path can exist, so 2-3 makes neither the DFS nor a search
+    g, o = board()
+    for u, v in [(1, 2), (3, 4), (0, 1)]:
+        add(g, o, u, v)
+    walks.clear()
+    searches.clear()
+    assert add(g, o, 2, 3) is False
+    assert walks == [] and searches == []
+    assert o.flipped == set() and o.size == 2
+    # test_21's board has exactly two free vertices, 0 and 5, so 2-3 still
+    # collects them and searches from both
+    g, o = board()
+    for u, v in [(1, 2), (3, 4), (0, 1), (4, 5)]:
+        add(g, o, u, v)
+    walks.clear()
+    searches.clear()
+    assert add(g, o, 2, 3) is True
+    assert walks == [2]
+    assert len(searches) == 1 and sorted(searches[0]) == [0, 5]
+    o.verify()
