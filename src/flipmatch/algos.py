@@ -46,19 +46,18 @@ class OnlineMatcher:
 
     def on_arrival(self, event: Event) -> None:
         u, v = event.endpoints
-        eid = self.graph.add_edge(u, v)
+        self.graph.add_edge(u, v)
         self.oracle.insert(u, v)
-        self._react(eid, (u, v), None)
+        self._react((u, v), None)
 
     def on_departure(self, event: Event) -> None:
         g = self.graph
-        eid = g.edge_id(*event.endpoints)
-        departed = g.remove_edge(eid)
+        departed = g.remove_edge(g.edge_id(*event.endpoints))
         self.oracle.delete(departed.u, departed.v)
-        self._react(eid, event.endpoints, departed)
+        self._react(event.endpoints, departed)
 
-    def _react(self, eid: int, ends: tuple[int, int], departed: EdgeState | None) -> None:
-        """Respond to edge ``eid`` at ``ends`` arriving, or leaving as ``departed``."""
+    def _react(self, ends: tuple[int, int], departed: EdgeState | None) -> None:
+        """Respond to the edge at ``ends`` arriving, or leaving as ``departed``."""
         raise NotImplementedError
 
     def guarantee(self) -> float | None:
@@ -97,7 +96,7 @@ class GreedyMatcher(OnlineMatcher):
     def guarantee(self) -> float:
         return bounds.greedy_bound(self.graph.budget)
 
-    def _react(self, eid: int, ends: tuple[int, int], departed: EdgeState | None) -> None:
+    def _react(self, ends: tuple[int, int], departed: EdgeState | None) -> None:
         # only a departure that tore out a matched edge can open new paths
         if departed is None or departed.matched:
             spent = departed is not None and departed.etype >= self.graph.budget
@@ -180,11 +179,14 @@ class LGreedyMatcher(OnlineMatcher):
     cap at all (its best ratio is plain greedy's 3/2, so capping only hurts)
     and budgets below 4 fall back to single-edge steps.
 
-    ALG ^ OPT is kept live as a degree-<=2 adjacency (``diff``) instead of being
-    rebuilt per step. An event changes it only at the event edge and at the
-    edges whose optimum membership the event moved, and ``_exhaust`` applies
-    every candidate it is handed, so no candidate outlives an event: each
-    event walks only the components through those edges' endpoints.
+    ALG ^ OPT is not stored: it is read from the two partner maps,
+    ``graph.mate`` and ``oracle.mate``. A vertex is in it exactly when its
+    two partners differ, and a walk that reached a vertex over an edge of
+    one matching leaves it over the other's. An event changes the two maps
+    only at the event edge's ends and at the vertices the oracle's repair
+    moved, and ``_exhaust`` applies every candidate it is handed, so no
+    candidate outlives an event: each event walks only the components
+    through those vertices.
     """
 
     name = "lgreedy"
@@ -200,64 +202,57 @@ class LGreedyMatcher(OnlineMatcher):
             L = 1
         self.L = L
         self.ledger = WeightLedger(self.k_eff, self.L)
-        self.diff: dict[int, dict[int, int]] = {}  # vertex -> {neighbor: edge id} in ALG ^ OPT
 
     def guarantee(self) -> float | None:
         return None if self.k_eff < 4 else bounds.lgreedy_bound(self.k_eff, self.L)
 
-    def _react(self, eid: int, ends: tuple[int, int], departed: EdgeState | None) -> None:
-        """Update ``diff`` after an event and apply the candidates it opened.
+    def _react(self, ends: tuple[int, int], departed: EdgeState | None) -> None:
+        """Apply the candidates the event opened.
 
-        The edges whose optimum membership moved are the event edge and the
-        oracle's last repair path. The event edge is handled even when the
-        optimum did not move: a departing matched edge outside the optimum
-        leaves the difference and frees both its endpoints, which can turn the
-        two pieces of its old component into short augmenting paths.
+        The event's ends are walked even when the optimum did not move: a
+        departing matched edge outside the optimum frees both its endpoints,
+        which can turn the two pieces of its old component into short
+        augmenting paths.
         """
-        g, diff, opt = self.graph, self.diff, self.oracle.mate
-        dirty: set[int] = set()
-        for moved in self.oracle.flipped | {eid}:
-            e = g.edges.get(moved)
-            a, b = ends if e is None else e.endpoints
-            dirty.update((a, b))
-            if e is not None and e.matched != (opt.get(a) == b):
-                diff.setdefault(a, {})[b] = moved
-                diff.setdefault(b, {})[a] = moved
-            elif diff.get(a, {}).get(b) == moved:
-                del diff[a][b]
-                del diff[b][a]
+        alg, opt = self.graph.mate, self.oracle.mate
         judged: set[int] = set()
-        found = [self._candidate_at(v, judged) for v in dirty if diff.get(v)]
+        found = [
+            self._candidate_at(v, judged)
+            for v in self.oracle.moved.union(ends)
+            if alg.get(v) != opt.get(v)
+        ]
         self._exhaust([c for c in found if c is not None])
 
     def _candidate_at(self, v: int, judged: set[int]) -> list[int] | None:
-        """The walk of the component of ``diff`` through ``v`` if it is a candidate.
+        """The walk of the component of ALG ^ OPT through ``v`` if it is a candidate.
 
         Candidates are augmenting paths of length at most 2L+1 (any length
         when L is None) without a spent edge. The walk gives up as soon as
-        the component fails one of these, or reaches an edge in ``judged``,
-        whose component an earlier walk already settled. Every edge it
-        crosses joins ``judged``.
+        the component fails one of these, or reaches a vertex in ``judged``:
+        one whose component an earlier walk already settled, or ``v`` again
+        when the component is a cycle. Every vertex it visits joins
+        ``judged``.
         """
-        g, diff = self.graph, self.diff
+        g, alg, opt = self.graph, self.graph.mate, self.oracle.mate
+        if v in judged:
+            return None
+        judged.add(v)
         cap = None if self.L is None else 2 * self.L + 1
         halves: list[list[int]] = [[], []]  # vertices walked out of v on each side
         length = 0
-        for side, (cur, eid) in enumerate(diff[v].items()):
-            while True:
-                if eid in judged:
+        for side, cur in enumerate((alg.get(v), opt.get(v))):
+            prev = v
+            while cur is not None:
+                if cur in judged:
                     return None
-                judged.add(eid)
+                judged.add(cur)
                 halves[side].append(cur)
                 length += 1
-                if g.edges[eid].etype >= self.k_eff or cur == v:
-                    return None  # spent, or the walk closed a cycle
+                if g.edges[g.rows[prev][cur]].etype >= self.k_eff:
+                    return None  # spent
                 if cap is not None and length > cap:
                     return None
-                step = next(((n, e) for n, e in diff[cur].items() if e != eid), None)
-                if step is None:
-                    break
-                cur, eid = step
+                prev, cur = cur, (opt if alg.get(cur) == prev else alg).get(cur)
         walk = halves[0][::-1] + [v] + halves[1]
         return walk if is_augmenting(g, walk) else None
 
@@ -269,13 +264,9 @@ class LGreedyMatcher(OnlineMatcher):
         other candidate's edges, types or end coverage, so the order cannot
         change the board or the ledger.
         """
-        g, diff = self.graph, self.diff
         for walk in candidates:
-            g.apply_augmenting_path(walk)
+            self.graph.apply_augmenting_path(walk)
             self.ledger.distribute(walk)
-            for a, b in zip(walk, walk[1:]):
-                del diff[a][b]
-                del diff[b][a]
 
 
 # ----------------------------------------------------------------------
@@ -359,7 +350,7 @@ class AmpMatcher(OnlineMatcher):
         k_eff = self.state.k
         return None if k_eff < 4 else bounds.amp_bound(k_eff, self.state.r)
 
-    def _react(self, eid: int, ends: tuple[int, int], departed: EdgeState | None) -> None:
+    def _react(self, ends: tuple[int, int], departed: EdgeState | None) -> None:
         """Open a phase and sync once the optimum has grown by the factor ``r``."""
         state, g = self.state, self.graph
         opt = self.oracle.size

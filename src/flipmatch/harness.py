@@ -319,14 +319,17 @@ def parse_stream(text: str) -> StreamFile:
 
 
 def write_stream(k: int, model: str, events: Iterable[Event]) -> str:
-    """Inverse of parse_stream; ends with a newline."""
-    if not isinstance(k, int) or isinstance(k, bool) or k < 1:
-        raise BadStreamError(f"budget must be an integer >= 1, got {k!r}")
-    if model not in MODELS:
-        raise BadStreamError(f"unknown model {model!r}")
-    lines = [f"k {k}", f"model {model}"]
-    lines.extend(str(ev) for ev in events)
-    return "\n".join(lines) + "\n"
+    """Inverse of parse_stream; ends with a newline.
+
+    The text is parsed back before it is returned, so ``parse_stream`` alone
+    holds the format's rules: input it would refuse or read differently
+    raises ``BadStreamError``.
+    """
+    events = tuple(events)
+    text = "\n".join([f"k {k}", f"model {model}", *map(str, events)]) + "\n"
+    if parse_stream(text) != StreamFile(k=k, model=model, events=events):
+        raise BadStreamError(f"k={k!r}, model={model!r} and the events do not read back")
+    return text
 
 
 # ----------------------------------------------------------------------

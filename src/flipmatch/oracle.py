@@ -24,13 +24,13 @@ one of its two ends, since every inner vertex is matched.
 * delete of an unmatched edge: removing an edge never creates augmenting
   paths, so nothing needs to run.
 
-Before that DFS, an insert with both ends matched counts the board's free
-vertices: every vertex is a key of the rows and every matched one a key of
-``mate``, so there are at most ``len(rows) - len(mate)`` (isolated vertices
-count too, which only makes it an upper bound). An augmenting path has two
-distinct free ends, so with fewer than two there is none, and the update
-ends in O(1) without the DFS or a search. A delete needs no count: it
-frees two vertices.
+Before any search or DFS, an insert that is not matched directly counts
+the board's free vertices: every vertex is a key of the rows and every
+matched one a key of ``mate``, so there are at most ``len(rows) -
+len(mate)`` (isolated vertices count too, which only makes it an upper
+bound). An augmenting path has two distinct free ends, so with fewer than
+two there is none, and the update ends in O(1). A delete needs no count:
+it frees two vertices.
 
 The graph refuses self-loops, duplicate pairs and unknown edges before the
 oracle hears of them. Budgets are irrelevant here -- the oracle answers
@@ -60,7 +60,7 @@ class OracleState:
     def __init__(self, rows: dict[int, dict[int, int]]) -> None:
         self.rows = rows  # the graph's vertex -> {neighbor: edge id}, read only
         self.mate: dict[int, int] = {}  # vertex -> matched partner vertex
-        self.flipped: set[int] = set()  # edge ids the last update's repair path flipped
+        self.moved: set[int] = set()  # vertices whose partner the last update changed
 
     @property
     def size(self) -> int:
@@ -72,24 +72,25 @@ class OracleState:
         if u not in mate and v not in mate:
             mate[u] = v
             mate[v] = u
-            self.flipped = {self.rows[u][v]}
+            self.moved = {u, v}
             return True
-        self.flipped = set()
+        self.moved = set()
+        if len(self.rows) - len(mate) < 2:
+            return False  # an augmenting path needs two free ends
         if u not in mate:
             return self._augment((u,))
         if v not in mate:
             return self._augment((v,))
-        if len(self.rows) - len(mate) < 2:
-            return False  # an augmenting path needs two free ends
         roots = self._free_in_component(u)
         return len(roots) >= 2 and self._augment(roots)
 
     def delete(self, u: int, v: int) -> None:
         """Repair after the edge u-v left the rows, if it was matched."""
-        self.flipped = set()
+        self.moved = set()
         if self.mate.get(u) == v:
             del self.mate[u]
             del self.mate[v]
+            self.moved = {u, v}
             self._augment((u, v))
 
     # ------------------------------------------------------------------
@@ -112,17 +113,16 @@ class OracleState:
 
     def _augment(self, roots: Iterable[int]) -> bool:
         """Apply the first augmenting path the search finds from ``roots``, if any."""
-        rows, mate = self.rows, self.mate
-        walk = find_augmenting_path(rows, mate, roots)
+        mate = self.mate
+        walk = find_augmenting_path(self.rows, mate, roots)
         if walk is None:
             return False
         # the entering edges (even positions) cover every vertex of the walk,
         # so setting their partners overwrites every leaving edge's
-        for i, (a, b) in enumerate(zip(walk, walk[1:])):
-            self.flipped.add(rows[a][b])
-            if i % 2 == 0:
-                mate[a] = b
-                mate[b] = a
+        for a, b in zip(walk[::2], walk[1::2]):
+            mate[a] = b
+            mate[b] = a
+        self.moved.update(walk)
         return True
 
     def verify(self) -> None:

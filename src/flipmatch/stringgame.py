@@ -438,8 +438,8 @@ class StringGameAdversary(ScriptedAdversary):
             raise OddKError(f"string game needs an even budget, got {k}")
         if k < 4:
             raise BadBudgetError(f"string game needs budget >= 4, got {k}")
-        if not isinstance(epsilon, (int, float)) or epsilon <= 0:
-            raise BadParamsError(f"need a positive slack, got {epsilon!r}")
+        if not isinstance(epsilon, (int, float)) or isinstance(epsilon, bool) or not epsilon > 0:
+            raise BadParamsError(f"need a positive slack, got {epsilon!r}")  # nan too
         limit = (4 * k - 12) / (k - 1)
         if epsilon >= limit:
             raise EpsilonTooLargeError(

@@ -103,6 +103,15 @@ def test_09_usage_errors(runner, tmp_path):
     # odd budget for the string game
     result = runner.invoke(main, ["duel", "--adversary", "string", "--algo", "greedy", "--k", "5"])
     assert result.exit_code != 0
+    # a nan slack would never leave phase one; an infinite one is too large
+    for epsilon, message in (("nan", "need a positive slack"), ("inf", "phase one would be over")):
+        result = runner.invoke(
+            main,
+            ["duel", "--adversary", "string", "--algo", "greedy", "--k", "6", "--epsilon", epsilon],
+        )
+        assert result.exit_code != 0
+        assert isinstance(result.exception, SystemExit)
+        assert message in result.output
     # missing instance file
     result = runner.invoke(
         main, ["simulate", "--algo", "greedy", "--instance", str(tmp_path / "nope")]

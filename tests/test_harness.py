@@ -24,10 +24,12 @@ from flipmatch.bounds import BadParamsError, lgreedy_bound
 from flipmatch.core import (
     ARRIVAL,
     ARRIVE,
+    DEPART,
     FULL,
     LIMITED,
     MODELS,
     DuplicateEdgeError,
+    Event,
     GraphError,
     IllegalEventError,
     SelfLoopError,
@@ -39,6 +41,7 @@ from flipmatch.harness import (
     BadStreamError,
     OracleDriftError,
     RunReport,
+    StreamFile,
     TABLE_HEADER,
     amp_phase_violations,
     duel,
@@ -366,8 +369,8 @@ class _Drifter(GreedyMatcher):
         super().__init__(4, ARRIVAL)
         self.at, self.corrupt = at, corrupt
 
-    def _react(self, eid, ends, departed):
-        super()._react(eid, ends, departed)
+    def _react(self, ends, departed):
+        super()._react(ends, departed)
         if len(self.graph.edges) == self.at:
             self.corrupt(self.oracle.mate)
 
@@ -491,3 +494,41 @@ if HAVE_HYPOTHESIS:
         else:
             matcher.graph.validate()
             matcher.oracle.verify()
+
+    _vertex = st.one_of(st.integers(-1, 5), st.booleans())
+
+    @given(
+        k=st.one_of(st.integers(-1, 9), st.booleans(), st.just("4")),
+        model=st.sampled_from(MODELS + ("sometimes", "full x")),
+        events=st.lists(
+            st.builds(Event, st.sampled_from([ARRIVE, DEPART, "stay"]), _vertex, _vertex),
+            max_size=6,
+        ),
+    )
+    @settings(max_examples=500, deadline=None)
+    def test_29_write_stream_refuses_or_round_trips(k, model, events):
+        def whole(x):
+            return isinstance(x, int) and not isinstance(x, bool)
+
+        legal = (
+            whole(k)
+            and k >= 1
+            and model in MODELS
+            and all(
+                ev.action in (ARRIVE, DEPART)
+                and whole(ev.u)
+                and whole(ev.v)
+                and ev.u > 0
+                and ev.v > 0
+                and ev.u != ev.v
+                for ev in events
+            )
+        )
+        try:
+            text = write_stream(k, model, events)
+        except BadStreamError as exc:
+            assert exc.code == "bad-stream"
+            assert not legal
+        else:
+            assert legal
+            assert parse_stream(text) == StreamFile(k=k, model=model, events=tuple(events))

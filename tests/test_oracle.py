@@ -222,28 +222,24 @@ def test_13_flipped_is_the_last_repair_path():
     g, o = board()
     for u, v in [(1, 2), (2, 3), (3, 4), (0, 1)]:
         add(g, o, u, v)
-    assert o.flipped == set()  # 0 is free, but no path reaches another free vertex
+    assert o.moved == set()  # 0 is the only free vertex, so no path exists
     add(g, o, 4, 5)
-    assert o.flipped == {0, 1, 2, 3, 4}  # 0-1-2-3-4-5 augmented
+    assert o.moved == {0, 1, 2, 3, 4, 5}  # 0-1-2-3-4-5 augmented
     remove(g, o, 0)  # unmatched now: nothing to repair
-    assert o.flipped == set()
-    # under churn, flipped is exactly the edges whose membership moved
+    assert o.moved == set()
+    # under churn, moved is exactly the vertices whose partner changed
     (g, o), rng = board(), random.Random(3)
-    def opt_ids() -> set[int]:
-        return {g.edge_id(v, w) for v, w in o.mate.items()}
-
     for _ in range(400):
-        before = opt_ids()
+        before = dict(o.mate)
         if g.edges and rng.random() < 0.4:
-            gone = rng.choice(sorted(g.edges))
-            remove(g, o, gone)
-            assert o.flipped == (before ^ opt_ids()) - {gone}
+            remove(g, o, rng.choice(sorted(g.edges)))
         else:
             u, v = rng.sample(range(12), 2)
             if g.has_edge(u, v):
                 continue
             add(g, o, u, v)
-            assert o.flipped == before ^ opt_ids()
+        changed = {x for x in before.keys() | o.mate.keys() if before.get(x) != o.mate.get(x)}
+        assert o.moved == changed
 
 
 @pytest.mark.parametrize(
@@ -395,8 +391,12 @@ def test_21_each_update_searches_only_from_the_roots_it_can_open(monkeypatch):
     g, o = board()
     # both ends free: matched directly, with no search
     assert add(g, o, 1, 2) is True
-    assert calls == [] and o.flipped == {g.edge_id(1, 2)}
+    assert calls == [] and o.moved == {1, 2}
     add(g, o, 3, 4)
+    # 8 is a free vertex away from the event, so the board has two free
+    # vertices once 0 arrives and the free-vertex count does not skip
+    add(g, o, 6, 7)
+    add(g, o, 6, 8)
     calls.clear()
     # one free end, on either side: the search starts from it alone
     assert add(g, o, 0, 1) is False
@@ -408,14 +408,14 @@ def test_21_each_update_searches_only_from_the_roots_it_can_open(monkeypatch):
     # both ends matched: the component's free vertices are the roots
     assert add(g, o, 2, 3) is True
     assert sorted(calls[0]) == [0, 5] and len(calls) == 1
-    assert o.mate == {0: 1, 1: 0, 2: 3, 3: 2, 4: 5, 5: 4}
+    assert o.mate == {0: 1, 1: 0, 2: 3, 3: 2, 4: 5, 5: 4, 6: 7, 7: 6}
     calls.clear()
     # an unmatched delete makes no search; a matched one searches from its ends
     remove(g, o, g.edge_id(1, 2))
-    assert calls == [] and o.flipped == set()
+    assert calls == [] and o.moved == set()
     remove(g, o, g.edge_id(2, 3))
     assert calls == [(2, 3)]
-    assert o.size == 2
+    assert o.size == 3
     o.verify()
 
 
@@ -429,8 +429,7 @@ def test_22_a_one_free_end_insert_augments_through_a_blossom():
         add(g, o, u, v)
     assert o.mate == {1: 2, 2: 1, 3: 4, 4: 3}
     assert add(g, o, 0, 1) is True
-    path = [(0, 1), (1, 2), (2, 4), (4, 3), (3, 5)]
-    assert o.flipped == {g.edge_id(u, v) for u, v in path}
+    assert o.moved == {0, 1, 2, 3, 4, 5}
     assert o.mate == {0: 1, 1: 0, 2: 4, 4: 2, 3: 5, 5: 3}
     assert o.size == brute_force_max_matching(e.endpoints for e in g.edges.values())
     o.verify()
@@ -453,16 +452,18 @@ def test_23_an_insert_with_both_ends_matched_on_a_board_with_one_free_vertex_wal
 
     monkeypatch.setattr(OracleState, "_free_in_component", walk_spy)
     monkeypatch.setattr(oracle, "find_augmenting_path", search_spy)
-    # 1-2 and 3-4 matched, 0 the board's only free vertex: no augmenting
-    # path can exist, so 2-3 makes neither the DFS nor a search
+    # 1-2 and 3-4 matched: 0-1 arrives with one free end, 0, which is the
+    # board's only free vertex, so no augmenting path can exist and it
+    # makes no search
     g, o = board()
-    for u, v in [(1, 2), (3, 4), (0, 1)]:
+    for u, v in [(1, 2), (3, 4)]:
         add(g, o, u, v)
-    walks.clear()
-    searches.clear()
+    assert add(g, o, 0, 1) is False
+    assert walks == [] and searches == []
+    # 2-3 arrives with both ends matched: neither the DFS nor a search
     assert add(g, o, 2, 3) is False
     assert walks == [] and searches == []
-    assert o.flipped == set() and o.size == 2
+    assert o.moved == set() and o.size == 2
     # test_21's board has exactly two free vertices, 0 and 5, so 2-3 still
     # collects them and searches from both
     g, o = board()

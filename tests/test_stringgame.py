@@ -1,6 +1,7 @@
 """The churn adversary that plays on path strings."""
 
 import itertools
+import math
 from collections import Counter
 
 import pytest
@@ -308,9 +309,16 @@ def test_18_argument_validation():
         string_game_adversary(4, epsilon=0.0)
     with pytest.raises(BadParamsError):
         string_game_adversary(4, epsilon=-0.1)
+    # a nan slack never leaves phase one, and a bool is not a slack
+    for epsilon in (math.nan, True, False):
+        with pytest.raises(BadParamsError) as err:
+            string_game_adversary(6, epsilon=epsilon)
+        assert err.value.code == "bad-params"
     with pytest.raises(EpsilonTooLargeError) as err:
         string_game_adversary(4, epsilon=4 / 3)
     assert err.value.code == "epsilon-too-large"
+    with pytest.raises(EpsilonTooLargeError):
+        string_game_adversary(6, epsilon=math.inf)
     with pytest.raises(EpsilonTooLargeError):
         string_game_adversary(6, epsilon=2.4)
     string_game_adversary(6, epsilon=2.39)  # just inside
