@@ -16,11 +16,12 @@ early and scored at whatever ratio it reached.
 from __future__ import annotations
 
 from collections import Counter, deque
+from functools import lru_cache
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .adversaries import EXPECTATION_MISS, SCRIPT_COMPLETE, ScriptedAdversary
 from .bounds import BadBudgetError, BadParamsError, dep_lower_bound
-from .core import Event, Graph, UnknownEdgeError, arrive, depart
+from .core import Event, Graph, arrive, depart
 
 MATCHER_STALLED = "matcher-stalled"
 
@@ -55,6 +56,12 @@ class BadStringError(ValueError):
     code = "bad-string"
 
 
+class UsedAdversaryError(RuntimeError):
+    """A second game from an adversary whose configuration is already played."""
+
+    code = "used-adversary"
+
+
 # ----------------------------------------------------------------------
 # strings and configurations
 
@@ -83,11 +90,17 @@ class PathString:
 
 
 def _increment(s: PathString) -> PathString:
-    return PathString(tuple(d + 1 for d in s.digits), s.verts)
+    return PathString([d + 1 for d in s.digits], s.verts)
 
 
 class StringConfig:
-    """A multiset of path strings, its family count, and the game's phase."""
+    """A multiset of path strings, its family counts, and the game's phase.
+
+    ``replace`` keeps in step each string's playbook label, the strings per
+    label (``counts``) and per family (``totals``), and the reservoir sums
+    over the ("a", j) pairs: sum (j^2-4j+7)n (``pair_weight``) and sum (j-3)n
+    (``pair_slack``).
+    """
 
     def __init__(
         self,
@@ -98,10 +111,13 @@ class StringConfig:
     ):
         self.k = k
         self.epsilon = epsilon
-        self.strings: list[PathString] = list(strings)
+        self.strings: list[PathString] = []
         self.phase = phase
-        # (family, index) label -> number of strings carrying it
-        self.counts = Counter(classify_string(s.digits, k) for s in self.strings)
+        self.labels: dict[PathString, tuple[str, int]] = {}
+        self.counts: Counter = Counter()
+        self.totals: Counter = Counter()
+        self.pair_weight = self.pair_slack = 0
+        self.replace(None, list(strings))
 
     @classmethod
     def from_digits(
@@ -124,32 +140,49 @@ class StringConfig:
         else:
             at = self.strings.index(old)
             end = at + 1
-            self.counts[classify_string(old.digits, self.k)] -= 1
+            self._count(self.labels.pop(old), -1)
         self.strings[at:end] = new
-        self.counts.update(classify_string(s.digits, self.k) for s in new)
+        for s in new:
+            label = self.labels[s] = classify_string(s.digits, self.k)
+            self._count(label, 1)
+
+    def _count(self, label: tuple[str, int], n: int) -> None:
+        family, j = label
+        self.counts[label] += n
+        self.totals[family] += n
+        if family == "a":
+            self.pair_weight += (j * j - 4 * j + 7) * n
+            self.pair_slack += (j - 3) * n
 
 
-def validate_strings(strings: Iterable[PathString], k: int) -> None:
-    """Raise ``BadStringError`` unless a graph of budget ``k`` could hold them."""
+def validate_strings(
+    strings: Iterable[PathString], k: int
+) -> dict[tuple[int, int], int]:
+    """Edge types by sorted vertex pair, once a graph of budget ``k`` could
+    hold the strings; ``BadStringError`` otherwise."""
+    edges: dict[tuple[int, int], int] = {}
     seen: set[int] = set()
     for s in strings:
         if len(s.verts) != len(s.digits) + 1 or not s.digits:
             raise BadStringError(f"string {s.digits} / walk {s.verts} mismatch")
-        for a, b in zip(s.digits, s.digits[1:]):
-            if (a + b) % 2 == 0:
+        parity = s.digits[0] % 2
+        for d, u, v in zip(s.digits, s.verts, s.verts[1:]):
+            if d % 2 != parity:
                 raise BadStringError(f"types {s.digits} do not alternate")
-        for d in s.digits:
             if not 0 <= d <= k:
                 raise BadStringError(f"type {d} outside budget {k}")
-        overlap = seen.intersection(s.verts)
-        if overlap or len(set(s.verts)) != len(s.verts):
-            raise BadStringError(f"walk {s.verts} reuses a vertex")
+            edges[(u, v) if u < v else (v, u)] = d
+            parity ^= 1
+        before = len(seen)
         seen.update(s.verts)
+        if len(seen) != before + len(s.verts):
+            raise BadStringError(f"walk {s.verts} reuses a vertex")
+    return edges
 
 
 def _as_digits(spec) -> tuple[int, ...]:
     if isinstance(spec, str):
-        return tuple(int(ch) for ch in spec)
+        return tuple(int(part) for part in (spec.split("-") if "-" in spec else spec))
     return tuple(spec)
 
 
@@ -172,21 +205,23 @@ def string_ratio(cfg: StringConfig) -> float:
 # the string families
 
 
-def _ascent(top: int) -> tuple[int, ...]:
-    return tuple(range(top + 1))
-
-
-def _w_digits(j: int) -> tuple[int, ...]:
-    return _ascent(j) + (j - 1,) + tuple(range(j, -1, -1))
-
-
-def _ramp_digits(k: int) -> list[tuple[int, ...]]:
-    return [
-        _ascent(k - 3) + (0,),
-        _ascent(k - 2) + (1, 0),
-        _ascent(k - 1) + (2, 1, 0),
-        _ascent(k) + (3, 2, 1, 0),
+@lru_cache(maxsize=None)
+def _playbook(k: int) -> dict[tuple[int, ...], tuple[str, int]]:
+    """Label of every playbook string for budget ``k``, keyed by the lesser
+    of its two readings. The forms are listed in ``classify_string``'s order
+    and read back to front, so a string two families share keeps the first."""
+    # ramp m climbs 0, 1, ..., k-4+m, then falls m-1, ..., 0
+    ramps = [tuple(range(k - 3 + m)) + tuple(range(m - 1, -1, -1)) for m in range(1, 5)]
+    forms = [((0,), ("seed", 0)), ((0, 1, 0), ("y", 0)), ((0, 1, 2, 1, 0), ("y", 0))]
+    forms.append(((0, 1, 0, 1, 0), ("x", 0)))
+    forms += [((0, j - 1, 0), ("a", j)) for j in range(4, k + 1, 2)]
+    forms += [((0, 1, j, 1, 0), ("a", j)) for j in range(4, k + 1, 2)]
+    forms += [
+        (tuple(range(j + 1)) + (j - 1,) + tuple(range(j, -1, -1)), ("w", j))
+        for j in range(2, k - 1)
     ]
+    forms += [(min(f, f[::-1]), ("v", m)) for m, f in enumerate(ramps, start=1)]
+    return dict(reversed(forms))
 
 
 def classify_string(digits: Sequence[int], k: int) -> tuple[str, int]:
@@ -197,31 +232,12 @@ def classify_string(digits: Sequence[int], k: int) -> tuple[str, int]:
     ("a", j) for the reservoir pairs 0,j-1,0 / 0,1,j,1,0 with even j.
     Anything else is outside the playbook and raises.
     """
-    c = min(tuple(digits), tuple(reversed(tuple(digits))))
-    if c == (0,):
-        return ("seed", 0)
-    if c in ((0, 1, 0), (0, 1, 2, 1, 0)):
-        return ("y", 0)
-    if c == (0, 1, 0, 1, 0):
-        return ("x", 0)
-    n = len(c)
-    if n == 3 and c[0] == 0 == c[2] and c[1] % 2 == 1 and 3 <= c[1] <= k - 1:
-        return ("a", c[1] + 1)
-    if (
-        n == 5
-        and c[:2] == (0, 1)
-        and c[3:] == (1, 0)
-        and c[2] % 2 == 0
-        and 4 <= c[2] <= k
-    ):
-        return ("a", c[2])
-    peak = max(c)
-    if 2 <= peak <= k - 2 and c == _w_digits(peak):
-        return ("w", peak)
-    for m, form in enumerate(_ramp_digits(k), start=1):
-        if c == min(form, form[::-1]):
-            return ("v", m)
-    raise IllegalTransitionError(f"string {c} is outside the playbook")
+    d = tuple(digits)
+    c = min(d, d[::-1])
+    label = _playbook(k).get(c)
+    if label is None:
+        raise IllegalTransitionError(f"string {c} is outside the playbook")
+    return label
 
 
 # ----------------------------------------------------------------------
@@ -259,14 +275,20 @@ def augment_response(
     settled (0 at both ends), so the move set is legal in the model where
     matched edges cannot depart.
     """
-    if old.blocked(k):
-        raise IllegalTransitionError(f"string {old.digits} is already spent")
-    t = _increment(old)
-    family, j = classify_string(old.digits, k)
+    return _respond(_increment(old), classify_string(old.digits, k), k, phase, fresh)
+
+
+def _respond(
+    t: PathString, label: tuple[str, int], k: int, phase: int, fresh: Callable[[], int]
+) -> list[PathString]:
+    """``augment_response`` for a string of playbook ``label`` flipped up to ``t``."""
+    if max(t.digits) > k:
+        raise IllegalTransitionError(f"string {t.digits} was spent before its flip")
+    family, j = label
     if family == "seed":
         return [_pad(t, fresh)]
     if family == "y":
-        if len(old.digits) == 3:
+        if len(t.digits) == 3:
             return [_pad(t, fresh)]
         if k == 4 and phase >= 3:
             return [_pad(t, fresh)]
@@ -293,7 +315,7 @@ def augment_response(
     if family == "v":
         return [_pad(t, fresh)]
     # family == "a": the short form pads, the long form feeds the next rung
-    if len(old.digits) == 3:
+    if len(t.digits) == 3:
         return [_pad(t, fresh)]
     head, mid, tail = _split(t, (1, 3))
     return [_pad(_join(head, tail), fresh), _pad(mid, fresh)]
@@ -314,48 +336,31 @@ def compile_strings_to_events(
     0-edge, and surviving edges keep their type; anything else raises
     ``IllegalTransitionError``.
     """
-    validate_strings(new, k)
-    validate_strings(prev, k)
-
-    def edge_map(strings: Sequence[PathString]) -> dict[frozenset, int]:
-        mapping: dict[frozenset, int] = {}
-        for s in strings:
-            for i, d in enumerate(s.digits):
-                mapping[frozenset((s.verts[i], s.verts[i + 1]))] = d
-        return mapping
-
-    old_edges, new_edges = edge_map(prev), edge_map(new)
+    new_edges = validate_strings(new, k)
+    old_edges = validate_strings(prev, k)
     old_verts = {v for s in prev for v in s.verts}
 
     departures = []
     for key, d in old_edges.items():
-        if key in new_edges:
-            if new_edges[key] != d:
-                raise IllegalTransitionError(
-                    f"edge {sorted(key)} changed type {d} -> {new_edges[key]}"
-                )
-        else:
+        now = new_edges.get(key)
+        if now is None:
             if d % 2 == 1:
-                raise IllegalTransitionError(
-                    f"matched edge {sorted(key)} cannot depart"
-                )
-            departures.append(depart(*sorted(key)))
+                raise IllegalTransitionError(f"matched edge {key} cannot depart")
+            departures.append(key)
+        elif now != d:
+            raise IllegalTransitionError(f"edge {key} changed type {d} -> {now}")
 
     merges, pads = [], []
     for key, d in new_edges.items():
         if key in old_edges:
             continue
         if d != 0:
-            raise IllegalTransitionError(
-                f"arriving edge {sorted(key)} would need type {d}"
-            )
-        known = sum(1 for v in key if v in old_verts)
-        (merges if known == 2 else pads).append(arrive(*sorted(key)))
+            raise IllegalTransitionError(f"arriving edge {key} would need type {d}")
+        u, v = key
+        (merges if u in old_verts and v in old_verts else pads).append(key)
 
-    ordered = []
-    for bucket in (departures, merges, pads):
-        ordered.extend(sorted(bucket, key=lambda ev: ev.endpoints))
-    return ordered
+    events = [depart(u, v) for u, v in sorted(departures)]
+    return events + [arrive(u, v) for u, v in sorted(merges) + sorted(pads)]
 
 
 def _flipped(g: Graph, strings: Iterable[PathString]) -> list[PathString] | None:
@@ -364,14 +369,16 @@ def _flipped(g: Graph, strings: Iterable[PathString]) -> list[PathString] | None
     A string is realised when every edge is live and either all of them kept
     their type or all of them rose by exactly one.
     """
+    rows, edges = g.rows, g.edges
     out = []
     for s in strings:
-        lifts = set()
-        for d, u, v in zip(s.digits, s.verts, s.verts[1:]):
-            try:
-                lifts.add(g.edge(g.edge_id(u, v)).etype - d)
-            except UnknownEdgeError:
-                return None
+        try:
+            lifts = {
+                edges[rows[u][v]].etype - d
+                for d, u, v in zip(s.digits, s.verts, s.verts[1:])
+            }
+        except KeyError:  # an edge of the string is gone
+            return None
         if lifts == {1}:
             out.append(s)
         elif lifts != {0}:
@@ -390,29 +397,17 @@ def config_matches_graph(cfg: StringConfig, g: Graph) -> bool:
 # phase bookkeeping
 
 
-def _family_total(counts: Counter, family: str) -> int:
-    return sum(n for (fam, _), n in counts.items() if fam == family)
-
-
 def invariant_threshold(cfg: StringConfig) -> bool:
     """Reservoir test that ends phase one (and must then keep holding)."""
-    lhs = sum(
-        (j * j - 4 * j + 7) * n for (fam, j), n in cfg.counts.items() if fam == "a"
-    )
     rhs = (4 * cfg.k - 12) / cfg.epsilon - (cfg.k - 1)
-    return lhs > rhs if cfg.k == 4 else lhs >= rhs
+    return cfg.pair_weight > rhs if cfg.k == 4 else cfg.pair_weight >= rhs
 
 
 def invariant_balance(cfg: StringConfig) -> bool:
     """Live strings never outgrow the reservoir once phase one is over."""
-    counts = cfg.counts
-    lhs = (
-        2 * (_family_total(counts, "x") + _family_total(counts, "w"))
-        + _family_total(counts, "y")
-        + (cfg.k - 4) * _family_total(counts, "v")
-    )
-    rhs = 1 + sum((j - 3) * n for (fam, j), n in counts.items() if fam == "a")
-    return lhs <= rhs
+    t = cfg.totals
+    lhs = 2 * (t["x"] + t["w"]) + t["y"] + (cfg.k - 4) * t["v"]
+    return lhs <= 1 + cfg.pair_slack
 
 
 # ----------------------------------------------------------------------
@@ -427,7 +422,8 @@ class StringGameAdversary(ScriptedAdversary):
     ``script-complete`` when every string is spent, in ``matcher-stalled``
     when live strings remain but the matcher declines to flip any of them,
     and in ``expectation-miss`` if the matcher's graph stops looking like
-    the configuration at all.
+    the configuration at all. An adversary plays one game: a second
+    ``play`` raises ``UsedAdversaryError`` before any event.
     """
 
     def __init__(self, k: int, epsilon: float = 0.05):
@@ -455,6 +451,8 @@ class StringGameAdversary(ScriptedAdversary):
 
     def play(self, matcher) -> Iterator[list[Event]]:
         cfg, k = self.cfg, self.cfg.k
+        if cfg.strings:
+            raise UsedAdversaryError(f"{self.name} has played its game already")
         seed = PathString((0,), (self._fresh(), self._fresh()))
         cfg.replace(None, [seed])
         yield compile_strings_to_events([seed], [], k)
@@ -476,8 +474,9 @@ class StringGameAdversary(ScriptedAdversary):
                 return
             queue.extend(flipped)
             old = queue.popleft()
-            replacement = augment_response(old, k, cfg.phase, self._fresh)
-            events = compile_strings_to_events(replacement, [_increment(old)], k)
+            lifted = _increment(old)
+            replacement = _respond(lifted, cfg.labels[old], k, cfg.phase, self._fresh)
+            events = compile_strings_to_events(replacement, [lifted], k)
             cfg.replace(old, replacement)
             self.moves += 1
             self._advance_phase()
@@ -495,10 +494,8 @@ class StringGameAdversary(ScriptedAdversary):
         if cfg.phase == 1 and invariant_threshold(cfg):
             cfg.phase = 2
         if cfg.k == 4 and cfg.phase == 2:
-            spendable = sum(
-                _family_total(cfg.counts, fam) for fam in ("x", "y", "v", "w")
-            )
-            if _family_total(cfg.counts, "a") >= 8 * spendable:
+            t = cfg.totals
+            if t["a"] >= 8 * (t["x"] + t["y"] + t["v"] + t["w"]):
                 cfg.phase = 3
 
     def _stop(self, outcome: str) -> None:

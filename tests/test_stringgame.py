@@ -19,7 +19,9 @@ from flipmatch.stringgame import (
     PathString,
     StringConfig,
     StringGameAdversary,
+    UsedAdversaryError,
     ZeroAlgError,
+    _playbook,
     augment_response,
     classify_string,
     compile_strings_to_events,
@@ -368,10 +370,16 @@ def test_22_duels_keep_invariants_and_bisimulation(k, algo):
     for batch in adv.play(matcher):
         replay(batch, matcher)
         assert config_matches_graph(adv.cfg, matcher.graph)
-        # the invariants read the maintained count, so pin it to a recount
-        assert adv.cfg.counts == Counter(
-            classify_string(s.digits, k) for s in adv.cfg.strings
-        )
+        # the invariants read the maintained counts, so pin them to a recount
+        labels = Counter(classify_string(s.digits, k) for s in adv.cfg.strings)
+        assert adv.cfg.counts == labels
+        totals = Counter()
+        for (fam, _), n in labels.items():
+            totals[fam] += n
+        assert adv.cfg.totals == totals
+        pairs = [(j, n) for (fam, j), n in labels.items() if fam == "a"]
+        assert adv.cfg.pair_weight == sum((j * j - 4 * j + 7) * n for j, n in pairs)
+        assert adv.cfg.pair_slack == sum((j - 3) * n for j, n in pairs)
         if adv.cfg.phase >= 2:
             assert invariant_threshold(adv.cfg)
             assert invariant_balance(adv.cfg)
@@ -487,3 +495,81 @@ def test_28_config_matches_graph_rejects_unrealised_boards():
     assert not config_matches_graph(y, board([(0, 1), (1, 2), (5, 6)], [1, 2]))
     # every string realised, plus one live edge no string covers
     assert not config_matches_graph(y, board(path + [(5, 6)], [1, 2]))
+
+
+def test_29_a_used_adversary_refuses_a_second_game():
+    adv = string_game_adversary(4)
+    assert drive(adv, GreedyMatcher(4, LIMITED)) == SCRIPT_COMPLETE
+    moves, strings = adv.moves, list(adv.cfg.strings)
+    second = adv.play(GreedyMatcher(4, LIMITED))
+    with pytest.raises(UsedAdversaryError) as err:
+        next(second)
+    assert err.value.code == "used-adversary"
+    assert adv.moves == moves and adv.cfg.strings == strings
+    assert adv.outcome == SCRIPT_COMPLETE
+
+
+@pytest.mark.parametrize("k", [10, 12])
+def test_30_text_round_trips_every_family(k):
+    for digits, label in _playbook(k).items():
+        for reading in (digits, digits[::-1]):
+            text = PathString(reading, range(len(reading) + 1)).text()
+            cfg = StringConfig.from_digits(k, 0.05, [text])
+            assert cfg.strings[0].digits == reading
+            assert cfg.counts == {label: 1}
+    assert PathString((0, 1, 10, 1, 0), range(6)).text() == "0-1-10-1-0"
+
+
+def rule_classify(digits, k):
+    """The rule-by-rule classifier the playbook table replaced, kept verbatim."""
+    c = min(tuple(digits), tuple(reversed(tuple(digits))))
+    if c == (0,):
+        return ("seed", 0)
+    if c in ((0, 1, 0), (0, 1, 2, 1, 0)):
+        return ("y", 0)
+    if c == (0, 1, 0, 1, 0):
+        return ("x", 0)
+    n = len(c)
+    if n == 3 and c[0] == 0 == c[2] and c[1] % 2 == 1 and 3 <= c[1] <= k - 1:
+        return ("a", c[1] + 1)
+    if (
+        n == 5
+        and c[:2] == (0, 1)
+        and c[3:] == (1, 0)
+        and c[2] % 2 == 0
+        and 4 <= c[2] <= k
+    ):
+        return ("a", c[2])
+    peak = max(c)
+    if 2 <= peak <= k - 2 and c == w_digits(peak):
+        return ("w", peak)
+    ramps = [
+        tuple(range(k - 2)) + (0,),
+        tuple(range(k - 1)) + (1, 0),
+        tuple(range(k)) + (2, 1, 0),
+        ramp4(k),
+    ]
+    for m, form in enumerate(ramps, start=1):
+        if c == min(form, form[::-1]):
+            return ("v", m)
+    raise IllegalTransitionError(f"string {c} is outside the playbook")
+
+
+def classified(classify, digits, k):
+    try:
+        return classify(digits, k)
+    except IllegalTransitionError:
+        return None
+
+
+@pytest.mark.parametrize("k", [4, 6, 8])
+def test_31_playbook_table_agrees_with_the_rules(k):
+    for length in range(1, 6):
+        for digits in itertools.product(range(k + 1), repeat=length):
+            expected = classified(rule_classify, digits, k)
+            assert classified(classify_string, digits, k) == expected, digits
+    for digits, label in _playbook(k).items():
+        assert rule_classify(digits, k) == label == rule_classify(digits[::-1], k)
+    for stray in [(1,), (0, 2, 0), (0, k + 1, 0), ramp4(k + 2)]:
+        with pytest.raises(IllegalTransitionError):
+            classify_string(stray, k)
