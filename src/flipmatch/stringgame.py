@@ -208,8 +208,9 @@ def string_ratio(cfg: StringConfig) -> float:
 @lru_cache(maxsize=None)
 def _playbook(k: int) -> dict[tuple[int, ...], tuple[str, int]]:
     """Label of every playbook string for budget ``k``, keyed by the lesser
-    of its two readings. The forms are listed in ``classify_string``'s order
-    and read back to front, so a string two families share keeps the first."""
+    of its two readings. The forms are listed in order of precedence (seed,
+    y, x, a, w, v) and read back to front, so the first family listed wins
+    a string two families share."""
     # ramp m climbs 0, 1, ..., k-4+m, then falls m-1, ..., 0
     ramps = [tuple(range(k - 3 + m)) + tuple(range(m - 1, -1, -1)) for m in range(1, 5)]
     forms = [((0,), ("seed", 0)), ((0, 1, 0), ("y", 0)), ((0, 1, 2, 1, 0), ("y", 0))]
