@@ -14,8 +14,6 @@ from .adversaries import (
     SCRIPT_COMPLETE,
     DetLowerBoundAdversary,
     FullDepartureAdversary,
-    det_lb_adversary,
-    full_departure_adversary,
     greedy_lb_stream,
     lgreedy_lb_stream,
 )
@@ -114,11 +112,9 @@ __all__ = [
     "config_matches_graph",
     "dep_lower_bound",
     "depart",
-    "det_lb_adversary",
     "det_lower_bound",
     "duel",
     "emit_bound_table",
-    "full_departure_adversary",
     "greedy_bound",
     "greedy_lb_stream",
     "is_augmenting",

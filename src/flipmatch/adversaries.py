@@ -13,7 +13,7 @@ from __future__ import annotations
 import itertools
 from typing import Iterator
 
-from .bounds import BadBudgetError, BadParamsError, det_lower_bound
+from .bounds import BadBudgetError, det_lower_bound, require_int
 from .core import Event, arrive, depart
 
 # duel outcomes
@@ -35,10 +35,8 @@ def greedy_lb_stream(k: int, n: int) -> list[Event]:
     the optimum.  Replayed against ``GreedyMatcher`` the terminal sizes are
     (2n + k, 3n + k) for even budgets and (2n + k, 4n + k + 1) for odd ones.
     """
-    if k < 2:
-        raise BadBudgetError(f"the starvation chain needs a budget of at least 2, got {k}")
-    if n < 0:
-        raise BadParamsError(f"chain parameter must be non-negative, got {n}")
+    require_int(k, 2, "the starvation chain's budget", BadBudgetError)
+    require_int(n, 0, "chain parameter n")
     ids = itertools.count(1)  # 1-based so streams serialize verbatim
     a = [next(ids) for _ in range(2 * n + 1)]
     b = [next(ids) for _ in range(2 * n + 1)]
@@ -78,12 +76,9 @@ def lgreedy_lb_stream(k: int, L: int, copies: int = 1) -> list[Event]:
     ``LGreedyMatcher(k, L)`` each copy ends at exactly
     ``(L + k - 3, 3*((L - 1) // 2) + k - 2)``.
     """
-    if k < 4 or k % 2:
-        raise BadBudgetError(f"the swing construction needs an even budget >= 4, got {k}")
-    if L < 3:
-        raise BadParamsError(f"length cap parameter must be at least 3, got {L}")
-    if copies < 1:
-        raise BadParamsError(f"need at least one copy, got {copies}")
+    require_int(k, 4, "the swing construction's budget", BadBudgetError, even=True)
+    require_int(L, 3, "length cap parameter L")
+    require_int(copies, 1, "copies")
     ids = itertools.count(1)  # 1-based so streams serialize verbatim
     events: list[Event] = []
     for _ in range(copies):
@@ -166,10 +161,8 @@ class DetLowerBoundAdversary(ScriptedAdversary):
     """
 
     def __init__(self, k: int, depth: int = 50):
-        if k < 3:
-            raise BadBudgetError(f"the blocked-path duel needs a budget of at least 3, got {k}")
-        if depth < 1:
-            raise BadParamsError(f"duel depth must be positive, got {depth}")
+        require_int(k, 3, "the blocked-path duel's budget", BadBudgetError)
+        require_int(depth, 1, "duel depth")
         super().__init__()
         self.k = k
         self.depth = depth
@@ -313,8 +306,7 @@ class FullDepartureAdversary(ScriptedAdversary):
     """
 
     def __init__(self, k: int):
-        if k < 1:
-            raise BadBudgetError(f"budget must be positive, got {k}")
+        require_int(k, 1, "budget", BadBudgetError)
         super().__init__()
         self.k = k
         self.name = f"full-departure-k{k}"
@@ -349,12 +341,3 @@ class FullDepartureAdversary(ScriptedAdversary):
             return
         self.outcome = SCRIPT_COMPLETE
 
-
-def det_lb_adversary(k: int, depth: int = 50) -> DetLowerBoundAdversary:
-    """Adversary witnessing that no matcher beats 1 + 1/(k-1)."""
-    return DetLowerBoundAdversary(k, depth)
-
-
-def full_departure_adversary(k: int) -> FullDepartureAdversary:
-    """Adversary witnessing that unrestricted departures force ratio 2."""
-    return FullDepartureAdversary(k)

@@ -73,11 +73,8 @@ class NegativeEndpointWeightError(ValueError):
 
 def effective_budget(k: int) -> int:
     """Even budget the bookkeeping matchers actually spend: k, or k-1 if odd."""
-    if k % 2 == 0:
-        return k
-    if k == 1:
-        raise bounds.BadBudgetError("bookkeeping matchers need a budget of at least 2")
-    return k - 1
+    bounds.require_int(k, 2, "a bookkeeping matcher's budget", bounds.BadBudgetError)
+    return k - k % 2
 
 
 # ----------------------------------------------------------------------
@@ -192,8 +189,8 @@ class LGreedyMatcher(OnlineMatcher):
     name = "lgreedy"
 
     def __init__(self, k: int, L: int | None = None, model: str = FULL):
-        if L is not None and (not isinstance(L, int) or isinstance(L, bool) or L < 0):
-            raise bounds.BadParamsError(f"length cap L must be an integer >= 0, got {L!r}")
+        if L is not None:
+            bounds.require_int(L, 0, "length cap L")
         super().__init__(k, model)
         self.k_eff = effective_budget(k)
         if L is None and self.k_eff >= 6:

@@ -25,9 +25,20 @@ class BadIntervalError(ValueError):
     code = "bad-interval"
 
 
-def _require_even(k: int, minimum: int = 4) -> None:
-    if not isinstance(k, int) or k < minimum or k % 2 != 0:
-        raise BadBudgetError(f"need an even integer budget >= {minimum}, got {k!r}")
+def require_int(
+    value: object,
+    minimum: float,
+    what: str,
+    error: type[ValueError] = BadParamsError,
+    even: bool = False,
+) -> None:
+    """The one check of an integer parameter: an ``int``, not a ``bool``, at
+    least ``minimum`` and, if ``even`` is set, even. Raises ``error`` otherwise."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise error(f"{what} must be an integer, got {value!r}")
+    if value < minimum or even and value % 2:
+        kind = "an even integer" if even else "an integer"
+        raise error(f"{what} must be {kind} >= {minimum}, got {value!r}")
 
 
 # ----------------------------------------------------------------------
@@ -36,14 +47,13 @@ def _require_even(k: int, minimum: int = 4) -> None:
 
 def greedy_bound(k: int) -> float:
     """Guarantee of the plain greedy matcher: 3/2 for even budgets, 2 for odd."""
-    if not isinstance(k, int) or k < 1:
-        raise BadBudgetError(f"need an integer budget >= 1, got {k!r}")
+    require_int(k, 1, "budget", BadBudgetError)
     return 1.5 if k % 2 == 0 else 2.0
 
 
 def lgreedy_default_L(k: int) -> int:
     """Length parameter that optimizes the bounded-length matcher's bound."""
-    _require_even(k)
+    require_int(k, 4, "budget", BadBudgetError, even=True)
     return int(math.isqrt(k - 1))
 
 
@@ -53,7 +63,7 @@ def lgreedy_bound(k: int, L: int | None = None) -> float:
     The budget-4 case caps at 3/2 (it cannot beat plain greedy); from 6 on the
     default length parameter gives (k(L+2)-2) / ((L+1)(k-1)).
     """
-    _require_even(k)
+    require_int(k, 4, "budget", BadBudgetError, even=True)
     if k == 4:
         return 1.5
     if L is None:
@@ -63,13 +73,13 @@ def lgreedy_bound(k: int, L: int | None = None) -> float:
 
 def amp_default_r(k: int) -> float:
     """Growth factor minimizing the doubling matcher's improved guarantee."""
-    _require_even(k)
+    require_int(k, 4, "budget", BadBudgetError, even=True)
     return (k - 1) ** (1.0 / (k - 2))
 
 
 def amp_bound(k: int, r: float) -> float:
     """Guarantee of the doubling matcher at growth factor ``r``: r^k/(r^(k-1)-r)."""
-    _require_even(k)
+    require_int(k, 4, "budget", BadBudgetError, even=True)
     if not 1 < r < math.inf:  # refuses nan too
         raise BadParamsError(f"need a finite growth factor above 1, got {r!r}")
     return r**k / (r ** (k - 1) - r)
@@ -86,7 +96,7 @@ def amp_bound_original(k: int) -> float:
     min over r > r0 of r^k (r-1) / (r^(k-1)(r-1) - r), where r0 is the point
     where the denominator turns positive.
     """
-    _require_even(k)
+    require_int(k, 4, "budget", BadBudgetError, even=True)
 
     def denom(r: float) -> float:
         return r ** (k - 1) * (r - 1) - r
@@ -120,21 +130,20 @@ def amp_bound_original(k: int) -> float:
 
 def det_lower_bound(k: int) -> float:
     """No deterministic arrival-only matcher beats 1 + 1/(k-1)."""
-    if not isinstance(k, int) or k < 3:
-        raise BadBudgetError(f"need an integer budget >= 3, got {k!r}")
+    require_int(k, 3, "budget", BadBudgetError)
     return 1 + 1 / (k - 1)
 
 
 def dep_lower_bound(k: int) -> float:
     """Arrival+departure lower bound (k^2-3k+6)/(k^2-4k+7) for even k >= 4."""
-    _require_even(k)
+    require_int(k, 4, "budget", BadBudgetError, even=True)
     return (k * k - 3 * k + 6) / (k * k - 4 * k + 7)
 
 
 def lgreedy_lower_bound(k: int, L: int) -> float:
     """Hard-instance ratio forced on the bounded-length matcher."""
-    if not isinstance(k, int) or k < 4 or k % 2 != 0 or not isinstance(L, int) or L < 3:
-        raise BadParamsError(f"need even k >= 4 and integer L >= 3, got k={k!r}, L={L!r}")
+    require_int(k, 4, "budget", even=True)
+    require_int(L, 3, "length cap L")
     return (3 * ((L - 1) // 2) + k - 2) / (L + k - 3)
 
 
@@ -200,7 +209,7 @@ def minimize_1d(
     f: Callable[[float], float], lo: float, hi: float, tol: float = 1e-9
 ) -> MinimizeResult:
     """Golden-section search for a unimodal function on [lo, hi]."""
-    if not (lo < hi) or tol <= 0:
+    if not (lo < hi and tol > 0):  # refuses a nan tolerance too
         raise BadIntervalError(f"need lo < hi and tol > 0, got [{lo!r}, {hi!r}], tol={tol!r}")
     inv_phi = (math.sqrt(5) - 1) / 2
     a, b = lo, hi
@@ -236,8 +245,8 @@ class BoundRow:
 
 def bound_rows(k_min: int, k_max: int) -> list[BoundRow]:
     """One row per even budget in [k_min, k_max]."""
-    if k_min > k_max or k_min < 4:
-        raise BadParamsError(f"need 4 <= k_min <= k_max, got [{k_min!r}, {k_max!r}]")
+    require_int(k_min, 4, "k_min")
+    require_int(k_max, k_min, "k_max")
     rows = []
     for k in range(k_min + (k_min % 2), k_max + 1, 2):
         rows.append(

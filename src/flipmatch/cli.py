@@ -13,15 +13,15 @@ import click
 
 from . import bounds as bounds_mod
 from .adversaries import (
-    det_lb_adversary,
-    full_departure_adversary,
+    DetLowerBoundAdversary,
+    FullDepartureAdversary,
     greedy_lb_stream,
     lgreedy_lb_stream,
 )
 from .algos import MATCHERS, make_matcher
 from .core import ARRIVAL, FULL, LIMITED, MODELS, GraphError
 from .harness import RunReport, duel as run_duel, emit_bound_table, parse_stream, replay, write_stream
-from .stringgame import string_game_adversary
+from .stringgame import StringGameAdversary
 
 
 @click.group()
@@ -106,11 +106,11 @@ def duel_cmd(opponent: str, algo: str, k: int, epsilon: float, depth: int,
     """Run one adaptive opponent against one matcher."""
     try:
         if opponent == "det":
-            adv, model = det_lb_adversary(k, depth=depth), ARRIVAL
+            adv, model = DetLowerBoundAdversary(k, depth=depth), ARRIVAL
         elif opponent == "string":
-            adv, model = string_game_adversary(k, epsilon=epsilon), LIMITED
+            adv, model = StringGameAdversary(k, epsilon=epsilon), LIMITED
         else:
-            adv, model = full_departure_adversary(k), FULL
+            adv, model = FullDepartureAdversary(k), FULL
         matcher = make_matcher(algo, k, model=model)
         report = run_duel(adv, matcher, max_moves=max_moves)
     except (ValueError, TypeError, GraphError) as exc:

@@ -18,7 +18,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, KeysView, Sequence
 
-from .bounds import BadBudgetError, BadParamsError
+from .bounds import BadBudgetError, BadParamsError, require_int
 
 # Departure models for event streams.
 ARRIVAL = "arrival"
@@ -122,8 +122,7 @@ class Graph:
     """
 
     def __init__(self, budget: int, model: str = FULL):
-        if not isinstance(budget, int) or isinstance(budget, bool) or budget < 1:
-            raise BadBudgetError(f"budget must be an integer >= 1, got {budget!r}")
+        require_int(budget, 1, "budget", BadBudgetError)
         if model not in MODELS:
             raise BadParamsError(f"unknown departure model {model!r}; pick one of {MODELS}")
         self.budget = budget

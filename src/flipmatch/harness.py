@@ -179,8 +179,7 @@ def duel(
     Hitting the cap is reported as the stop reason, never raised. The report's
     witnessed ratio is opt/alg at the final position.
     """
-    if max_moves <= 0:
-        raise bounds.BadParamsError(f"need a positive move cap, got {max_moves}")
+    bounds.require_int(max_moves, 1, "move cap")
     rec = _Recorder(matcher)
     moves = 0
     capped = False
@@ -246,8 +245,7 @@ def emit_bound_table(k_range: Iterable[int]) -> str:
     """
     ks = sorted(set(k_range))
     for k in ks:
-        if not isinstance(k, int) or isinstance(k, bool) or k < 4 or k % 2:
-            raise bounds.BadParamsError(f"table rows need even budgets >= 4, got {k!r}")
+        bounds.require_int(k, 4, "table row budget", even=True)
     lines = [TABLE_HEADER]
     for k in ks:
         (row,) = bounds.bound_rows(k, k)
@@ -336,11 +334,6 @@ def write_stream(k: int, model: str, events: Iterable[Event]) -> str:
 # randomized churn for the regression suite
 
 
-def _require_two_vertices(max_vertices: int) -> None:
-    if max_vertices < 2:
-        raise bounds.BadParamsError(f"an edge needs two vertices, got max_vertices={max_vertices}")
-
-
 def random_arrival_stream(
     rng: random.Random,
     n_events: int,
@@ -348,7 +341,8 @@ def random_arrival_stream(
     max_edges: int = 24,
 ) -> list[Event]:
     """Random arrival-only stream staying inside the brute-force envelope."""
-    _require_two_vertices(max_vertices)
+    bounds.require_int(n_events, 0, "n_events")
+    bounds.require_int(max_vertices, 2, "max_vertices")
     # no more edges than the vertices have pairs, or the loop would never end
     max_edges = min(max_edges, max_vertices * (max_vertices - 1) // 2)
     present: set[tuple[int, int]] = set()
@@ -379,7 +373,8 @@ def random_churn(
     edges the matcher has left unmatched can leave, so the stream is built
     move by move against the matcher's live state.
     """
-    _require_two_vertices(max_vertices)
+    bounds.require_int(n_events, 0, "n_events")
+    bounds.require_int(max_vertices, 2, "max_vertices")
     model = matcher.graph.model
     rec = _Recorder(matcher)
     for _ in range(n_events):

@@ -15,12 +15,13 @@ early and scored at whatever ratio it reached.
 
 from __future__ import annotations
 
+import math
 from collections import Counter, deque
 from functools import lru_cache
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .adversaries import EXPECTATION_MISS, SCRIPT_COMPLETE, ScriptedAdversary
-from .bounds import BadBudgetError, BadParamsError, dep_lower_bound
+from .bounds import BadBudgetError, BadParamsError, dep_lower_bound, require_int
 from .core import Event, Graph, arrive, depart
 
 MATCHER_STALLED = "matcher-stalled"
@@ -97,9 +98,8 @@ class StringConfig:
     """A multiset of path strings, its family counts, and the game's phase.
 
     ``replace`` keeps in step each string's playbook label, the strings per
-    label (``counts``) and per family (``totals``), and the reservoir sums
-    over the ("a", j) pairs: sum (j^2-4j+7)n (``pair_weight``) and sum (j-3)n
-    (``pair_slack``).
+    family (``totals``), and the reservoir sums over the ("a", j) pairs:
+    sum (j^2-4j+7)n (``pair_weight``) and sum (j-3)n (``pair_slack``).
     """
 
     def __init__(
@@ -114,7 +114,6 @@ class StringConfig:
         self.strings: list[PathString] = []
         self.phase = phase
         self.labels: dict[PathString, tuple[str, int]] = {}
-        self.counts: Counter = Counter()
         self.totals: Counter = Counter()
         self.pair_weight = self.pair_slack = 0
         self.replace(None, list(strings))
@@ -148,7 +147,6 @@ class StringConfig:
 
     def _count(self, label: tuple[str, int], n: int) -> None:
         family, j = label
-        self.counts[label] += n
         self.totals[family] += n
         if family == "a":
             self.pair_weight += (j * j - 4 * j + 7) * n
@@ -429,12 +427,10 @@ class StringGameAdversary(ScriptedAdversary):
 
     def __init__(self, k: int, epsilon: float = 0.05):
         super().__init__()
-        if not isinstance(k, int) or isinstance(k, bool):
-            raise BadBudgetError(f"need an integer budget, got {k!r}")
+        require_int(k, -math.inf, "budget", BadBudgetError)  # parity is refused first
         if k % 2 != 0:
             raise OddKError(f"string game needs an even budget, got {k}")
-        if k < 4:
-            raise BadBudgetError(f"string game needs budget >= 4, got {k}")
+        require_int(k, 4, "budget", BadBudgetError)
         if not isinstance(epsilon, (int, float)) or isinstance(epsilon, bool) or not epsilon > 0:
             raise BadParamsError(f"need a positive slack, got {epsilon!r}")  # nan too
         limit = (4 * k - 12) / (k - 1)
@@ -507,5 +503,5 @@ class StringGameAdversary(ScriptedAdversary):
 
 
 def string_game_adversary(k: int, epsilon: float = 0.05) -> StringGameAdversary:
-    """Adaptive opponent forcing ratio (k^2-3k+6)/(k^2-4k+7) under churn."""
+    """A ``StringGameAdversary``; kept because the benchmark's worker builds its duels here."""
     return StringGameAdversary(k, epsilon)

@@ -13,8 +13,8 @@ from flipmatch.adversaries import (
     EXPECTATION_MISS,
     MOVE_CAP,
     SCRIPT_COMPLETE,
-    det_lb_adversary,
-    full_departure_adversary,
+    DetLowerBoundAdversary,
+    FullDepartureAdversary,
     greedy_lb_stream,
     lgreedy_lb_stream,
 )
@@ -176,7 +176,7 @@ def test_blocked_path_duels_witness_the_arrival_floor():
     for k in (3, 4, 5, 6, 8):
         target = det_lower_bound(k)
         for name, make in matchers.items():
-            report = duel(det_lb_adversary(k, depth=depth), make(k), max_moves=10_000)
+            report = duel(DetLowerBoundAdversary(k, depth=depth), make(k), max_moves=10_000)
             assert report.stop_reason != MOVE_CAP, (k, name)
             alg, opt = report.final_sizes
             if k == 3 and report.stop_reason == SCRIPT_COMPLETE:
@@ -241,7 +241,7 @@ def test_string_game_duels_force_the_departure_floor():
 def test_unrestricted_departures_starve_any_budget():
     finals = {}
     for k in (1, 2, 3, 4):
-        report = duel(full_departure_adversary(k), GreedyMatcher(k, FULL))
+        report = duel(FullDepartureAdversary(k), GreedyMatcher(k, FULL))
         assert report.stop_reason == SCRIPT_COMPLETE
         expected = (1, 2) if k % 2 else (0, 1)
         assert report.final_sizes == expected, (k, report.final_sizes)

@@ -11,8 +11,6 @@ from flipmatch.adversaries import (
     SCRIPT_COMPLETE,
     DetLowerBoundAdversary,
     FullDepartureAdversary,
-    det_lb_adversary,
-    full_departure_adversary,
     greedy_lb_stream,
     lgreedy_lb_stream,
 )
@@ -166,7 +164,7 @@ def test_11_lgreedy_stream_bad_arguments():
 
 
 def test_12_det_duel_k3_greedy_runs_to_terminal():
-    adv = det_lb_adversary(3, depth=3)
+    adv = DetLowerBoundAdversary(3, depth=3)
     matcher = GreedyMatcher(3, ARRIVAL)
     assert drive(adv, matcher) == SCRIPT_COMPLETE
     assert matcher.graph.matching_size() == 2 * 3 + 2
@@ -176,7 +174,7 @@ def test_12_det_duel_k3_greedy_runs_to_terminal():
 
 def test_13_det_duel_k3_terminal_ratio_below_target():
     # a cooperating matcher stays just under 3/2, converging to it in depth
-    adv = det_lb_adversary(3, depth=10)
+    adv = DetLowerBoundAdversary(3, depth=10)
     matcher = GreedyMatcher(3, ARRIVAL)
     outcome, oracle = drive_with_oracle(adv, matcher)
     assert outcome == SCRIPT_COMPLETE
@@ -188,7 +186,7 @@ def test_13_det_duel_k3_terminal_ratio_below_target():
 
 @pytest.mark.parametrize("make", [LGreedyMatcher, AmpMatcher])
 def test_14_det_duel_k3_short_sighted_matchers_stall_at_target(make):
-    adv = det_lb_adversary(3, depth=5)
+    adv = DetLowerBoundAdversary(3, depth=5)
     matcher = make(3, model=ARRIVAL)
     assert drive(adv, matcher) == EXPECTATION_MISS
     alg, opt = matcher.graph.matching_size(), live_opt(matcher)
@@ -198,7 +196,7 @@ def test_14_det_duel_k3_short_sighted_matchers_stall_at_target(make):
 
 @pytest.mark.parametrize("k", [4, 6, 8])
 def test_15_det_duel_even_budget_greedy_terminal(k):
-    adv = det_lb_adversary(k)
+    adv = DetLowerBoundAdversary(k)
     matcher = GreedyMatcher(k, ARRIVAL)
     assert drive(adv, matcher) == SCRIPT_COMPLETE
     alg, opt = matcher.graph.matching_size(), live_opt(matcher)
@@ -209,7 +207,7 @@ def test_15_det_duel_even_budget_greedy_terminal(k):
 
 @pytest.mark.parametrize("k", [5, 7])
 def test_16_det_duel_odd_budget_greedy_terminal(k):
-    adv = det_lb_adversary(k)
+    adv = DetLowerBoundAdversary(k)
     matcher = GreedyMatcher(k, ARRIVAL)
     outcome, oracle = drive_with_oracle(adv, matcher)
     assert outcome == SCRIPT_COMPLETE
@@ -223,7 +221,7 @@ def test_16_det_duel_odd_budget_greedy_terminal(k):
 @pytest.mark.parametrize("k", [4, 5, 6, 8])
 @pytest.mark.parametrize("make", [LGreedyMatcher, AmpMatcher])
 def test_17_det_duel_stalled_matchers_still_witness_target(k, make):
-    adv = det_lb_adversary(k)
+    adv = DetLowerBoundAdversary(k)
     matcher = make(k, model=ARRIVAL)
     outcome = drive(adv, matcher)
     if (k, make) == (4, LGreedyMatcher):
@@ -239,7 +237,7 @@ def test_17_det_duel_stalled_matchers_still_witness_target(k, make):
 def test_18_det_duel_miss_ratios_during_growth():
     # the growth phase stalls at alg = j-1 vs opt = j, never below target
     k = 6
-    adv = det_lb_adversary(k)
+    adv = DetLowerBoundAdversary(k)
     matcher = LGreedyMatcher(k, model=ARRIVAL)  # default cap L=2 stalls at j=4
     drive(adv, matcher)
     assert (matcher.graph.matching_size(), live_opt(matcher)) == (3, 4)
@@ -247,13 +245,13 @@ def test_18_det_duel_miss_ratios_during_growth():
 
 def test_19_det_duel_bad_arguments():
     with pytest.raises(BadBudgetError):
-        det_lb_adversary(2)
+        DetLowerBoundAdversary(2)
     with pytest.raises(BadParamsError):
-        det_lb_adversary(3, depth=0)
+        DetLowerBoundAdversary(3, depth=0)
 
 
 def test_20_det_duel_fresh_vertices_only():
-    adv = det_lb_adversary(4)
+    adv = DetLowerBoundAdversary(4)
     seen: set[int] = set()
     matcher = GreedyMatcher(4, ARRIVAL)
     for batch in adv.play(matcher):
@@ -270,7 +268,7 @@ def test_20_det_duel_fresh_vertices_only():
 
 @pytest.mark.parametrize("k,terminal", [(1, (1, 2)), (2, (0, 1)), (3, (1, 2)), (4, (0, 1))])
 def test_21_full_departure_duel_terminals(k, terminal):
-    adv = full_departure_adversary(k)
+    adv = FullDepartureAdversary(k)
     matcher = GreedyMatcher(k, FULL)
     assert drive(adv, matcher) == SCRIPT_COMPLETE
     alg, opt = matcher.graph.matching_size(), live_opt(matcher)
@@ -279,7 +277,7 @@ def test_21_full_departure_duel_terminals(k, terminal):
 
 
 def test_22_full_departure_middle_edge_burns_whole_budget():
-    adv = full_departure_adversary(4)
+    adv = FullDepartureAdversary(4)
     matcher = GreedyMatcher(4, FULL)
     drive(adv, matcher)
     g = matcher.graph
@@ -291,7 +289,7 @@ def test_22_full_departure_middle_edge_burns_whole_budget():
 
 def test_23_full_departure_bad_budget():
     with pytest.raises(BadBudgetError):
-        full_departure_adversary(0)
+        FullDepartureAdversary(0)
 
 
 def test_24_duel_outcome_constants_are_distinct():
@@ -330,7 +328,7 @@ def test_27_greedy_stream_is_arrival_only():
 
 
 def _churn_events():
-    adv = full_departure_adversary(2)
+    adv = FullDepartureAdversary(2)
     matcher = GreedyMatcher(2, FULL)
     events = []
     for batch in adv.play(matcher):

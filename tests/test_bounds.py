@@ -3,13 +3,22 @@
 from __future__ import annotations
 
 import math
+import random
 
 import pytest
 
+from flipmatch.adversaries import (
+    DetLowerBoundAdversary,
+    FullDepartureAdversary,
+    greedy_lb_stream,
+    lgreedy_lb_stream,
+)
+from flipmatch.algos import GreedyMatcher, LGreedyMatcher, effective_budget
 from flipmatch.bounds import (
     BadBudgetError,
     BadIntervalError,
     BadParamsError,
+    amp_bound,
     amp_bound_improved,
     amp_bound_original,
     amp_default_r,
@@ -24,6 +33,9 @@ from flipmatch.bounds import (
     lgreedy_lower_bound,
     minimize_1d,
 )
+from flipmatch.core import FULL, Graph
+from flipmatch.harness import duel, emit_bound_table, random_arrival_stream, random_churn
+from flipmatch.stringgame import OddKError, StringGameAdversary
 
 try:
     from scipy.optimize import minimize_scalar
@@ -175,6 +187,8 @@ def test_16_minimize_interval_validation():
     assert err.value.code == "bad-interval"
     with pytest.raises(BadIntervalError):
         minimize_1d(lambda x: x, 0.0, 1.0, tol=0)
+    with pytest.raises(BadIntervalError):
+        minimize_1d(lambda x: (x - 0.3) ** 2, 0, 1, tol=math.nan)
 
 
 @pytest.mark.skipif(minimize_scalar is None, reason="scipy not installed")
@@ -229,3 +243,92 @@ def test_20_greedy_bound():
     assert greedy_bound(3) == 2.0
     with pytest.raises(BadBudgetError):
         greedy_bound(0)
+
+
+
+def _duel(max_moves):
+    return duel(FullDepartureAdversary(2), GreedyMatcher(2, FULL), max_moves)
+
+
+def _arrivals(n_events, max_vertices=20):
+    return random_arrival_stream(random.Random(0), n_events, max_vertices)
+
+
+def _churn(n_events, max_vertices=20):
+    return random_churn(random.Random(0), GreedyMatcher(2, FULL), n_events, max_vertices)
+
+
+# Every integer parameter, as (name, call, minimum, error, odd): ``error`` is
+# what True, a float or ``minimum - 1`` raise; ``odd`` is what an odd value
+# raises where the parameter must be even, None where it need not be.
+BB, BP = BadBudgetError, BadParamsError
+INTEGER_PARAMETERS = [
+    ("Graph.budget", Graph, 1, BB, None),
+    ("LGreedyMatcher.L", lambda v: LGreedyMatcher(6, L=v), 0, BP, None),
+    ("effective_budget", effective_budget, 2, BB, None),
+    ("greedy_bound", greedy_bound, 1, BB, None),
+    ("det_lower_bound", det_lower_bound, 3, BB, None),
+    ("lgreedy_default_L", lgreedy_default_L, 4, BB, BB),
+    ("lgreedy_bound", lgreedy_bound, 4, BB, BB),
+    ("amp_default_r", amp_default_r, 4, BB, BB),
+    ("amp_bound", lambda v: amp_bound(v, 1.5), 4, BB, BB),
+    ("amp_bound_original", amp_bound_original, 4, BB, BB),
+    ("dep_lower_bound", dep_lower_bound, 4, BB, BB),
+    ("lgreedy_lower_bound.k", lambda v: lgreedy_lower_bound(v, 3), 4, BP, BP),
+    ("lgreedy_lower_bound.L", lambda v: lgreedy_lower_bound(4, v), 3, BP, None),
+    ("bound_rows.k_min", lambda v: bound_rows(v, 6), 4, BP, None),
+    ("bound_rows.k_max", lambda v: bound_rows(4, v), 4, BP, None),
+    ("greedy_lb_stream.k", lambda v: greedy_lb_stream(v, 1), 2, BB, None),
+    ("greedy_lb_stream.n", lambda v: greedy_lb_stream(2, v), 0, BP, None),
+    ("lgreedy_lb_stream.k", lambda v: lgreedy_lb_stream(v, 3), 4, BB, BB),
+    ("lgreedy_lb_stream.L", lambda v: lgreedy_lb_stream(4, v), 3, BP, None),
+    ("lgreedy_lb_stream.copies", lambda v: lgreedy_lb_stream(4, 3, v), 1, BP, None),
+    ("DetLowerBoundAdversary.k", DetLowerBoundAdversary, 3, BB, None),
+    ("DetLowerBoundAdversary.depth", lambda v: DetLowerBoundAdversary(3, v), 1, BP, None),
+    ("FullDepartureAdversary.k", FullDepartureAdversary, 1, BB, None),
+    ("StringGameAdversary.k", StringGameAdversary, 4, BB, OddKError),
+    ("duel.max_moves", _duel, 1, BP, None),
+    ("emit_bound_table", lambda v: emit_bound_table([v]), 4, BP, BP),
+    ("random_arrival_stream.n_events", _arrivals, 0, BP, None),
+    ("random_arrival_stream.max_vertices", lambda v: _arrivals(3, v), 2, BP, None),
+    ("random_churn.n_events", _churn, 0, BP, None),
+    ("random_churn.max_vertices", lambda v: _churn(3, v), 2, BP, None),
+]
+
+# Holes the hand-written checks left: each of these ran, or died with a bare
+# TypeError, before every integer parameter went through one check.
+INTEGER_HOLES = [
+    ("greedy_bound(True)", greedy_bound, True, BB),
+    ("FullDepartureAdversary(2.0)", FullDepartureAdversary, 2.0, BB),
+    ("DetLowerBoundAdversary(3,depth=2.5)", lambda v: DetLowerBoundAdversary(3, depth=v), 2.5, BP),
+    ("duel(max_moves=2.5)", _duel, 2.5, BP),
+    ("greedy_lb_stream(6.0,3)", lambda v: greedy_lb_stream(v, 3), 6.0, BB),
+    ("lgreedy_lb_stream(6,3.0)", lambda v: lgreedy_lb_stream(6, v), 3.0, BP),
+    ("lgreedy_lb_stream(6,3,copies=True)", lambda v: lgreedy_lb_stream(6, 3, copies=v), True, BP),
+    ("bound_rows(4.0,6)", lambda v: bound_rows(v, 6), 4.0, BP),
+    ("random_churn(n_events=2.5)", _churn, 2.5, BP),
+    ("random_arrival_stream(rng,2.5)", _arrivals, 2.5, BP),
+]
+
+
+def _integer_cases():
+    for name, call, minimum, error, odd in INTEGER_PARAMETERS:
+        yield pytest.param(call, True, error, id=f"{name}-True")
+        yield pytest.param(call, minimum + 0.5, error, id=f"{name}-float")
+        yield pytest.param(call, minimum - 1, odd or error, id=f"{name}-below")
+        if odd is not None:
+            yield pytest.param(call, minimum + 1, odd, id=f"{name}-odd")
+        yield pytest.param(call, minimum, None, id=f"{name}-minimum")
+    for name, call, value, error in INTEGER_HOLES:
+        yield pytest.param(call, value, error, id=name)
+
+
+@pytest.mark.parametrize("call, value, error", _integer_cases())
+def test_21_every_integer_parameter_is_refused_one_way(call, value, error):
+    if error is None:
+        call(value)  # the minimum itself is accepted
+        return
+    with pytest.raises(error) as err:
+        call(value)
+    assert type(err.value) is error
+    assert err.value.code == error.code

@@ -19,24 +19,24 @@ import random
 from pathlib import Path
 
 from flipmatch.adversaries import (
-    det_lb_adversary,
-    full_departure_adversary,
+    DetLowerBoundAdversary,
+    FullDepartureAdversary,
     greedy_lb_stream,
     lgreedy_lb_stream,
 )
 from flipmatch.algos import GreedyMatcher, LGreedyMatcher, make_matcher
 from flipmatch.core import ARRIVAL, FULL, LIMITED
 from flipmatch.harness import duel, random_churn, replay
-from flipmatch.stringgame import string_game_adversary
+from flipmatch.stringgame import StringGameAdversary
 
 DIGESTS = Path(__file__).resolve().parent / "golden" / "digests.json"
 
 MATCHERS = ("greedy", "lgreedy", "amp")
 BUDGETS = (4, 6, 8)
 DUELS = {
-    "det-lb": (det_lb_adversary, ARRIVAL),
-    "full-departure": (full_departure_adversary, FULL),
-    "string-game": (string_game_adversary, LIMITED),
+    "det-lb": (DetLowerBoundAdversary, ARRIVAL),
+    "full-departure": (FullDepartureAdversary, FULL),
+    "string-game": (StringGameAdversary, LIMITED),
 }
 CHURN_MODELS = (LIMITED, FULL, ARRIVAL)
 CHURN_BUDGETS = range(2, 9)

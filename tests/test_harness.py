@@ -9,8 +9,8 @@ from flipmatch.adversaries import (
     EXPECTATION_MISS,
     MOVE_CAP,
     SCRIPT_COMPLETE,
-    det_lb_adversary,
-    full_departure_adversary,
+    DetLowerBoundAdversary,
+    FullDepartureAdversary,
     greedy_lb_stream,
 )
 from flipmatch.algos import (
@@ -171,14 +171,14 @@ def test_06_guarantees_by_matcher_and_model():
 
 
 def test_07_duel_chain_of_pendants_exact_ratio():
-    report = duel(det_lb_adversary(3, depth=50), GreedyMatcher(3, ARRIVAL))
+    report = duel(DetLowerBoundAdversary(3, depth=50), GreedyMatcher(3, ARRIVAL))
     assert report.stop_reason == SCRIPT_COMPLETE
     assert report.witnessed == pytest.approx((3 * 50 + 2) / (2 * 50 + 2))
     assert report.final_sizes == (102, 152)
 
 
 def test_08_duel_records_an_early_miss():
-    report = duel(det_lb_adversary(4), AmpMatcher(4, model=ARRIVAL))
+    report = duel(DetLowerBoundAdversary(4), AmpMatcher(4, model=ARRIVAL))
     assert report.stop_reason == EXPECTATION_MISS
     assert report.witnessed >= 4 / 3 - 1e-9
     assert report.bound_violations == 0
@@ -196,11 +196,11 @@ def test_09_duel_move_cap_is_reported_not_raised():
 
 
 def test_10_duel_full_departures_starve_the_matcher():
-    report = duel(full_departure_adversary(2), GreedyMatcher(2, FULL))
+    report = duel(FullDepartureAdversary(2), GreedyMatcher(2, FULL))
     assert report.stop_reason == SCRIPT_COMPLETE
     assert report.final_sizes == (0, 1)
     assert report.witnessed == math.inf
-    report = duel(full_departure_adversary(3), GreedyMatcher(3, FULL))
+    report = duel(FullDepartureAdversary(3), GreedyMatcher(3, FULL))
     assert report.final_sizes == (1, 2)
     assert report.witnessed == pytest.approx(2.0)
 
@@ -339,7 +339,7 @@ def test_18_doubler_trace_checks():
 
 
 def test_19_report_to_dict_shape():
-    report = duel(det_lb_adversary(4), GreedyMatcher(4, ARRIVAL))
+    report = duel(DetLowerBoundAdversary(4), GreedyMatcher(4, ARRIVAL))
     payload = report.to_dict()
     assert set(payload) == {"records", "summary"}
     assert payload["summary"]["stop_reason"] == report.stop_reason

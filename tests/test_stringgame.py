@@ -370,9 +370,9 @@ def test_22_duels_keep_invariants_and_bisimulation(k, algo):
     for batch in adv.play(matcher):
         replay(batch, matcher)
         assert config_matches_graph(adv.cfg, matcher.graph)
-        # the invariants read the maintained counts, so pin them to a recount
+        # the invariants read the maintained labels and sums, so pin them to a recount
         found = [classify_string(s.digits, k) for s in adv.cfg.strings]
-        assert adv.cfg.counts == Counter(found)
+        assert [adv.cfg.labels[s] for s in adv.cfg.strings] == found
         assert adv.cfg.totals == Counter(fam for fam, _ in found)
         pairs = [j for fam, j in found if fam == "a"]
         assert adv.cfg.pair_weight == sum(j * j - 4 * j + 7 for j in pairs)
@@ -399,7 +399,7 @@ def test_23_phase_one_balance_is_tight(k):
         replay(batch, matcher)
         if adv.cfg.phase > 1 or adv.moves == 0:
             continue
-        counts = adv.cfg.counts
+        counts = Counter(adv.cfg.labels.values())
         live = (
             2 * sum(n for (fam, _), n in counts.items() if fam in ("x", "w"))
             + sum(n for (fam, _), n in counts.items() if fam == "y")
@@ -513,7 +513,7 @@ def test_30_text_round_trips_every_family(k):
             text = PathString(reading, range(len(reading) + 1)).text()
             cfg = StringConfig.from_digits(k, 0.05, [text])
             assert cfg.strings[0].digits == reading
-            assert cfg.counts == {label: 1}
+            assert Counter(cfg.labels.values()) == {label: 1}
     assert PathString((0, 1, 10, 1, 0), range(6)).text() == "0-1-10-1-0"
 
 
