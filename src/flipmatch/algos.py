@@ -51,8 +51,7 @@ class OnlineMatcher:
         self._react((u, v), None)
 
     def on_departure(self, event: Event) -> None:
-        g = self.graph
-        departed = g.remove_edge(g.edge_id(*event.endpoints))
+        departed = self.graph.remove_edge(*event.endpoints)
         self.oracle.delete(departed.u, departed.v)
         self._react(event.endpoints, departed)
 
@@ -245,7 +244,7 @@ class LGreedyMatcher(OnlineMatcher):
                 judged.add(cur)
                 halves[side].append(cur)
                 length += 1
-                if g.edges[g.rows[prev][cur]].etype >= self.k_eff:
+                if g.rows[prev][cur].etype >= self.k_eff:
                     return None  # spent
                 if cap is not None and length > cap:
                     return None

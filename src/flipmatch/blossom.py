@@ -1,8 +1,9 @@
 """Deterministic augmenting-path search with blossom contraction.
 
-Works on plain adjacency data (vertex -> {neighbor: edge id}) plus a mate map,
-so the same routine serves both the online matchers (which ban edges whose
-flip budget is spent) and the optimum-tracking oracle (which ignores budgets).
+Works on plain adjacency data (vertex -> its neighbors; of a graph's rows
+only the keys are read) plus a mate map, so the same routine serves both the
+online matchers (which ban edges whose flip budget is spent) and the
+optimum-tracking oracle (which ignores budgets).
 
 Roots are tried in increasing vertex order, neighbors are scanned sorted and
 a contraction relabels the tree's vertices in the order they joined it, so
@@ -13,11 +14,11 @@ of ``adj``.
 from __future__ import annotations
 
 from collections import deque
-from typing import Iterable, Mapping
+from typing import Collection, Iterable, Mapping
 
 
 def find_augmenting_path(
-    adj: Mapping[int, Mapping[int, int]],
+    adj: Mapping[int, Collection[int]],
     mate: Mapping[int, int],
     roots: Iterable[int],
 ) -> list[int] | None:
@@ -43,7 +44,7 @@ def find_augmenting_path(
 
 
 def _search(
-    root: int, adj: Mapping[int, Mapping[int, int]], mate: Mapping[int, int]
+    root: int, adj: Mapping[int, Collection[int]], mate: Mapping[int, int]
 ) -> list[int] | None:
     """BFS a single alternating tree from ``root``, contracting odd cycles.
 

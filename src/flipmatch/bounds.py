@@ -64,6 +64,8 @@ def lgreedy_bound(k: int, L: int | None = None) -> float:
     default length parameter gives (k(L+2)-2) / ((L+1)(k-1)).
     """
     require_int(k, 4, "budget", BadBudgetError, even=True)
+    if L is not None:
+        require_int(L, 0, "length cap L")
     if k == 4:
         return 1.5
     if L is None:

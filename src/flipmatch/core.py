@@ -92,11 +92,10 @@ def depart(u: int, v: int) -> Event:
     return Event(DEPART, u, v)
 
 
-@dataclass
+@dataclass(eq=False)
 class EdgeState:
-    """A live edge: identity, endpoints and flip counter."""
+    """A live edge, compared by identity: endpoints (smaller first) and flip counter."""
 
-    id: int
     u: int
     v: int
     etype: int = 0
@@ -127,13 +126,13 @@ class Graph:
             raise BadParamsError(f"unknown departure model {model!r}; pick one of {MODELS}")
         self.budget = budget
         self.model = model
-        self.edges: dict[int, EdgeState] = {}
+        # sorted pair -> state, in arrival order
+        self.edges: dict[tuple[int, int], EdgeState] = {}
         self.total_flips = 0
-        # vertex -> {neighbor: edge id}: the board's only edge index, which
-        # the oracle searches too
-        self.rows: dict[int, dict[int, int]] = {}
+        # vertex -> {neighbor: state}: the index every edge lookup reads, and
+        # the rows the oracle searches
+        self.rows: dict[int, dict[int, EdgeState]] = {}
         self.mate: dict[int, int] = {}  # vertex -> matched partner vertex
-        self._next_id = 0
 
     # ------------------------------------------------------------------
     # basic queries
@@ -143,13 +142,7 @@ class Graph:
         """Every vertex that has had an edge (a read-only view)."""
         return self.rows.keys()
 
-    def edge(self, edge_id: int) -> EdgeState:
-        try:
-            return self.edges[edge_id]
-        except KeyError:
-            raise UnknownEdgeError(f"no live edge with id {edge_id}") from None
-
-    def edge_id(self, u: int, v: int) -> int:
+    def edge(self, u: int, v: int) -> EdgeState:
         try:
             return self.rows[u][v]
         except KeyError:
@@ -161,9 +154,8 @@ class Graph:
     def is_free(self, v: int) -> bool:
         return v not in self.mate
 
-    def matching(self) -> set[int]:
-        rows = self.rows
-        return {rows[v][w] for v, w in self.mate.items()}
+    def matching(self) -> set[tuple[int, int]]:
+        return {(v, w) for v, w in self.mate.items() if v < w}
 
     def matching_size(self) -> int:
         return len(self.mate) // 2
@@ -171,30 +163,29 @@ class Graph:
     # ------------------------------------------------------------------
     # mutation
 
-    def add_edge(self, u: int, v: int) -> int:
+    def add_edge(self, u: int, v: int) -> EdgeState:
         if u == v:
             raise SelfLoopError(f"self-loop at vertex {u}")
         if self.has_edge(u, v):
             raise DuplicateEdgeError(f"edge between {u} and {v} is already live")
-        eid = self._next_id
-        self._next_id += 1
-        self.edges[eid] = EdgeState(eid, min(u, v), max(u, v))
-        for a, b in ((u, v), (v, u)):
-            self.rows.setdefault(a, {})[b] = eid
-        return eid
+        pair = (u, v) if u < v else (v, u)
+        e = self.edges[pair] = EdgeState(*pair)
+        self.rows.setdefault(u, {})[v] = e
+        self.rows.setdefault(v, {})[u] = e
+        return e
 
-    def remove_edge(self, edge_id: int) -> EdgeState:
-        e = self.edge(edge_id)
+    def remove_edge(self, u: int, v: int) -> EdgeState:
+        e = self.edge(u, v)
         if self.model == ARRIVAL:
             raise IllegalEventError("edges never depart under the arrival model")
         if self.model == LIMITED and e.matched:
             raise IllegalEventError(
-                f"edge {edge_id} is matched and cannot depart under the limited model"
+                f"edge {e.endpoints} is matched and cannot depart under the limited model"
             )
         if e.matched:
             del self.mate[e.u]
             del self.mate[e.v]
-        del self.edges[edge_id]
+        del self.edges[e.endpoints]
         del self.rows[e.u][e.v]
         del self.rows[e.v][e.u]
         return e
@@ -212,17 +203,17 @@ class Graph:
         """
         if len(set(walk)) != len(walk):
             raise GraphError("walk revisits a vertex")
-        states = [self.edges[self.edge_id(a, b)] for a, b in zip(walk, walk[1:])]
+        states = [self.edge(a, b) for a, b in zip(walk, walk[1:])]
         if len(states) % 2 == 0:
             raise NotAugmentingError("an augmenting path has an odd number of edges")
         for i, e in enumerate(states):
             if e.matched != (i % 2 == 1):
                 raise NotAugmentingError(
-                    f"edge {e.id} breaks the unmatched/matched alternation"
+                    f"edge {e.endpoints} breaks the unmatched/matched alternation"
                 )
         if not (self.is_free(walk[0]) and self.is_free(walk[-1])):
             raise NotAugmentingError("both endpoints of an augmenting path must be free")
-        blocked = [e.id for e in states if e.etype >= self.budget]
+        blocked = [e.endpoints for e in states if e.etype >= self.budget]
         if blocked:
             raise BlockedPathError(f"edges {blocked} have exhausted their flip budget")
         # the entering edges (even positions) cover every vertex of the walk,
@@ -239,7 +230,7 @@ class Graph:
 
     def component_view(
         self, seeds: Iterable[int]
-    ) -> tuple[dict[int, dict[int, int]], list[int]]:
+    ) -> tuple[dict[int, dict[int, EdgeState]], list[int]]:
         """The searchable view of the component of ``seeds`` over unspent edges.
 
         Returns the adjacency, over edges whose flip budget is not spent, of
@@ -248,8 +239,8 @@ class Graph:
         partner in ``mate`` but not the edge, which makes it a wall for
         ``blossom.find_augmenting_path``.
         """
-        budget, edges, rows, mate = self.budget, self.edges, self.rows, self.mate
-        adj: dict[int, dict[int, int]] = {}
+        budget, rows, mate = self.budget, self.rows, self.mate
+        adj: dict[int, dict[int, EdgeState]] = {}
         roots: list[int] = []
         queue = deque(s for s in seeds if s in rows)
         seen = set(queue)
@@ -258,10 +249,10 @@ class Graph:
             row = adj[v] = {}
             if v not in mate:
                 roots.append(v)
-            for nbr, eid in rows[v].items():
-                if edges[eid].etype >= budget:
+            for nbr, e in rows[v].items():
+                if e.etype >= budget:
                     continue
-                row[nbr] = eid
+                row[nbr] = e
                 if nbr not in seen:
                     seen.add(nbr)
                     queue.append(nbr)
@@ -270,7 +261,7 @@ class Graph:
     def validate(self) -> None:
         """Assert internal invariants (meant for tests)."""
         for e in self.edges.values():
-            assert 0 <= e.etype <= self.budget, f"edge {e.id} type out of range"
+            assert 0 <= e.etype <= self.budget, f"edge {e.endpoints} type out of range"
         mates: dict[int, int] = {}
         for e in self.edges.values():
             if e.matched:
@@ -279,9 +270,9 @@ class Graph:
                     mates[v] = w
         assert mates == self.mate, "partner map out of sync"
         # the rows list exactly the live edges, each in both directions
-        listed = {(a, b, eid) for a, row in self.rows.items() for b, eid in row.items()}
-        live = {(e.u, e.v, e.id) for e in self.edges.values()}
-        live |= {(v, u, eid) for u, v, eid in live}
+        listed = {(a, b, e) for a, row in self.rows.items() for b, e in row.items()}
+        live = {(*pair, e) for pair, e in self.edges.items()}
+        live |= {(v, u, e) for u, v, e in live}
         assert listed == live, "rows and live edges disagree"
 
 
@@ -317,19 +308,19 @@ def symmetric_difference(
     The result is deterministic: paths are walked from their smaller end
     vertex in increasing order of it, then cycles from their smallest vertex.
     """
-    adj: dict[int, list[tuple[int, int]]] = {}
+    adj: dict[int, list[tuple[int, EdgeState]]] = {}
     for mine, other in ((alg, opt), (opt, alg)):
         for v, w in mine.items():
             if other.get(v) == w:
                 continue
-            eid = g.edge_id(v, w)
-            if blocked_at is None or g.edges[eid].etype < blocked_at:
-                adj.setdefault(v, []).append((w, eid))
+            e = g.edge(v, w)
+            if blocked_at is None or e.etype < blocked_at:
+                adj.setdefault(v, []).append((w, e))
     for v in adj:
-        adj[v].sort()
+        adj[v].sort()  # v's two steps lead to distinct neighbors
         assert len(adj[v]) <= 2, "two matchings give max degree 2"
 
-    done_edges: set[int] = set()
+    done_edges: set[EdgeState] = set()
     walks: list[list[int]] = []
 
     def walk_from(start: int) -> list[int]:
@@ -340,8 +331,8 @@ def symmetric_difference(
             step = next(((n, e) for n, e in adj[cur] if e not in done_edges), None)
             if step is None:
                 break
-            cur, eid = step
-            done_edges.add(eid)
+            cur, e = step
+            done_edges.add(e)
             walk.append(cur)
             if cur == start:
                 break
@@ -349,10 +340,10 @@ def symmetric_difference(
 
     endpoints = sorted(v for v, rows in adj.items() if len(rows) == 1)
     for start in endpoints:
-        if any(eid not in done_edges for _, eid in adj[start]):
+        if any(e not in done_edges for _, e in adj[start]):
             walks.append(walk_from(start))
     for start in sorted(adj):
-        if any(eid not in done_edges for _, eid in adj[start]):
+        if any(e not in done_edges for _, e in adj[start]):
             walks.append(walk_from(start))
             assert walks[-1][0] == walks[-1][-1], "leftover component must be a cycle"
     return walks

@@ -131,7 +131,7 @@ class _Recorder:
         alg = g.matching_size()
         opt = self.matcher.oracle.size
         if len(g.edges) <= BRUTE_FORCE_EDGE_LIMIT:
-            exact = brute_force_max_matching(e.endpoints for e in g.edges.values())
+            exact = brute_force_max_matching(g.edges)
             if exact != opt:
                 raise OracleDriftError(f"incremental optimum {opt}, exhaustive {exact}")
         if opt < alg:
@@ -343,6 +343,7 @@ def random_arrival_stream(
     """Random arrival-only stream staying inside the brute-force envelope."""
     bounds.require_int(n_events, 0, "n_events")
     bounds.require_int(max_vertices, 2, "max_vertices")
+    bounds.require_int(max_edges, 1, "max_edges")
     # no more edges than the vertices have pairs, or the loop would never end
     max_edges = min(max_edges, max_vertices * (max_vertices - 1) // 2)
     present: set[tuple[int, int]] = set()
@@ -375,12 +376,13 @@ def random_churn(
     """
     bounds.require_int(n_events, 0, "n_events")
     bounds.require_int(max_vertices, 2, "max_vertices")
+    bounds.require_int(max_edges, 1, "max_edges")
     model = matcher.graph.model
     rec = _Recorder(matcher)
     for _ in range(n_events):
         g = matcher.graph
-        # g.edges is in id order (no edge is re-inserted), which rng.choice relies on
-        removable = [e.endpoints for e in g.edges.values() if model == FULL or not e.matched]
+        # g.edges is in arrival order, which rng.choice relies on
+        removable = [pair for pair, e in g.edges.items() if model == FULL or not e.matched]
         can_depart = model != ARRIVAL and bool(removable)
         wants_departure = can_depart and rng.random() < DEPART_CHANCE
         if not wants_departure and len(g.edges) >= max_edges:

@@ -1,12 +1,13 @@
 """Incrementally maintained maximum matching plus a brute-force reference.
 
 The oracle searches the rows of the graph it scores (vertex -> {neighbor:
-edge id}) and keeps only its matching, as a partner map. Each update is
-reported after the graph applied it, and the oracle repairs its matching
-with at most one augmenting-path search, started only from the vertices
-that can end a new path. Before the update the matching is maximum, so it
-has no augmenting path (Berge), and a free vertex on an augmenting path is
-one of its two ends, since every inner vertex is matched.
+edge state}), reading only their keys, and keeps only its matching, as a
+partner map. Each update is reported after the graph applied it, and the
+oracle repairs its matching with at most one augmenting-path search,
+started only from the vertices that can end a new path. Before the update
+the matching is maximum, so it has no augmenting path (Berge), and a free
+vertex on an augmenting path is one of its two ends, since every inner
+vertex is matched.
 
 * insert of u-v: the maximum rises by at most one, and any new augmenting
   path uses u-v (without it, the path would have augmented the old
@@ -40,7 +41,7 @@ oracle hears of them. Budgets are irrelevant here -- the oracle answers
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Iterable
+from typing import Collection, Iterable, Mapping
 
 from .blossom import find_augmenting_path
 from .core import SelfLoopError
@@ -57,8 +58,8 @@ class TooLargeError(Exception):
 class OracleState:
     """Maximum matching over a graph's rows, kept under edge insertions and deletions."""
 
-    def __init__(self, rows: dict[int, dict[int, int]]) -> None:
-        self.rows = rows  # the graph's vertex -> {neighbor: edge id}, read only
+    def __init__(self, rows: Mapping[int, Collection[int]]) -> None:
+        self.rows = rows  # the graph's vertex -> {neighbor: edge state}, read only
         self.mate: dict[int, int] = {}  # vertex -> matched partner vertex
         self.moved: set[int] = set()  # vertices whose partner the last update changed
 

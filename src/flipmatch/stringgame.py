@@ -368,12 +368,12 @@ def _flipped(g: Graph, strings: Iterable[PathString]) -> list[PathString] | None
     A string is realised when every edge is live and either all of them kept
     their type or all of them rose by exactly one.
     """
-    rows, edges = g.rows, g.edges
+    rows = g.rows
     out = []
     for s in strings:
         try:
             lifts = {
-                edges[rows[u][v]].etype - d
+                rows[u][v].etype - d
                 for d, u, v in zip(s.digits, s.verts, s.verts[1:])
             }
         except KeyError:  # an edge of the string is gone

@@ -300,19 +300,21 @@ def test_incremental_oracle_matches_brute_force():
         rng = random.Random(40_000 + seed)
         g = Graph(1)
         state = OracleState(g.rows)
-        live: dict[tuple[int, int], int] = {}
+        live: set[tuple[int, int]] = set()
         for _ in range(40):
             delete = live and (len(live) >= 24 or rng.random() < 0.35)
             if delete:
                 pair = rng.choice(sorted(live))
-                gone = g.remove_edge(live.pop(pair))
-                state.delete(gone.u, gone.v)
+                live.remove(pair)
+                g.remove_edge(*pair)
+                state.delete(*pair)
             else:
                 u, v = rng.sample(range(1, 11), 2)
                 pair = (u, v) if u < v else (v, u)
                 if pair in live:
                     continue
-                live[pair] = g.add_edge(*pair)
+                g.add_edge(*pair)
+                live.add(pair)
                 state.insert(*pair)
             assert state.size == brute_force_max_matching(live), (seed, sorted(live))
             steps += 1
@@ -335,8 +337,8 @@ def _check_ledger(matcher: LGreedyMatcher) -> None:
     spent_ends = {
         v for e in g.edges.values() if e.etype >= matcher.k_eff for v in e.endpoints
     }
-    for eid in g.matching():
-        for v in g.edges[eid].endpoints:
+    for pair in g.matching():
+        for v in pair:
             assert ledger.weights.get(v, 0.0) >= matched_floor - 1e-12, v
     for v in spent_ends:
         assert ledger.weights.get(v, 0.0) >= spent_floor - 1e-12, v
@@ -360,10 +362,7 @@ def test_weight_ledger_certificates():
             rng = random.Random(20_000 + i)
             for _ in range(30):
                 g = matcher.graph
-                removable = [
-                    e.endpoints for e in sorted(g.edges.values(), key=lambda e: e.id)
-                    if not e.matched
-                ]
+                removable = [pair for pair, e in g.edges.items() if not e.matched]
                 if removable and (len(g.edges) >= 24 or rng.random() < 0.35):
                     matcher.on_departure(depart(*rng.choice(removable)))
                 elif len(g.edges) < 24:

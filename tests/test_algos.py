@@ -62,7 +62,7 @@ def lgreedy_candidates(m):
         for w in symmetric_difference(g, g.mate, m.oracle.mate)
         if is_augmenting(g, w)
         and (m.L is None or len(w) <= 2 * m.L + 2)
-        and all(g.edge(g.edge_id(a, b)).etype < m.k_eff for a, b in zip(w, w[1:]))
+        and all(g.edge(a, b).etype < m.k_eff for a, b in zip(w, w[1:]))
     ]
 
 
@@ -87,9 +87,9 @@ def test_02_greedy_basic_augmentation():
     g = m.graph
     # the last arrival closes a length-3 augmenting path 0-1-2-3
     assert g.matching_size() == 2
-    assert g.edge(g.edge_id(0, 1)).matched
-    assert g.edge(g.edge_id(2, 3)).matched
-    assert g.edge(g.edge_id(1, 2)).etype == 2  # flipped twice, now spent
+    assert g.edge(0, 1).matched
+    assert g.edge(2, 3).matched
+    assert g.edge(1, 2).etype == 2  # flipped twice, now spent
     assert m.augmentations == 2
     g.validate()
 
@@ -122,14 +122,14 @@ def test_05_greedy_odd_budget_uses_all_flips():
     g = m.graph
     feed(m, [arrive(1, 2), arrive(0, 1), arrive(2, 3)])
     # path applied once: middle edge at type 2, still below budget 3
-    assert g.edge(g.edge_id(1, 2)).etype == 2
+    assert g.edge(1, 2).etype == 2
     m.on_departure(depart(0, 1))
     # no augmentation: 1 is free but 3 is still matched
     assert g.matching_size() == 1
     m.on_departure(depart(2, 3))
     # now (1,2) alone is augmenting; its third and last flip is spent
-    assert g.edge(g.edge_id(1, 2)).matched
-    assert g.edge(g.edge_id(1, 2)).etype == 3
+    assert g.edge(1, 2).matched
+    assert g.edge(1, 2).etype == 3
     # fresh copies of the departed edges cannot help: the path through the
     # spent middle edge is blocked, so greedy idles at 1 vs optimum 2
     feed(m, [arrive(0, 1), arrive(2, 3)])
@@ -176,7 +176,7 @@ def test_10_lgreedy_step_length_gate():
     g = applied.graph
     assert applied.graph.mate == applied.oracle.mate
     # all five edges flipped in one step: the inner two are back out at type 2
-    assert [g.edge(g.edge_id(a, a + 1)).etype for a in range(5)] == [1, 2, 1, 2, 1]
+    assert [g.edge(a, a + 1).etype for a in range(5)] == [1, 2, 1, 2, 1]
 
 
 def test_11_lgreedy_blind_spot_stays_stalled():
@@ -210,7 +210,7 @@ def test_11_lgreedy_blind_spot_stays_stalled():
     # a later arrival elsewhere is served, and the missed edge stays unmatched
     feed(m, [arrive(12, 13)])
     assert len(m.graph.matching()) == 5
-    uv = g.edge(g.edge_id(u, v))
+    uv = g.edge(u, v)
     assert not uv.matched and uv.etype == 0
     assert g.is_free(u) and g.is_free(v)
     assert lgreedy_candidates(m) == []
@@ -287,9 +287,9 @@ def test_17_amp_sync_skips_spent_edges():
     # optimum doubled: sync applies 2-0-1-3 and spends edge (0,1)
     assert m.phase == 2
     g = m.graph
-    assert g.edge(g.edge_id(0, 2)).matched
-    assert g.edge(g.edge_id(1, 3)).matched
-    assert g.edge(g.edge_id(0, 1)).etype == 2
+    assert g.edge(0, 2).matched
+    assert g.edge(1, 3).matched
+    assert g.edge(0, 1).etype == 2
     m.on_departure(depart(0, 2))
     m.on_departure(depart(1, 3))
     # the matcher is empty; the internal optimum falls back on the spent edge
@@ -302,7 +302,7 @@ def test_17_amp_sync_skips_spent_edges():
     assert m.phase == 3
     assert len(m.graph.matching()) == 3
     assert m.state.oracle.size == 4
-    assert not g.edge(g.edge_id(0, 1)).matched
+    assert not g.edge(0, 1).matched
     rec = m.history[-1]
     assert rec.alg_size == 3
     assert rec.opt_size == 4
@@ -430,7 +430,7 @@ def assert_order_unobservable(m, candidates):
         twin = copy.deepcopy(m)
         LGreedyMatcher._exhaust(twin, list(ordered))
         g = twin.graph
-        edges = {eid: (e.etype, e.matched) for eid, e in g.edges.items()}
+        edges = {pair: (e.etype, e.matched) for pair, e in g.edges.items()}
         ends.append((edges, g.mate, g.total_flips, twin.ledger.weights))
     assert ends[0] == ends[1]
 
@@ -442,7 +442,7 @@ def test_23_lgreedy_applies_both_tied_candidates_in_one_event():
     m = LGreedyMatcher(2, model=FULL)
     feed(m, [arrive(1, 4), arrive(4, 5), arrive(0, 1), depart(4, 5), depart(0, 1)])
     g = m.graph
-    assert g.edge(g.edge_id(1, 4)).etype == m.k_eff
+    assert g.edge(1, 4).etype == m.k_eff
     assert g.matching_size() == 0
     handed = []
     exhaust = m._exhaust
@@ -455,7 +455,7 @@ def test_23_lgreedy_applies_both_tied_candidates_in_one_event():
     m._exhaust = checked_exhaust
     feed(m, [arrive(4, 5), arrive(0, 1)])
     assert handed[-1] == 2
-    assert g.matching() == {g.edge_id(4, 5), g.edge_id(0, 1)}
+    assert g.matching() == {(4, 5), (0, 1)}
 
 
 @pytest.mark.parametrize("model", MODELS)

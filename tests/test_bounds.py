@@ -250,12 +250,14 @@ def _duel(max_moves):
     return duel(FullDepartureAdversary(2), GreedyMatcher(2, FULL), max_moves)
 
 
-def _arrivals(n_events, max_vertices=20):
-    return random_arrival_stream(random.Random(0), n_events, max_vertices)
+def _arrivals(n_events, max_vertices=20, max_edges=24):
+    return random_arrival_stream(random.Random(0), n_events, max_vertices, max_edges)
 
 
-def _churn(n_events, max_vertices=20):
-    return random_churn(random.Random(0), GreedyMatcher(2, FULL), n_events, max_vertices)
+def _churn(n_events, max_vertices=20, max_edges=24):
+    return random_churn(
+        random.Random(0), GreedyMatcher(2, FULL), n_events, max_vertices, max_edges
+    )
 
 
 # Every integer parameter, as (name, call, minimum, error, odd): ``error`` is
@@ -270,6 +272,7 @@ INTEGER_PARAMETERS = [
     ("det_lower_bound", det_lower_bound, 3, BB, None),
     ("lgreedy_default_L", lgreedy_default_L, 4, BB, BB),
     ("lgreedy_bound", lgreedy_bound, 4, BB, BB),
+    ("lgreedy_bound.L", lambda v: lgreedy_bound(6, v), 0, BP, None),
     ("amp_default_r", amp_default_r, 4, BB, BB),
     ("amp_bound", lambda v: amp_bound(v, 1.5), 4, BB, BB),
     ("amp_bound_original", amp_bound_original, 4, BB, BB),
@@ -291,8 +294,10 @@ INTEGER_PARAMETERS = [
     ("emit_bound_table", lambda v: emit_bound_table([v]), 4, BP, BP),
     ("random_arrival_stream.n_events", _arrivals, 0, BP, None),
     ("random_arrival_stream.max_vertices", lambda v: _arrivals(3, v), 2, BP, None),
+    ("random_arrival_stream.max_edges", lambda v: _arrivals(3, 20, v), 1, BP, None),
     ("random_churn.n_events", _churn, 0, BP, None),
     ("random_churn.max_vertices", lambda v: _churn(3, v), 2, BP, None),
+    ("random_churn.max_edges", lambda v: _churn(3, 20, v), 1, BP, None),
 ]
 
 # Holes the hand-written checks left: each of these ran, or died with a bare
@@ -308,6 +313,11 @@ INTEGER_HOLES = [
     ("bound_rows(4.0,6)", lambda v: bound_rows(v, 6), 4.0, BP),
     ("random_churn(n_events=2.5)", _churn, 2.5, BP),
     ("random_arrival_stream(rng,2.5)", _arrivals, 2.5, BP),
+    ("lgreedy_bound(6,L=True)", lambda v: lgreedy_bound(6, L=v), True, BP),
+    ("lgreedy_bound(6,L=2.5)", lambda v: lgreedy_bound(6, L=v), 2.5, BP),
+    ("lgreedy_bound(6,L=-1)", lambda v: lgreedy_bound(6, L=v), -1, BP),
+    ("random_arrival_stream(rng,10,max_edges=2.5)", lambda v: _arrivals(10, 20, v), 2.5, BP),
+    ("random_churn(max_edges=True)", lambda v: _churn(3, 20, v), True, BP),
 ]
 
 

@@ -147,3 +147,15 @@ def test_09_usage_errors(runner, tmp_path):
         result = runner.invoke(main, ["simulate", *flags, "--instance", str(good)])
         assert result.exit_code != 0
         assert isinstance(result.exception, SystemExit)
+
+
+@pytest.mark.parametrize("algo", ["greedy", "lgreedy", "amp"])
+def test_10_refused_departure_names_the_pair_it_read(runner, tmp_path, algo):
+    # the refusal quotes the edge as the stream wrote it, not an internal index
+    stream = tmp_path / "limited.stream"
+    stream.write_text("k 4\nmodel limited\n+ 5 7\n+ 7 9\n- 5 7\n")
+    result = runner.invoke(main, ["simulate", "--algo", algo, "--instance", str(stream)])
+    assert result.exit_code != 0
+    assert isinstance(result.exception, SystemExit)
+    assert "edge (5, 7) is matched and cannot depart under the limited model" in result.output
+    assert "edge 0" not in result.output

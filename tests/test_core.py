@@ -13,6 +13,7 @@ from flipmatch.core import (
     LIMITED,
     BlockedPathError,
     DuplicateEdgeError,
+    EdgeState,
     Graph,
     GraphError,
     IllegalEventError,
@@ -24,22 +25,21 @@ from flipmatch.core import (
 )
 
 
-def build_path(g: Graph, vertices: list[int]) -> list[int]:
+def build_path(g: Graph, vertices: list[int]) -> list[EdgeState]:
     return [g.add_edge(a, b) for a, b in zip(vertices, vertices[1:])]
 
 
 def board(g: Graph) -> tuple:
     """Edge types and matched flags, the matching, the partner map and the flip count."""
-    edges = {eid: (e.etype, e.matched) for eid, e in g.edges.items()}
+    edges = {pair: (e.etype, e.matched) for pair, e in g.edges.items()}
     return edges, g.matching(), dict(g.mate), g.total_flips
 
 
-def partners(g: Graph, edge_ids: set[int]) -> dict[int, int]:
-    """The partner map (vertex -> partner) of the matching ``edge_ids``."""
+def partners(pairs: set[tuple[int, int]]) -> dict[int, int]:
+    """The partner map (vertex -> partner) of the matching ``pairs``."""
     mate: dict[int, int] = {}
-    for eid in edge_ids:
-        e = g.edge(eid)
-        mate[e.u], mate[e.v] = e.v, e.u
+    for u, v in pairs:
+        mate[u], mate[v] = v, u
     return mate
 
 
@@ -56,10 +56,11 @@ def refuse(g: Graph, walk: list[int], error: type) -> GraphError:
 
 def test_01_add_edge_basics():
     g = Graph(4)
-    e = g.add_edge(1, 2)
-    assert g.edge(e).endpoints == (1, 2)
-    assert g.edge(e).etype == 0
-    assert not g.edge(e).matched
+    e = g.add_edge(2, 1)
+    assert g.edge(1, 2) is e and g.edge(2, 1) is e
+    assert e.endpoints == (1, 2)
+    assert e.etype == 0
+    assert not e.matched
     assert g.vertices == {1, 2}
 
 
@@ -79,45 +80,46 @@ def test_03_duplicate_edge_rejected():
             g.add_edge(u, v)
         assert err.value.code == "duplicate-edge"
     # refused before any mutation: edge e alone holds the pair, still matched
-    assert list(g.edges) == [e]
+    assert g.edges == {(1, 2): e}
     assert g.rows == {1: {2: e}, 2: {1: e}}
-    assert g.matching() == {e}
+    assert g.matching() == {(1, 2)}
+    assert e.etype == 1
     g.validate()
-    assert g.add_edge(2, 3) == e + 1  # no edge id was spent on the refusals
 
 
 def test_04_readd_after_departure_is_fresh():
     g = Graph(3)
     e1 = g.add_edge(1, 2)
     g.apply_augmenting_path([1, 2])
-    g.remove_edge(e1)  # the default full model lets a matched edge leave
+    assert g.remove_edge(2, 1) is e1  # the default full model lets a matched edge leave
     assert g.mate == {}
     e2 = g.add_edge(1, 2)
-    assert e2 != e1
-    assert g.edge(e2).etype == 0
+    assert e2 is not e1
+    assert g.edge(1, 2) is e2
+    assert e2.etype == 0 and e1.etype == 1
 
 
 def test_05_limited_model_keeps_matched_edges():
     g = Graph(3, LIMITED)
-    e = g.add_edge(1, 2)
+    g.add_edge(1, 2)
     g.apply_augmenting_path([2, 1])
     before = board(g)
     with pytest.raises(IllegalEventError) as err:
-        g.remove_edge(e)
+        g.remove_edge(1, 2)
     assert err.value.code == "illegal-event-for-model"
     assert board(g) == before
     # unmatched edges may leave
-    f = g.add_edge(2, 3)
-    g.remove_edge(f)
+    g.add_edge(2, 3)
+    g.remove_edge(3, 2)
     assert not g.has_edge(2, 3)
     g.validate()
 
 
 def test_06_arrival_model_never_departs():
     g = Graph(3, ARRIVAL)
-    e = g.add_edge(1, 2)
+    g.add_edge(1, 2)
     with pytest.raises(IllegalEventError) as err:
-        g.remove_edge(e)
+        g.remove_edge(1, 2)
     assert err.value.code == "illegal-event-for-model"
     assert g.has_edge(1, 2)
 
@@ -126,38 +128,38 @@ def test_07_unknown_edge():
     for model in (ARRIVAL, LIMITED, FULL):
         g = Graph(3, model)
         with pytest.raises(UnknownEdgeError):
-            g.remove_edge(7)
+            g.remove_edge(1, 7)
         with pytest.raises(UnknownEdgeError):
-            g.edge_id(1, 2)
+            g.edge(1, 2)
 
 
 def test_08_apply_single_edge_path():
     g = Graph(2)
     e = g.add_edge(1, 2)
     g.apply_augmenting_path([1, 2])
-    assert g.edge(e).etype == 1
-    assert g.edge(e).matched
-    assert g.matching() == {e}
+    assert e.etype == 1
+    assert e.matched
+    assert g.matching() == {(1, 2)}
 
 
 def test_09_apply_walks_types_up():
     # 0,1,0 -> 1,2,1 -> pushing the middle twice
     g = Graph(4)
-    eids = build_path(g, [1, 2, 3, 4])
+    path = build_path(g, [1, 2, 3, 4])
     g.apply_augmenting_path([2, 3])
     g.apply_augmenting_path([1, 2, 3, 4])
-    assert [g.edge(e).etype for e in eids] == [1, 2, 1]
-    assert g.matching() == {eids[0], eids[2]}
+    assert [e.etype for e in path] == [1, 2, 1]
+    assert g.matching() == {(1, 2), (3, 4)}
 
 
 def test_10_apply_01210_becomes_12321():
     g = Graph(5)
-    eids = build_path(g, [1, 2, 3, 4, 5, 6])
+    path = build_path(g, [1, 2, 3, 4, 5, 6])
     g.apply_augmenting_path([3, 4])
     g.apply_augmenting_path([5, 4, 3, 2])  # either direction of a walk applies
-    assert [g.edge(e).etype for e in eids] == [0, 1, 2, 1, 0]
+    assert [e.etype for e in path] == [0, 1, 2, 1, 0]
     g.apply_augmenting_path([1, 2, 3, 4, 5, 6])
-    assert [g.edge(e).etype for e in eids] == [1, 2, 3, 2, 1]
+    assert [e.etype for e in path] == [1, 2, 3, 2, 1]
     g.validate()
 
 
@@ -202,7 +204,7 @@ def test_14_walk_over_missing_edge_rejected():
     assert refuse(g, [1, 2, 3, 4], UnknownEdgeError).code == "unknown-edge"
     refuse(g, [6, 7], UnknownEdgeError)
     # an edge that departed is missing too
-    g.remove_edge(g.edge_id(4, 5))
+    g.remove_edge(4, 5)
     refuse(g, [4, 5], UnknownEdgeError)
 
 
@@ -229,11 +231,11 @@ def test_19_augmenting_component_kind():
 
 def test_20_symmetric_difference_kinds():
     g = Graph(6)
-    eids = build_path(g, [1, 2, 3, 4, 5, 6])
+    build_path(g, [1, 2, 3, 4, 5, 6])
     g.apply_augmenting_path([2, 3])
     g.apply_augmenting_path([4, 5])
-    opt = {eids[0], eids[2], eids[4]}
-    walks = symmetric_difference(g, g.mate, partners(g, opt))
+    opt = {(1, 2), (3, 4), (5, 6)}
+    walks = symmetric_difference(g, g.mate, partners(opt))
     assert walks == [[1, 2, 3, 4, 5, 6]]
     assert is_augmenting(g, walks[0])
     g.apply_augmenting_path(walks[0])
@@ -243,11 +245,11 @@ def test_20_symmetric_difference_kinds():
 def test_22_symmetric_difference_excluding_blocked_splits():
     # types 1,2,1 at budget 2: dropping the blocked middle splits the path
     g = Graph(2)
-    eids = build_path(g, [1, 2, 3, 4])
+    path = build_path(g, [1, 2, 3, 4])
     g.apply_augmenting_path([2, 3])
     g.apply_augmenting_path([1, 2, 3, 4])
-    assert [g.edge(e).etype for e in eids] == [1, 2, 1]
-    alg, opt = g.mate, partners(g, {eids[1]})
+    assert [e.etype for e in path] == [1, 2, 1]
+    alg, opt = g.mate, partners({(2, 3)})
     assert symmetric_difference(g, alg, opt) == [[1, 2, 3, 4]]
     split = symmetric_difference(g, alg, opt, blocked_at=2)
     assert split == [[1, 2], [3, 4]]
@@ -256,18 +258,18 @@ def test_22_symmetric_difference_excluding_blocked_splits():
 
 def test_15_symmetric_difference_cycle_walk_closes():
     g = Graph(4)
-    square = build_path(g, [5, 6, 7, 8, 5])
+    build_path(g, [5, 6, 7, 8, 5])
     g.apply_augmenting_path([5, 6])
     g.apply_augmenting_path([7, 8])
-    path = build_path(g, [1, 2])
-    opt = partners(g, {square[1], square[3], path[0]})
+    g.add_edge(1, 2)
+    opt = partners({(6, 7), (5, 8), (1, 2)})
     walks = symmetric_difference(g, g.mate, opt)
     # paths first, then cycles, each walked from its smallest vertex
     assert walks == [[1, 2], [5, 6, 7, 8, 5]]
     assert [is_augmenting(g, w) for w in walks] == [True, False]
 
 
-def _naive_components(g: Graph, alg: set[int], opt: set[int]) -> list[tuple]:
+def _naive_components(alg: set[tuple], opt: set[tuple]) -> list[tuple]:
     """Union-find over the symmetric difference, then per-group summaries."""
     sym = alg ^ opt
     parent = {}
@@ -278,20 +280,19 @@ def _naive_components(g: Graph, alg: set[int], opt: set[int]) -> list[tuple]:
             x = parent[x]
         return x
 
-    for eid in sym:
-        e = g.edge(eid)
-        for v in e.endpoints:
-            parent.setdefault(v, v)
-        ru, rv = find(e.u), find(e.v)
+    for u, v in sym:
+        parent.setdefault(u, u)
+        parent.setdefault(v, v)
+        ru, rv = find(u), find(v)
         if ru != rv:
             parent[ru] = rv
-    groups: dict[int, list[int]] = {}
-    for eid in sym:
-        groups.setdefault(find(g.edge(eid).u), []).append(eid)
+    groups: dict[int, list[tuple]] = {}
+    for pair in sym:
+        groups.setdefault(find(pair[0]), []).append(pair)
     out = []
-    for eids in groups.values():
-        surplus = sum(1 if e in opt else -1 for e in eids)
-        out.append((frozenset(eids), surplus))
+    for pairs in groups.values():
+        surplus = sum(1 if e in opt else -1 for e in pairs)
+        out.append((frozenset(pairs), surplus))
     return sorted(out, key=lambda t: min(t[0]))
 
 
@@ -302,29 +303,30 @@ def test_23_symmetric_difference_matches_naive_scan(seed):
     n = 8
     pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
     rng.shuffle(pairs)
-    eids = [g.add_edge(u, v) for u, v in pairs[: rng.randint(6, 14)]]
+    live = pairs[: rng.randint(6, 14)]
+    for u, v in live:
+        g.add_edge(u, v)
 
-    def random_matching() -> set[int]:
-        chosen: set[int] = set()
+    def random_matching() -> set[tuple[int, int]]:
+        chosen: set[tuple[int, int]] = set()
         covered: set[int] = set()
-        for eid in rng.sample(eids, len(eids)):
-            e = g.edge(eid)
-            if not ({e.u, e.v} & covered) and rng.random() < 0.7:
-                chosen.add(eid)
-                covered.update(e.endpoints)
+        for u, v in rng.sample(live, len(live)):
+            if not ({u, v} & covered) and rng.random() < 0.7:
+                chosen.add((u, v))
+                covered.update((u, v))
         return chosen
 
     alg, opt = random_matching(), random_matching()
-    walks = symmetric_difference(g, partners(g, alg), partners(g, opt))
-    edge_walks = [[g.edge_id(a, b) for a, b in zip(w, w[1:])] for w in walks]
+    walks = symmetric_difference(g, partners(alg), partners(opt))
+    edge_walks = [[g.edge(a, b).endpoints for a, b in zip(w, w[1:])] for w in walks]
     got = sorted(
-        ((frozenset(eids), sum(1 if e in opt else -1 for e in eids)) for eids in edge_walks),
+        ((frozenset(es), sum(1 if e in opt else -1 for e in es)) for es in edge_walks),
         key=lambda t: min(t[0]),
     )
-    assert got == _naive_components(g, alg, opt)
+    assert got == _naive_components(alg, opt)
     # every component is a path or cycle with alternating membership
-    for eids in edge_walks:
-        for a, b in zip(eids, eids[1:]):
+    for es in edge_walks:
+        for a, b in zip(es, es[1:]):
             assert (a in alg) != (b in alg)
 
 
@@ -338,6 +340,25 @@ def test_26_symmetric_difference_rejects_a_pair_that_is_no_edge():
         symmetric_difference(g, g.mate, {1: 3, 3: 1})
     assert err.value.code == "unknown-edge"
     assert symmetric_difference(g, g.mate, {1: 2, 2: 1}) == []
+
+
+def test_27_refusals_name_the_pairs_they_refuse():
+    # an edge is its vertex pair: a refusal names the pair, never an index
+    fresh = Graph(4)
+    build_path(fresh, [5, 7, 9, 11])  # all unmatched: (7, 9) breaks alternation
+    g = Graph(1, LIMITED)
+    build_path(g, [5, 7, 9, 11])
+    g.apply_augmenting_path([7, 9])  # (7, 9) is matched and spent at budget 1
+    messages = [
+        str(refuse(fresh, [5, 7, 9, 11], NotAugmentingError)),
+        str(refuse(g, [5, 7, 9, 11], BlockedPathError)),
+    ]
+    with pytest.raises(IllegalEventError) as err:
+        g.remove_edge(9, 7)
+    messages.append(str(err.value))
+    assert messages[0] == "edge (7, 9) breaks the unmatched/matched alternation"
+    assert messages[1] == "edges [(7, 9)] have exhausted their flip budget"
+    assert messages[2] == "edge (7, 9) is matched and cannot depart under the limited model"
 
 
 def test_24_budget_validation():

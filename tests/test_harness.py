@@ -115,8 +115,8 @@ def test_05_model_legality():
 def board_state(matcher) -> tuple:
     """Everything an event may change on a matcher's board."""
     g, o = matcher.graph, matcher.oracle
-    edges = {eid: e.etype for eid, e in g.edges.items()}
-    return edges, dict(g.mate), g.total_flips, g._next_id, dict(o.mate)
+    edges = {pair: e.etype for pair, e in g.edges.items()}
+    return edges, list(g.edges), dict(g.mate), g.total_flips, dict(o.mate)
 
 
 @pytest.mark.parametrize("model", [ARRIVAL, LIMITED])

@@ -9,7 +9,7 @@ import pytest
 from flipmatch import oracle
 from flipmatch.algos import MATCHERS, make_matcher
 from flipmatch.blossom import find_augmenting_path
-from flipmatch.core import FULL, Graph, SelfLoopError, arrive, depart
+from flipmatch.core import FULL, EdgeState, Graph, SelfLoopError, arrive, depart
 from flipmatch.oracle import (
     BRUTE_FORCE_EDGE_LIMIT,
     OracleState,
@@ -143,9 +143,9 @@ def add(g: Graph, o: OracleState, u: int, v: int) -> bool:
     return o.insert(u, v)
 
 
-def remove(g: Graph, o: OracleState, eid: int) -> None:
-    e = g.remove_edge(eid)
-    o.delete(e.u, e.v)
+def remove(g: Graph, o: OracleState, u: int, v: int) -> None:
+    g.remove_edge(u, v)
+    o.delete(u, v)
 
 
 def test_06_oracle_insert_grows():
@@ -165,7 +165,7 @@ def test_07_oracle_delete_repairs():
     assert o.size == 2
     # deleting a matched edge: repair finds the alternative
     assert o.mate == {1: 2, 2: 1, 3: 4, 4: 3}
-    remove(g, o, g.edge_id(1, 2))
+    remove(g, o, 1, 2)
     assert o.size >= 1
     o.verify()
 
@@ -185,7 +185,7 @@ def test_10_oracle_tracks_brute_force_under_churn(seed):
     n = 9
     for _ in range(60):
         if g.edges and (rng.random() < 0.35 or len(g.edges) >= 22):
-            remove(g, o, rng.choice(sorted(g.edges)))
+            remove(g, o, *rng.choice(list(g.edges)))
         else:
             u, v = rng.sample(range(n), 2)
             if g.has_edge(u, v):
@@ -225,14 +225,14 @@ def test_13_flipped_is_the_last_repair_path():
     assert o.moved == set()  # 0 is the only free vertex, so no path exists
     add(g, o, 4, 5)
     assert o.moved == {0, 1, 2, 3, 4, 5}  # 0-1-2-3-4-5 augmented
-    remove(g, o, 0)  # unmatched now: nothing to repair
+    remove(g, o, 1, 2)  # unmatched now: nothing to repair
     assert o.moved == set()
     # under churn, moved is exactly the vertices whose partner changed
     (g, o), rng = board(), random.Random(3)
     for _ in range(400):
         before = dict(o.mate)
         if g.edges and rng.random() < 0.4:
-            remove(g, o, rng.choice(sorted(g.edges)))
+            remove(g, o, *rng.choice(list(g.edges)))
         else:
             u, v = rng.sample(range(12), 2)
             if g.has_edge(u, v):
@@ -247,8 +247,10 @@ def test_13_flipped_is_the_last_repair_path():
     [
         lambda rows: (rows[1].pop(2), rows[2].pop(1)),  # a live edge lost its rows
         lambda rows: rows[3].pop(4),  # one row lost a live edge
-        lambda rows: (rows[1].update({4: 9}), rows[4].update({1: 9})),  # an unknown edge
-        lambda rows: (rows[2].update({3: 0}), rows[3].update({2: 0})),  # an id on two pairs
+        # an unknown edge
+        lambda rows: (rows[1].update({4: EdgeState(1, 4)}), rows[4].update({1: rows[1][4]})),
+        # one state on two pairs
+        lambda rows: (rows[2].update({3: rows[1][2]}), rows[3].update({2: rows[1][2]})),
     ],
     ids=["lost-edge", "one-sided", "unknown-edge", "moved-id"],
 )
@@ -341,8 +343,7 @@ def test_18_oracle_matches_networkx_on_large_full_churn(algo):
             if not g.has_edge(u, v):
                 matcher.on_arrival(arrive(u, v))
         else:
-            gone = g.edges[rng.choice(list(g.edges))]
-            matcher.on_departure(depart(gone.u, gone.v))
+            matcher.on_departure(depart(*rng.choice(list(g.edges))))
         if step >= 100 and step % 25 == 0:
             board = nx.Graph(e.endpoints for e in g.edges.values())
             expect = len(nx.max_weight_matching(board, maxcardinality=True))
@@ -411,9 +412,9 @@ def test_21_each_update_searches_only_from_the_roots_it_can_open(monkeypatch):
     assert o.mate == {0: 1, 1: 0, 2: 3, 3: 2, 4: 5, 5: 4, 6: 7, 7: 6}
     calls.clear()
     # an unmatched delete makes no search; a matched one searches from its ends
-    remove(g, o, g.edge_id(1, 2))
+    remove(g, o, 1, 2)
     assert calls == [] and o.moved == set()
-    remove(g, o, g.edge_id(2, 3))
+    remove(g, o, 2, 3)
     assert calls == [(2, 3)]
     assert o.size == 3
     o.verify()

@@ -418,7 +418,7 @@ def test_24_idle_matcher_is_stalled_and_scored():
             self.graph.add_edge(*event.endpoints)
 
         def on_departure(self, event):  # pragma: no cover - never reached
-            self.graph.remove_edge(self.graph.edge_id(*event.endpoints))
+            self.graph.remove_edge(*event.endpoints)
 
     adv = string_game_adversary(4)
     assert drive(adv, Idler()) == MATCHER_STALLED
@@ -437,8 +437,8 @@ def test_25_board_corruption_is_an_expectation_miss():
             self.seen += 1
             if self.seen == 3:
                 g = self.graph
-                victim = next(e.id for e in g.edges.values() if not e.matched)
-                g.remove_edge(victim)
+                victim = next(pair for pair, e in g.edges.items() if not e.matched)
+                g.remove_edge(*victim)
 
     adv = string_game_adversary(4)
     assert drive(adv, Saboteur()) == EXPECTATION_MISS
@@ -480,13 +480,13 @@ def test_28_config_matches_graph_rejects_unrealised_boards():
     assert config_matches_graph(y, board(path, [1, 2], [0, 1, 2, 3]))
     # a detour through 9 lifts 0-1 and 1-2 but not the later 2-3: types 1,2,0
     partial = board([(0, 1), (1, 2), (2, 9)], [1, 2], [0, 1, 2, 9])
-    partial.remove_edge(partial.edge_id(2, 9))
+    partial.remove_edge(2, 9)
     partial.add_edge(2, 3)
     assert not config_matches_graph(y, partial)
     # the seed 0-1 lifted twice by detours through 8 and 9
     twice = board([(8, 0), (0, 1), (1, 9)], [0, 1], [8, 0, 1, 9])
-    twice.remove_edge(twice.edge_id(0, 8))
-    twice.remove_edge(twice.edge_id(1, 9))
+    twice.remove_edge(0, 8)
+    twice.remove_edge(1, 9)
     assert not config_matches_graph(cfg_of(4, ["0"]), twice)
     # same edge count, but 2-3 is missing
     assert not config_matches_graph(y, board([(0, 1), (1, 2), (5, 6)], [1, 2]))
