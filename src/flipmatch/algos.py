@@ -17,12 +17,13 @@ even effective budget of ``k - 1``; plain greedy uses all ``k`` flips.
 
 from __future__ import annotations
 
+import inspect
 import math
 from dataclasses import dataclass, field
 
 from . import bounds
 from .blossom import find_augmenting_path
-from .core import FULL, EdgeState, Event, Graph, is_augmenting, symmetric_difference
+from .core import FULL, EdgeState, Event, Graph, symmetric_difference
 from .oracle import OracleState
 
 
@@ -175,14 +176,11 @@ class LGreedyMatcher(OnlineMatcher):
     cap at all (its best ratio is plain greedy's 3/2, so capping only hurts)
     and budgets below 4 fall back to single-edge steps.
 
-    ALG ^ OPT is not stored: it is read from the two partner maps,
-    ``graph.mate`` and ``oracle.mate``. A vertex is in it exactly when its
-    two partners differ, and a walk that reached a vertex over an edge of
-    one matching leaves it over the other's. An event changes the two maps
-    only at the event edge's ends and at the vertices the oracle's repair
-    moved, and ``_exhaust`` applies every candidate it is handed, so no
-    candidate outlives an event: each event walks only the components
-    through those vertices.
+    ALG ^ OPT is not stored: ``core.symmetric_difference`` walks it from
+    ``graph.mate`` and ``oracle.mate``. An event changes the two maps only at
+    the event edge's ends and at the vertices the oracle's repair moved, and
+    ``_exhaust`` applies every candidate, so no candidate outlives an event:
+    each event walks only the components through those vertices.
     """
 
     name = "lgreedy"
@@ -210,55 +208,15 @@ class LGreedyMatcher(OnlineMatcher):
         which can turn the two pieces of its old component into short
         augmenting paths.
         """
-        alg, opt = self.graph.mate, self.oracle.mate
-        judged: set[int] = set()
-        found = [
-            self._candidate_at(v, judged)
-            for v in self.oracle.moved.union(ends)
-            if alg.get(v) != opt.get(v)
-        ]
-        self._exhaust([c for c in found if c is not None])
-
-    def _candidate_at(self, v: int, judged: set[int]) -> list[int] | None:
-        """The walk of the component of ALG ^ OPT through ``v`` if it is a candidate.
-
-        Candidates are augmenting paths of length at most 2L+1 (any length
-        when L is None) without a spent edge. The walk gives up as soon as
-        the component fails one of these, or reaches a vertex in ``judged``:
-        one whose component an earlier walk already settled, or ``v`` again
-        when the component is a cycle. Every vertex it visits joins
-        ``judged``.
-        """
-        g, alg, opt = self.graph, self.graph.mate, self.oracle.mate
-        if v in judged:
-            return None
-        judged.add(v)
         cap = None if self.L is None else 2 * self.L + 1
-        halves: list[list[int]] = [[], []]  # vertices walked out of v on each side
-        length = 0
-        for side, cur in enumerate((alg.get(v), opt.get(v))):
-            prev = v
-            while cur is not None:
-                if cur in judged:
-                    return None
-                judged.add(cur)
-                halves[side].append(cur)
-                length += 1
-                if g.rows[prev][cur].etype >= self.k_eff:
-                    return None  # spent
-                if cap is not None and length > cap:
-                    return None
-                prev, cur = cur, (opt if alg.get(cur) == prev else alg).get(cur)
-        walk = halves[0][::-1] + [v] + halves[1]
-        return walk if is_augmenting(g, walk) else None
+        seeds = self.oracle.moved.union(ends)
+        self._exhaust(symmetric_difference(self.graph, self.oracle.mate, seeds, self.k_eff, cap))
 
     def _exhaust(self, candidates: list[list[int]]) -> None:
         """Apply every candidate walk, in the order found.
 
-        Candidates are distinct components of D = ALG ^ OPT, so they share no
-        vertex. Applying one leaves exactly D minus its edges and touches no
-        other candidate's edges, types or end coverage, so the order cannot
-        change the board or the ledger.
+        Candidates share no vertex (see ``core.symmetric_difference``), so
+        the order cannot change the board or the ledger.
         """
         for walk in candidates:
             self.graph.apply_augmenting_path(walk)
@@ -294,8 +252,7 @@ class AmpState:
     history: list[PhaseRecord] = field(default_factory=list)
 
     def __post_init__(self) -> None:
-        if not 1 < self.r < math.inf:  # refuses nan too
-            raise bounds.BadParamsError(f"growth factor must be finite and exceed 1, got {self.r}")
+        bounds.require_growth(self.r)
 
 
 def floor_log(value: int, r: float) -> int:
@@ -373,11 +330,10 @@ class AmpMatcher(OnlineMatcher):
         difference would merely move the matching onto other edges at the same
         size, spending flips for nothing.
         """
-        g, state = self.graph, self.state
-        walks = symmetric_difference(g, g.mate, self.oracle.mate, blocked_at=state.k)
-        for walk in walks:
-            if is_augmenting(g, walk):
-                g.apply_augmenting_path(walk)
+        g, opt = self.graph, self.oracle.mate
+        # every vertex either map covers; the walk skips those whose partners agree
+        for walk in symmetric_difference(g, opt, g.mate.keys() | opt.keys(), self.state.k):
+            g.apply_augmenting_path(walk)
 
 
 MATCHERS = {
@@ -394,4 +350,8 @@ def make_matcher(algo: str, k: int, model: str = FULL, **kwargs) -> OnlineMatche
         raise bounds.BadParamsError(
             f"unknown matcher {algo!r}; pick one of {sorted(MATCHERS)}"
         ) from None
+    if kwargs:  # reading the signature costs more than building a matcher
+        unknown = sorted(kwargs.keys() - inspect.signature(cls).parameters.keys())
+        if unknown:
+            raise bounds.BadParamsError(f"matcher {algo!r} takes no option {', '.join(unknown)}")
     return cls(k, model=model, **kwargs)

@@ -9,6 +9,7 @@ minimizer used to tune the phase growth factor of the doubling matcher.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Callable
 
@@ -39,6 +40,12 @@ def require_int(
     if value < minimum or even and value % 2:
         kind = "an even integer" if even else "an integer"
         raise error(f"{what} must be {kind} >= {minimum}, got {value!r}")
+
+
+def require_growth(r: object) -> None:
+    """The one check of a growth factor: a finite real number above 1 (not nan)."""
+    if not (isinstance(r, numbers.Real) and 1 < r < math.inf):
+        raise BadParamsError(f"growth factor must be a finite real number above 1, got {r!r}")
 
 
 # ----------------------------------------------------------------------
@@ -82,8 +89,7 @@ def amp_default_r(k: int) -> float:
 def amp_bound(k: int, r: float) -> float:
     """Guarantee of the doubling matcher at growth factor ``r``: r^k/(r^(k-1)-r)."""
     require_int(k, 4, "budget", BadBudgetError, even=True)
-    if not 1 < r < math.inf:  # refuses nan too
-        raise BadParamsError(f"need a finite growth factor above 1, got {r!r}")
+    require_growth(r)
     return r**k / (r ** (k - 1) - r)
 
 

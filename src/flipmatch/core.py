@@ -8,8 +8,8 @@ budget ``k`` the edge is frozen for good -- we call it *blocked*.
 
 A path or cycle is its vertex walk, the list of vertices it visits in
 order; a cycle's walk closes on its start. The module applies an augmenting
-path's walk to the graph, decomposes the symmetric difference of two
-matchings into the walks of its components, and tells augmenting walks apart.
+path's walk to the graph, tells augmenting walks apart, and walks ALG ^ OPT,
+the symmetric difference of the graph's matching and another one.
 """
 
 from __future__ import annotations
@@ -293,57 +293,55 @@ def is_augmenting(g: Graph, walk: Sequence[int]) -> bool:
 
 def symmetric_difference(
     g: Graph,
-    alg: dict[int, int],
     opt: dict[int, int],
-    *,
-    blocked_at: int | None = None,
+    seeds: Iterable[int],
+    spent_at: int,
+    cap: int | None = None,
 ) -> list[list[int]]:
-    """Decompose ALG ^ OPT into the walks of its paths and cycles.
+    """The walks of the augmenting components of ALG ^ OPT through ``seeds``.
 
-    Both matchings are partner maps (vertex -> partner), like ``Graph.mate``
-    and ``OracleState.mate``; a pair the other map does not share must be a
-    live edge of ``g``. With ``blocked_at`` set, edges whose type has reached
-    it are dropped first, which may split components into shorter stubs.
+    ALG is ``g.mate`` and OPT the partner map ``opt``. A vertex is in the
+    difference when its two partners differ, and a walk that reached it over
+    an edge of one matching leaves it over the other's. A component is kept
+    when it is an augmenting path of at most ``cap`` edges (any length when
+    ``cap`` is None) with no edge of type >= ``spent_at``. Edges are read
+    with ``g.edge``, so an OPT pair that is no live edge raises
+    ``UnknownEdgeError``. Each vertex is judged once: a walk gives up when
+    its component fails a test or reaches a judged vertex, one that an
+    earlier walk settled, or its own seed around a cycle.
 
-    The result is deterministic: paths are walked from their smaller end
-    vertex in increasing order of it, then cycles from their smallest vertex.
+    Dropping a component with a spent edge loses nothing that cutting it at
+    that edge would give, since a stub cut off at a spent edge is never
+    augmenting. Its cut end touched the dropped edge: if that was ALG's, the
+    end is matched in ALG; if OPT's, the end keeps its ALG edge in the stub,
+    or the stub is a single vertex. The returned components share no vertex,
+    so the order in which they are applied does not matter.
     """
-    adj: dict[int, list[tuple[int, EdgeState]]] = {}
-    for mine, other in ((alg, opt), (opt, alg)):
-        for v, w in mine.items():
-            if other.get(v) == w:
-                continue
-            e = g.edge(v, w)
-            if blocked_at is None or e.etype < blocked_at:
-                adj.setdefault(v, []).append((w, e))
-    for v in adj:
-        adj[v].sort()  # v's two steps lead to distinct neighbors
-        assert len(adj[v]) <= 2, "two matchings give max degree 2"
+    alg = g.mate
+    judged: set[int] = set()
 
-    done_edges: set[EdgeState] = set()
+    def walk_from(v: int) -> list[int] | None:
+        """The walk of ``v``'s component, or None once it fails a test."""
+        halves: list[list[int]] = [[], []]  # vertices walked out of v on each side
+        length = 0
+        for side, cur in enumerate((alg.get(v), opt.get(v))):
+            prev = v
+            while cur is not None:
+                if cur in judged:
+                    return None
+                judged.add(cur)
+                halves[side].append(cur)
+                length += 1
+                if g.edge(prev, cur).etype >= spent_at or cap is not None and length > cap:
+                    return None
+                prev, cur = cur, (opt if alg.get(cur) == prev else alg).get(cur)
+        return halves[0][::-1] + [v] + halves[1]
+
     walks: list[list[int]] = []
-
-    def walk_from(start: int) -> list[int]:
-        """Walk until a dead end or back to start."""
-        walk = [start]
-        cur = start
-        while True:
-            step = next(((n, e) for n, e in adj[cur] if e not in done_edges), None)
-            if step is None:
-                break
-            cur, e = step
-            done_edges.add(e)
-            walk.append(cur)
-            if cur == start:
-                break
-        return walk
-
-    endpoints = sorted(v for v, rows in adj.items() if len(rows) == 1)
-    for start in endpoints:
-        if any(e not in done_edges for _, e in adj[start]):
-            walks.append(walk_from(start))
-    for start in sorted(adj):
-        if any(e not in done_edges for _, e in adj[start]):
-            walks.append(walk_from(start))
-            assert walks[-1][0] == walks[-1][-1], "leftover component must be a cycle"
+    for v in seeds:
+        if v not in judged and alg.get(v) != opt.get(v):
+            judged.add(v)
+            walk = walk_from(v)
+            if walk is not None and is_augmenting(g, walk):
+                walks.append(walk)
     return walks

@@ -54,16 +54,60 @@ def feed(matcher, events):
             matcher.on_departure(ev)
 
 
+def decompose(g, alg, opt):
+    """ALG ^ OPT over the whole graph, as the walks of its paths and cycles.
+
+    The independent reference for ``symmetric_difference``: it builds the
+    difference's adjacency from every pair of the two partner maps, then
+    walks paths from their smaller end vertex in increasing order, then
+    cycles from their smallest vertex.
+    """
+    adj = {}
+    for mine, other in ((alg, opt), (opt, alg)):
+        for v, w in mine.items():
+            if other.get(v) != w:
+                adj.setdefault(v, []).append((w, g.edge(v, w)))
+    for steps in adj.values():
+        steps.sort(key=lambda step: step[0])  # v's two steps lead to distinct neighbours
+        assert len(steps) <= 2, "two matchings give max degree 2"
+    done = set()
+    walks = []
+
+    def walk_from(start):
+        walk, cur = [start], start
+        while True:
+            step = next(((n, e) for n, e in adj[cur] if e not in done), None)
+            if step is None:
+                return walk
+            cur, e = step
+            done.add(e)
+            walk.append(cur)
+            if cur == start:
+                return walk
+
+    ends = sorted(v for v, steps in adj.items() if len(steps) == 1)
+    for start in ends + sorted(adj):
+        if any(e not in done for _, e in adj[start]):
+            walks.append(walk_from(start))
+    return walks
+
+
+def augmenting_unspent(g, walks, spent_at, max_edges=None):
+    """The augmenting ``walks`` with at most ``max_edges`` edges, none of type >= ``spent_at``."""
+    return [
+        w
+        for w in walks
+        if is_augmenting(g, w)
+        and (max_edges is None or len(w) - 1 <= max_edges)
+        and all(g.edge(a, b).etype < spent_at for a, b in zip(w, w[1:]))
+    ]
+
+
 def lgreedy_candidates(m):
     """L-Greedy's candidate walks, from the whole-graph decomposition of ALG ^ OPT."""
     g = m.graph
-    return [
-        w
-        for w in symmetric_difference(g, g.mate, m.oracle.mate)
-        if is_augmenting(g, w)
-        and (m.L is None or len(w) <= 2 * m.L + 2)
-        and all(g.edge(a, b).etype < m.k_eff for a, b in zip(w, w[1:]))
-    ]
+    cap = None if m.L is None else 2 * m.L + 1
+    return augmenting_unspent(g, decompose(g, g.mate, m.oracle.mate), m.k_eff, cap)
 
 
 def unoriented(walks):
@@ -214,6 +258,7 @@ def test_11_lgreedy_blind_spot_stays_stalled():
     assert not uv.matched and uv.etype == 0
     assert g.is_free(u) and g.is_free(v)
     assert lgreedy_candidates(m) == []
+    assert symmetric_difference(g, m.oracle.mate, g.vertices, m.k_eff, 2 * m.L + 1) == []
     # plain greedy on the same graph would grab the missed edge immediately
     assert is_augmenting(g, [u, v])
     g.apply_augmenting_path([u, v])
@@ -340,6 +385,13 @@ def test_19_make_matcher():
             make_matcher("lgreedy", 6, model=ARRIVAL, L=bad)
         assert err.value.code == "bad-params"
     assert make_matcher("lgreedy", 6, model=ARRIVAL, L=0).guarantee() == pytest.approx(2.0)
+    # an option the matcher does not take is named with the matcher, not a
+    # bare TypeError from its constructor
+    for algo, option in (("greedy", "L"), ("greedy", "r"), ("lgreedy", "r"), ("amp", "L")):
+        with pytest.raises(bounds.BadParamsError) as err:
+            make_matcher(algo, 4, **{option: 3})
+        assert err.value.code == "bad-params"
+        assert str(err.value) == f"matcher {algo!r} takes no option {option}"
 
 
 GUARANTEES = [
@@ -485,13 +537,40 @@ def test_24_lgreedy_live_difference_matches_whole_graph_rebuild(model, k):
 
 
 def test_25_lgreedy_string_duel_never_rebuilds_the_difference(monkeypatch):
-    def whole_graph_rebuild(*args, **kwargs):
-        raise AssertionError("L-Greedy rebuilt ALG ^ OPT over the whole graph")
+    # L-Greedy walks ALG ^ OPT only from the vertices an event moved: the
+    # oracle's moved vertices and the event's ends. AMP's sync walks it from
+    # every vertex where the two partner maps disagree.
+    walker = algos.symmetric_difference
+    reacting = []  # (matcher, event ends) of the reaction in progress
+    calls = {"lgreedy": 0, "amp": 0}
 
-    monkeypatch.setattr(algos, "symmetric_difference", whole_graph_rebuild)
-    report = duel(string_game_adversary(8), make_matcher("lgreedy", 8, LIMITED))
-    assert report.stop_reason == MATCHER_STALLED
-    assert report.bound_violations == 0
+    def spy(g, opt, seeds, spent_at, cap=None):
+        seeds = list(seeds)
+        m, ends = reacting[-1]
+        assert g is m.graph and opt is m.oracle.mate
+        if m.name == "lgreedy":
+            assert set(seeds) <= m.oracle.moved | set(ends)
+        else:
+            assert {v for v, _ in g.mate.items() ^ opt.items()} <= set(seeds)
+        calls[m.name] += 1
+        return walker(g, opt, seeds, spent_at, cap)
+
+    monkeypatch.setattr(algos, "symmetric_difference", spy)
+    for algo in calls:
+        m = make_matcher(algo, 8, LIMITED)
+        react = m._react
+
+        def watched(ends, departed, m=m, react=react):
+            reacting.append((m, ends))
+            react(ends, departed)
+            reacting.pop()
+
+        m._react = watched
+        report = duel(string_game_adversary(8), m)
+        assert report.bound_violations == 0
+        assert calls[algo] > 0
+        if algo == "lgreedy":
+            assert report.stop_reason == MATCHER_STALLED
 
 
 def test_26_greedy_leaves_no_augmenting_path_after_any_event():
@@ -562,7 +641,7 @@ def test_28_greedy_builds_no_view_while_the_board_has_under_two_free_vertices(mo
     m.graph.validate()
 
 
-def test_29_lgreedy_walk_stops_when_it_closes_a_cycle():
+def test_29_lgreedy_walk_stops_when_it_closes_a_cycle(monkeypatch):
     # Uncapped (budget 4), only the judged check ends a walk around a
     # spent-free cycle of ALG ^ OPT; full-model churn on 8 vertices reaches
     # such cycles. Here ALG is 1-2, 3-4 and the optimum is set by hand to
@@ -572,13 +651,44 @@ def test_29_lgreedy_walk_stops_when_it_closes_a_cycle():
     feed(m, [arrive(1, 2), arrive(3, 4), arrive(2, 3), arrive(4, 1)])
     assert m.graph.mate == m.oracle.mate == {1: 2, 2: 1, 3: 4, 4: 3}
     m.oracle.mate.update({1: 4, 4: 1, 2: 3, 3: 2})
+    reads = []
+    edge = Graph.edge
 
-    class JudgedOnce(set):
-        def add(self, v):
-            assert v not in self, f"vertex {v} walked twice"
-            super().add(v)
+    def spy(self, u, v):
+        reads.append((u, v))
+        return edge(self, u, v)
 
-    judged = JudgedOnce()
-    assert m._candidate_at(1, judged) is None
-    assert judged == {1, 2, 3, 4}
-    assert m._candidate_at(3, judged) is None
+    monkeypatch.setattr(Graph, "edge", spy)
+    # each vertex is judged once, so seeding all four reads each edge at most once
+    assert symmetric_difference(m.graph, m.oracle.mate, [1, 2, 3, 4], m.k_eff) == []
+    assert len(reads) == len(set(reads)) <= 4
+    reads.clear()
+    m.oracle.moved = {1, 2, 3, 4}
+    m._react((2, 3), None)
+    assert m.graph.mate == {1: 2, 2: 1, 3: 4, 4: 3}
+    assert len(reads) == len(set(reads)) <= 4
+
+
+@pytest.mark.parametrize("model", MODELS)
+@pytest.mark.parametrize("k", range(2, 9))
+def test_30_amp_sync_leaves_no_augmenting_unspent_component(model, k):
+    # right after every phase opens, the whole-graph reference finds no
+    # augmenting component of ALG ^ OPT free of spent edges
+    synced = 0
+    for seed in range(8):
+        m = AmpMatcher(k, model=model)
+        react = m._react
+
+        def checked_react(ends, departed, m=m, react=react):
+            nonlocal synced
+            phase = m.phase
+            react(ends, departed)
+            if m.phase > phase:
+                g = m.graph
+                walks = decompose(g, g.mate, m.oracle.mate)
+                assert augmenting_unspent(g, walks, m.state.k) == [], (model, k, seed)
+                synced += 1
+
+        m._react = checked_react
+        random_churn(random.Random(100 * k + seed), m, 80, max_vertices=12)
+    assert synced > 0

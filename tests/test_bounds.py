@@ -13,7 +13,7 @@ from flipmatch.adversaries import (
     greedy_lb_stream,
     lgreedy_lb_stream,
 )
-from flipmatch.algos import GreedyMatcher, LGreedyMatcher, effective_budget
+from flipmatch.algos import AmpMatcher, AmpState, GreedyMatcher, LGreedyMatcher, effective_budget
 from flipmatch.bounds import (
     BadBudgetError,
     BadIntervalError,
@@ -320,6 +320,24 @@ INTEGER_HOLES = [
     ("random_churn(max_edges=True)", lambda v: _churn(3, 20, v), True, BP),
 ]
 
+# The growth factor goes through one check too: a real number, finite and
+# above 1. A string used to die with a bare TypeError.
+GROWTH_SITES = [
+    ("AmpMatcher.r", lambda v: AmpMatcher(4, r=v)),
+    ("AmpState.r", lambda v: AmpState(4, v)),
+    ("amp_bound.r", lambda v: amp_bound(4, v)),
+]
+GROWTH_VALUES = [
+    ("str", "2", BP),
+    ("complex", 2 + 0j, BP),
+    ("one", 1, BP),
+    ("True", True, BP),
+    ("nan", math.nan, BP),
+    ("inf", math.inf, BP),
+    ("int", 2, None),
+    ("float", 1.5, None),
+]
+
 
 def _integer_cases():
     for name, call, minimum, error, odd in INTEGER_PARAMETERS:
@@ -331,12 +349,15 @@ def _integer_cases():
         yield pytest.param(call, minimum, None, id=f"{name}-minimum")
     for name, call, value, error in INTEGER_HOLES:
         yield pytest.param(call, value, error, id=name)
+    for site, call in GROWTH_SITES:
+        for name, value, error in GROWTH_VALUES:
+            yield pytest.param(call, value, error, id=f"{site}-{name}")
 
 
 @pytest.mark.parametrize("call, value, error", _integer_cases())
 def test_21_every_integer_parameter_is_refused_one_way(call, value, error):
     if error is None:
-        call(value)  # the minimum itself is accepted
+        call(value)  # the minimum, or a valid growth factor, is accepted
         return
     with pytest.raises(error) as err:
         call(value)

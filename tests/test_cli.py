@@ -147,6 +147,16 @@ def test_09_usage_errors(runner, tmp_path):
         result = runner.invoke(main, ["simulate", *flags, "--instance", str(good)])
         assert result.exit_code != 0
         assert isinstance(result.exception, SystemExit)
+    # an option the matcher does not take names the option and the matcher
+    for flags, message in (
+        (["--algo", "greedy", "--L", "3"], "matcher 'greedy' takes no option L"),
+        (["--algo", "lgreedy", "--r", "2"], "matcher 'lgreedy' takes no option r"),
+        (["--algo", "amp", "--L", "3"], "matcher 'amp' takes no option L"),
+    ):
+        result = runner.invoke(main, ["simulate", *flags, "--instance", str(good)])
+        assert result.exit_code != 0
+        assert isinstance(result.exception, SystemExit)
+        assert message in result.output
 
 
 @pytest.mark.parametrize("algo", ["greedy", "lgreedy", "amp"])

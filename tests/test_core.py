@@ -229,44 +229,67 @@ def test_19_augmenting_component_kind():
     assert not is_augmenting(t, [1, 2, 3, 1])
 
 
+def count_edge_reads(monkeypatch) -> list[tuple[int, int]]:
+    """Record every ``Graph.edge`` lookup from now on."""
+    reads: list[tuple[int, int]] = []
+    edge = Graph.edge
+
+    def spy(self, u, v):
+        reads.append((u, v))
+        return edge(self, u, v)
+
+    monkeypatch.setattr(Graph, "edge", spy)
+    return reads
+
+
 def test_20_symmetric_difference_kinds():
     g = Graph(6)
     build_path(g, [1, 2, 3, 4, 5, 6])
     g.apply_augmenting_path([2, 3])
     g.apply_augmenting_path([4, 5])
-    opt = {(1, 2), (3, 4), (5, 6)}
-    walks = symmetric_difference(g, g.mate, partners(opt))
-    assert walks == [[1, 2, 3, 4, 5, 6]]
-    assert is_augmenting(g, walks[0])
-    g.apply_augmenting_path(walks[0])
-    assert g.matching() == opt
+    opt = partners({(1, 2), (3, 4), (5, 6)})
+    # a seed anywhere on the component walks all of it, in some direction
+    for seed in range(1, 7):
+        (walk,) = symmetric_difference(g, opt, [seed], 6)
+        assert min(walk, walk[::-1]) == [1, 2, 3, 4, 5, 6]
+    assert symmetric_difference(g, opt, [1], 6, cap=5) == [[1, 2, 3, 4, 5, 6]]
+    assert symmetric_difference(g, opt, [1], 6, cap=4) == []
+    # a seed whose two partners agree, or that neither map covers, is no seed
+    assert symmetric_difference(g, opt, [7], 6) == []
+    assert symmetric_difference(g, dict(g.mate), list(g.vertices), 6) == []
+    # the augmenting component for OPT is not one for ALG
+    assert symmetric_difference(Graph(6), g.mate, [1], 6) == []
+    g.apply_augmenting_path(symmetric_difference(g, opt, [3], 6)[0])
+    assert g.mate == opt
 
 
-def test_22_symmetric_difference_excluding_blocked_splits():
-    # types 1,2,1 at budget 2: dropping the blocked middle splits the path
+def test_22_symmetric_difference_skips_a_spent_component():
+    # types 1,2,1 at budget 2 on 1-2-3-4, then fresh 0-1 and 4-5: the path
+    # 0-1-2-3-4-5 is augmenting but crosses the spent 2-3
     g = Graph(2)
     path = build_path(g, [1, 2, 3, 4])
     g.apply_augmenting_path([2, 3])
     g.apply_augmenting_path([1, 2, 3, 4])
     assert [e.etype for e in path] == [1, 2, 1]
-    alg, opt = g.mate, partners({(2, 3)})
-    assert symmetric_difference(g, alg, opt) == [[1, 2, 3, 4]]
-    split = symmetric_difference(g, alg, opt, blocked_at=2)
-    assert split == [[1, 2], [3, 4]]
-    assert not any(is_augmenting(g, w) for w in split)
+    build_path(g, [0, 1])
+    build_path(g, [4, 5])
+    opt = partners({(0, 1), (2, 3), (4, 5)})
+    assert symmetric_difference(g, opt, [0], 3) == [[0, 1, 2, 3, 4, 5]]
+    assert symmetric_difference(g, opt, range(6), 2) == []
 
 
-def test_15_symmetric_difference_cycle_walk_closes():
+def test_15_symmetric_difference_cycle_walk_closes(monkeypatch):
     g = Graph(4)
     build_path(g, [5, 6, 7, 8, 5])
     g.apply_augmenting_path([5, 6])
     g.apply_augmenting_path([7, 8])
     g.add_edge(1, 2)
     opt = partners({(6, 7), (5, 8), (1, 2)})
-    walks = symmetric_difference(g, g.mate, opt)
-    # paths first, then cycles, each walked from its smallest vertex
-    assert walks == [[1, 2], [5, 6, 7, 8, 5]]
-    assert [is_augmenting(g, w) for w in walks] == [True, False]
+    reads = count_edge_reads(monkeypatch)
+    # the cycle is dropped, and each vertex judged once: seeding all of it
+    # reads each of its edges at most once
+    assert symmetric_difference(g, opt, [5, 6, 7, 8, 1, 2], 4) == [[1, 2]]
+    assert len(reads) == len(set(reads)) <= 5
 
 
 def _naive_components(alg: set[tuple], opt: set[tuple]) -> list[tuple]:
@@ -317,15 +340,32 @@ def test_23_symmetric_difference_matches_naive_scan(seed):
         return chosen
 
     alg, opt = random_matching(), random_matching()
-    walks = symmetric_difference(g, partners(alg), partners(opt))
+    g.mate.update(partners(alg))
+    for pair in alg:
+        g.edges[pair].etype = rng.choice((1, 3))
+    for pair in set(live) - alg:
+        g.edges[pair].etype = rng.choice((0, 2))
+    g.validate()
+    spent_at = rng.choice((2, 3, 9))
+    cap = rng.choice((None, 1, 3))
+    walks = symmetric_difference(g, partners(opt), rng.sample(range(n), n), spent_at, cap)
     edge_walks = [[g.edge(a, b).endpoints for a, b in zip(w, w[1:])] for w in walks]
     got = sorted(
         ((frozenset(es), sum(1 if e in opt else -1 for e in es)) for es in edge_walks),
         key=lambda t: min(t[0]),
     )
-    assert got == _naive_components(alg, opt)
-    # every component is a path or cycle with alternating membership
+    # the naive scan's augmenting components (one more OPT edge than ALG
+    # edges, so a path with two ALG-free ends) within the cap and unspent
+    assert got == [
+        (es, surplus)
+        for es, surplus in _naive_components(alg, opt)
+        if surplus == 1
+        and (cap is None or len(es) <= cap)
+        and all(g.edges[e].etype < spent_at for e in es)
+    ]
+    # every walk alternates, starting and ending on an OPT edge
     for es in edge_walks:
+        assert es[0] in opt and es[-1] in opt
         for a, b in zip(es, es[1:]):
             assert (a in alg) != (b in alg)
 
@@ -337,9 +377,9 @@ def test_26_symmetric_difference_rejects_a_pair_that_is_no_edge():
     g.add_edge(1, 2)
     g.apply_augmenting_path([1, 2])
     with pytest.raises(UnknownEdgeError) as err:
-        symmetric_difference(g, g.mate, {1: 3, 3: 1})
+        symmetric_difference(g, {1: 3, 3: 1}, [1], 4)
     assert err.value.code == "unknown-edge"
-    assert symmetric_difference(g, g.mate, {1: 2, 2: 1}) == []
+    assert symmetric_difference(g, {1: 2, 2: 1}, [1, 2], 4) == []
 
 
 def test_27_refusals_name_the_pairs_they_refuse():
