@@ -46,15 +46,14 @@ class OnlineMatcher:
         self.oracle = OracleState(self.graph.rows)
 
     def on_arrival(self, event: Event) -> None:
-        u, v = event.endpoints
-        self.graph.add_edge(u, v)
-        self.oracle.insert(u, v)
-        self._react((u, v), None)
+        arrived = self.graph.add_edge(event.u, event.v)
+        self.oracle.insert(arrived.u, arrived.v)
+        self._react(arrived.endpoints, None)
 
     def on_departure(self, event: Event) -> None:
-        departed = self.graph.remove_edge(*event.endpoints)
+        departed = self.graph.remove_edge(event.u, event.v)
         self.oracle.delete(departed.u, departed.v)
-        self._react(event.endpoints, departed)
+        self._react(departed.endpoints, departed)
 
     def _react(self, ends: tuple[int, int], departed: EdgeState | None) -> None:
         """Respond to the edge at ``ends`` arriving, or leaving as ``departed``."""

@@ -30,7 +30,7 @@ def require_int(
     value: object,
     minimum: float,
     what: str,
-    error: type[ValueError] = BadParamsError,
+    error: type[Exception] = BadParamsError,
     even: bool = False,
 ) -> None:
     """The one check of an integer parameter: an ``int``, not a ``bool``, at

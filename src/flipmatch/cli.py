@@ -10,6 +10,7 @@ from __future__ import annotations
 import sys
 
 import click
+from click.core import ParameterSource
 
 from . import bounds as bounds_mod
 from .adversaries import (
@@ -44,6 +45,15 @@ def _exit_on_violation(report: RunReport) -> None:
     if report.bound_violations:
         click.echo("guarantee assertion FAILED", err=True)
         sys.exit(1)
+
+
+def _refuse_ignored(owner: str, names: tuple[str, ...]) -> None:
+    """Refuse an option that was given but that ``owner`` would ignore."""
+    ctx = click.get_current_context()
+    for param in ctx.command.params:
+        given = ctx.get_parameter_source(param.name) is not ParameterSource.DEFAULT
+        if param.name in names and given:
+            raise click.UsageError(f"{owner} takes no option {param.opts[0]}", ctx)
 
 
 @main.command("bounds")
@@ -104,6 +114,8 @@ def simulate_cmd(algo: str, k: int | None, model: str | None, instance: str,
 def duel_cmd(opponent: str, algo: str, k: int, epsilon: float, depth: int,
              max_moves: int) -> None:
     """Run one adaptive opponent against one matcher."""
+    ignored = {"det": ("epsilon",), "string": ("depth",), "fulldep": ("epsilon", "depth")}
+    _refuse_ignored(f"adversary {opponent!r}", ignored[opponent])
     try:
         if opponent == "det":
             adv, model = DetLowerBoundAdversary(k, depth=depth), ARRIVAL
@@ -134,6 +146,8 @@ def duel_cmd(opponent: str, algo: str, k: int, epsilon: float, depth: int,
 @click.option("--out", type=click.Path(dir_okay=False, writable=True), required=True)
 def gen_cmd(family: str, k: int, n: int, cap: int | None, copies: int, out: str) -> None:
     """Write a hard instance to a stream file."""
+    ignored = {"greedy-lb": ("cap", "copies"), "lgreedy-lb": ("n",)}
+    _refuse_ignored(f"family {family!r}", ignored[family])
     try:
         if family == "greedy-lb":
             events = greedy_lb_stream(k, n)

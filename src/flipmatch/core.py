@@ -14,6 +14,7 @@ the symmetric difference of the graph's matching and another one.
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, KeysView, Sequence
@@ -37,6 +38,12 @@ class GraphError(Exception):
     """
 
     code = "graph-error"
+
+
+class BadVertexError(GraphError):
+    """A vertex id was not an ``int`` (a ``bool`` is refused too)."""
+
+    code = "bad-vertex"
 
 
 class SelfLoopError(GraphError):
@@ -90,6 +97,16 @@ def arrive(u: int, v: int) -> Event:
 
 def depart(u: int, v: int) -> Event:
     return Event(DEPART, u, v)
+
+
+def _require_vertices(u: object, v: object) -> None:
+    """Refuse an id that is not an ``int``, or is a ``bool``, before comparing it.
+
+    ``2.0`` and ``True`` would otherwise alias the keys ``2`` and ``1`` in a
+    graph's ``rows`` and ``mate``.
+    """
+    for x in (u, v):
+        require_int(x, -math.inf, "vertex id", BadVertexError)
 
 
 @dataclass(eq=False)
@@ -164,6 +181,7 @@ class Graph:
     # mutation
 
     def add_edge(self, u: int, v: int) -> EdgeState:
+        _require_vertices(u, v)
         if u == v:
             raise SelfLoopError(f"self-loop at vertex {u}")
         if self.has_edge(u, v):
@@ -175,6 +193,7 @@ class Graph:
         return e
 
     def remove_edge(self, u: int, v: int) -> EdgeState:
+        _require_vertices(u, v)
         e = self.edge(u, v)
         if self.model == ARRIVAL:
             raise IllegalEventError("edges never depart under the arrival model")

@@ -11,7 +11,8 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import asdict, dataclass, field
-from typing import Iterable
+from itertools import islice
+from typing import Iterable, Iterator, Sequence
 
 from . import bounds
 from .adversaries import MOVE_CAP, ScriptedAdversary
@@ -110,26 +111,23 @@ class RunReport:
         }
 
 
-class _Recorder:
-    """Feeds events to a matcher and scores it against its board's optimum."""
+def _run(matcher: OnlineMatcher, batches: Iterable[Sequence[Event]]) -> RunReport:
+    """Feed each batch of events to a matcher, then score it: one record per batch.
 
-    def __init__(self, matcher: OnlineMatcher):
-        self.matcher = matcher
-        # under unrestricted removals every matcher can be starved, so no
-        # guarantee applies
-        full = matcher.graph.model == FULL
-        self.report = RunReport(bound=None if full else matcher.guarantee())
-
-    def feed(self, ev: Event) -> None:
-        if ev.action == ARRIVE:
-            self.matcher.on_arrival(ev)
-        else:
-            self.matcher.on_departure(ev)
-
-    def snapshot(self, label: str) -> StepRecord:
-        g = self.matcher.graph
-        alg = g.matching_size()
-        opt = self.matcher.oracle.size
+    The only loop that applies events. The optimum is checked by brute force
+    on small boards and against the matching's size on every board.
+    """
+    g = matcher.graph
+    # under unrestricted removals every matcher can be starved, so no
+    # guarantee applies
+    report = RunReport(bound=None if g.model == FULL else matcher.guarantee())
+    for batch in batches:
+        for ev in batch:
+            if ev.action == ARRIVE:
+                matcher.on_arrival(ev)
+            else:
+                matcher.on_departure(ev)
+        alg, opt = g.matching_size(), matcher.oracle.size
         if len(g.edges) <= BRUTE_FORCE_EDGE_LIMIT:
             exact = brute_force_max_matching(g.edges)
             if exact != opt:
@@ -137,20 +135,20 @@ class _Recorder:
         if opt < alg:
             raise OracleDriftError(f"optimum {opt} fell below the matching size {alg}")
         ratio = ratio_of(alg, opt)
-        record = StepRecord(
-            step=len(self.report.records) + 1,
-            event=label,
-            alg_size=alg,
-            opt_size=opt,
-            ratio=ratio,
-            total_flips=g.total_flips,
-            phase=self.matcher.phase,
+        report.records.append(
+            StepRecord(
+                step=len(report.records) + 1,
+                event="; ".join(map(str, batch)),
+                alg_size=alg,
+                opt_size=opt,
+                ratio=ratio,
+                total_flips=g.total_flips,
+                phase=matcher.phase,
+            )
         )
-        self.report.records.append(record)
-        bound = self.report.bound
-        if bound is not None and ratio > bound + 1e-9:
-            self.report.bound_violations += 1
-        return record
+        if report.bound is not None and ratio > report.bound + 1e-9:
+            report.bound_violations += 1
+    return report
 
 
 def replay(stream: Iterable[Event], matcher: OnlineMatcher) -> RunReport:
@@ -163,11 +161,7 @@ def replay(stream: Iterable[Event], matcher: OnlineMatcher) -> RunReport:
     IllegalEventError (any departure under the arrival model, and the
     departure of a matched edge under the limited model).
     """
-    rec = _Recorder(matcher)
-    for ev in stream:
-        rec.feed(ev)
-        rec.snapshot(str(ev))
-    return rec.report
+    return _run(matcher, ((ev,) for ev in stream))
 
 
 def duel(
@@ -176,23 +170,16 @@ def duel(
     """Let an adaptive opponent drive the matcher; one record per move.
 
     Runs until the opponent stops on its own or ``max_moves`` is reached.
-    Hitting the cap is reported as the stop reason, never raised. The report's
-    witnessed ratio is opt/alg at the final position.
+    Hitting the cap is reported as the stop reason, never raised, also when
+    the opponent's script would have ended on exactly that move: the
+    opponent is not resumed after its last allowed move, so it never reads
+    the matcher's reply to it (the string game's configuration never runs
+    ahead of the board). The report's witnessed ratio is opt/alg at the
+    final position.
     """
     bounds.require_int(max_moves, 1, "move cap")
-    rec = _Recorder(matcher)
-    moves = 0
-    capped = False
-    for batch in adversary.play(matcher):
-        for ev in batch:
-            rec.feed(ev)
-        rec.snapshot("; ".join(str(ev) for ev in batch))
-        moves += 1
-        if moves >= max_moves:
-            capped = True
-            break
-    report = rec.report
-    report.stop_reason = MOVE_CAP if capped else adversary.outcome
+    report = _run(matcher, islice(adversary.play(matcher), max_moves))
+    report.stop_reason = MOVE_CAP if len(report.records) == max_moves else adversary.outcome
     if report.records:
         report.witnessed = report.final_ratio
     return report
@@ -270,9 +257,9 @@ class StreamFile:
 def parse_stream(text: str) -> StreamFile:
     """Read the line-based instance format.
 
-    Two header lines (`k <int>` and `model <arrival|limited|full>`, either
-    order) precede the events; `+ u v` is an arrival, `- u v` a departure,
-    and lines starting with `#` or blank lines are skipped.
+    Two header lines (`k <int>` and `model <arrival|limited|full>`, each
+    once, either order) precede the events; `+ u v` is an arrival, `- u v` a
+    departure, and lines starting with `#` or blank lines are skipped.
     """
     k: int | None = None
     model: str | None = None
@@ -285,6 +272,8 @@ def parse_stream(text: str) -> StreamFile:
         if parts[0] == "k" and len(parts) == 2:
             if events:
                 raise BadStreamError(f"line {lineno}: header after events")
+            if k is not None:
+                raise BadStreamError(f"line {lineno}: repeated `k` header")
             try:
                 k = int(parts[1])
             except ValueError:
@@ -295,6 +284,8 @@ def parse_stream(text: str) -> StreamFile:
         if parts[0] == "model" and len(parts) == 2:
             if events:
                 raise BadStreamError(f"line {lineno}: header after events")
+            if model is not None:
+                raise BadStreamError(f"line {lineno}: repeated `model` header")
             if parts[1] not in MODELS:
                 raise BadStreamError(f"line {lineno}: unknown model {parts[1]!r}")
             model = parts[1]
@@ -377,30 +368,29 @@ def random_churn(
     bounds.require_int(n_events, 0, "n_events")
     bounds.require_int(max_vertices, 2, "max_vertices")
     bounds.require_int(max_edges, 1, "max_edges")
-    model = matcher.graph.model
-    rec = _Recorder(matcher)
-    for _ in range(n_events):
-        g = matcher.graph
-        # g.edges is in arrival order, which rng.choice relies on
-        removable = [pair for pair, e in g.edges.items() if model == FULL or not e.matched]
-        can_depart = model != ARRIVAL and bool(removable)
-        wants_departure = can_depart and rng.random() < DEPART_CHANCE
-        if not wants_departure and len(g.edges) >= max_edges:
-            if not can_depart:
-                break
-            wants_departure = True
-        if wants_departure:
-            ev = depart(*rng.choice(removable))
-        else:
-            pair = None
+    g = matcher.graph
+    model = g.model
+
+    def events() -> Iterator[Event]:
+        # each event is drawn from the board the previous one left
+        for _ in range(n_events):
+            # g.edges is in arrival order, which rng.choice relies on
+            removable = [pair for pair, e in g.edges.items() if model == FULL or not e.matched]
+            can_depart = model != ARRIVAL and bool(removable)
+            wants_departure = can_depart and rng.random() < DEPART_CHANCE
+            if not wants_departure and len(g.edges) >= max_edges:
+                if not can_depart:
+                    return
+                wants_departure = True
+            if wants_departure:
+                yield depart(*rng.choice(removable))
+                continue
             for _attempt in range(64):
                 u, v = rng.sample(range(1, max_vertices + 1), 2)
                 if not g.has_edge(u, v):
-                    pair = (u, v) if u < v else (v, u)
                     break
-            if pair is None:
-                break
-            ev = arrive(*pair)
-        rec.feed(ev)
-        rec.snapshot(str(ev))
-    return rec.report
+            else:
+                return
+            yield arrive(*((u, v) if u < v else (v, u)))
+
+    return replay(events(), matcher)

@@ -169,3 +169,37 @@ def test_10_refused_departure_names_the_pair_it_read(runner, tmp_path, algo):
     assert isinstance(result.exception, SystemExit)
     assert "edge (5, 7) is matched and cannot depart under the limited model" in result.output
     assert "edge 0" not in result.output
+
+
+@pytest.mark.parametrize(
+    "args,message",
+    [
+        (["gen", "--family", "greedy-lb", "--k", "4", "--L", "3"],
+         "family 'greedy-lb' takes no option --L"),
+        (["gen", "--family", "greedy-lb", "--k", "4", "--copies", "5"],
+         "family 'greedy-lb' takes no option --copies"),
+        (["gen", "--family", "lgreedy-lb", "--k", "8", "--n", "5"],
+         "family 'lgreedy-lb' takes no option --n"),
+        (["duel", "--adversary", "det", "--algo", "greedy", "--k", "4", "--epsilon", "9"],
+         "adversary 'det' takes no option --epsilon"),
+        (["duel", "--adversary", "string", "--algo", "greedy", "--k", "4", "--depth", "0"],
+         "adversary 'string' takes no option --depth"),
+        (["duel", "--adversary", "fulldep", "--algo", "greedy", "--k", "3", "--epsilon", "0.1"],
+         "adversary 'fulldep' takes no option --epsilon"),
+        (["duel", "--adversary", "fulldep", "--algo", "greedy", "--k", "3", "--depth", "5"],
+         "adversary 'fulldep' takes no option --depth"),
+    ],
+    ids=["greedy-lb-L", "greedy-lb-copies", "lgreedy-lb-n", "det-epsilon", "string-depth",
+         "fulldep-epsilon", "fulldep-depth"],
+)
+def test_11_an_option_the_family_or_opponent_ignores_is_refused(runner, tmp_path, args, message):
+    # these used to exit 0 and run as if the option were not there
+    out = tmp_path / "x.stream"
+    if args[0] == "gen":
+        args = [*args, "--out", str(out)]
+    result = runner.invoke(main, args)
+    assert result.exit_code == 2, result.output
+    assert isinstance(result.exception, SystemExit)
+    assert message in result.output
+    assert not out.exists()
+

@@ -6,11 +6,13 @@ import random
 
 import pytest
 
+from flipmatch.algos import GreedyMatcher
 from flipmatch.bounds import BadBudgetError
 from flipmatch.core import (
     ARRIVAL,
     FULL,
     LIMITED,
+    BadVertexError,
     BlockedPathError,
     DuplicateEdgeError,
     EdgeState,
@@ -20,9 +22,12 @@ from flipmatch.core import (
     NotAugmentingError,
     SelfLoopError,
     UnknownEdgeError,
+    arrive,
+    depart,
     is_augmenting,
     symmetric_difference,
 )
+from flipmatch.harness import replay
 
 
 def build_path(g: Graph, vertices: list[int]) -> list[EdgeState]:
@@ -415,3 +420,46 @@ def test_25_total_flips_counter():
     g.apply_augmenting_path([2, 3])
     g.apply_augmenting_path([1, 2, 3, 4])
     assert g.total_flips == 4
+
+
+def test_28_replay_refuses_a_string_vertex_id_typed():
+    # used to die with a bare TypeError from sorting the event's ends
+    matcher = GreedyMatcher(4)
+    with pytest.raises(BadVertexError) as err:
+        replay([arrive(1, "x")], matcher)
+    assert err.value.code == "bad-vertex"
+    assert isinstance(err.value, GraphError)
+    assert matcher.graph.rows == {} and matcher.oracle.size == 0
+
+
+def test_29_add_edge_refuses_a_float_vertex_id():
+    # 2.0 used to alias the int key 2 in rows and mate
+    g = Graph(4)
+    g.add_edge(1, 2)
+    before = board(g)
+    for u, v in ((1, 2.0), (3, 2.0), (2.5, 3)):
+        with pytest.raises(BadVertexError, match="vertex id must be an integer, got"):
+            g.add_edge(u, v)
+    assert board(g) == before and set(g.rows) == {1, 2}
+
+
+def test_30_add_edge_refuses_a_bool_vertex_id():
+    # True used to alias the int key 1
+    g = Graph(4)
+    for u, v in ((True, 2), (3, False)):
+        with pytest.raises(BadVertexError, match="got (True|False)"):
+            g.add_edge(u, v)
+    assert g.rows == {} and g.edges == {}
+
+
+def test_31_matchers_hand_the_event_to_the_graph_first():
+    # a departure reaches the graph's check before its ends are compared or
+    # sorted: a string id no longer raises TypeError, and 2.0 no longer
+    # removes the live edge (1, 2)
+    matcher = GreedyMatcher(4, FULL)
+    with pytest.raises(BadVertexError):
+        replay([depart(1, "x")], matcher)
+    with pytest.raises(BadVertexError):
+        replay([arrive(2, 1), depart(1, 2.0)], matcher)
+    assert matcher.graph.has_edge(1, 2) and matcher.graph.matching() == {(1, 2)}
+    matcher.oracle.verify()

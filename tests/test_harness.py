@@ -11,6 +11,7 @@ from flipmatch.adversaries import (
     SCRIPT_COMPLETE,
     DetLowerBoundAdversary,
     FullDepartureAdversary,
+    ScriptedAdversary,
     greedy_lb_stream,
 )
 from flipmatch.algos import (
@@ -262,6 +263,8 @@ def test_15_stream_parse_errors():
         "k -3\nmodel full\n",  # negative budget
         "k 4\nmodel full\n* 1 2\n",  # unknown line
         "k 4\nmodel full\n+ 3 3\n",  # self-loop
+        "k 4\nk 6\nmodel full\n+ 1 2\n",  # repeated budget header
+        "model full\nk 4\nmodel limited\n+ 1 2\n",  # repeated model header
     ]
     for text in cases:
         with pytest.raises(BadStreamError):
@@ -272,6 +275,11 @@ def test_15_stream_parse_errors():
         parse_stream("# no flips\nk -3\nmodel full\n+ 1 2\n")
     with pytest.raises(BadStreamError, match="line 4: self-loop at vertex 3"):
         parse_stream("k 4\nmodel full\n+ 1 3\n- 3 3\n")
+    # a second header line used to win silently
+    with pytest.raises(BadStreamError, match="line 2: repeated `k` header"):
+        parse_stream("k 4\nk 6\nmodel full\n+ 1 2\n")
+    with pytest.raises(BadStreamError, match="line 4: repeated `model` header"):
+        parse_stream("model full\n# budget\nk 4\nmodel limited\n+ 1 2\n")
 
 
 @pytest.mark.parametrize("max_vertices", [1, 0, -3])
@@ -391,6 +399,49 @@ def test_22_referee_catches_a_drifting_optimum(at, corrupt, message):
         replay(stream, matcher)
     assert err.value.code == "oracle-drift"
     assert len(matcher.graph.edges) == at
+
+
+@pytest.mark.parametrize("model", MODELS)
+@pytest.mark.parametrize("algo", ["greedy", "lgreedy", "amp"])
+def test_30_random_churn_is_a_replay_of_the_events_it_drew(algo, model):
+    # churn draws each event from the live board, then runs the same loop as
+    # replay: its events, replayed on a fresh matcher, give the same report
+    for seed in (1, 7, 42):
+        churned = random_churn(random.Random(seed), make_matcher(algo, 4, model=model), 40)
+        text = "\n".join(["k 4", f"model {model}", *(r.event for r in churned.records)])
+        replayed = replay(parse_stream(text).events, make_matcher(algo, 4, model=model))
+        assert replayed.to_dict() == churned.to_dict()
+        # the arrival model stops at 24 edges, the others run all 40 events
+        assert len(churned.records) == (24 if model == ARRIVAL else 40)
+
+
+class _Counter(ScriptedAdversary):
+    """Arrives one disjoint edge per move and counts how often it is resumed."""
+
+    def __init__(self, moves):
+        super().__init__()
+        self.moves, self.resumed = moves, 0
+
+    def play(self, matcher):
+        for i in range(self.moves):
+            yield [arrive(2 * i + 1, 2 * i + 2)]
+            self.resumed += 1
+        self.outcome = SCRIPT_COMPLETE
+
+
+@pytest.mark.parametrize("cap,stop", [(5, MOVE_CAP), (6, MOVE_CAP), (7, SCRIPT_COMPLETE)])
+def test_31_duel_cap_boundary(cap, stop):
+    # the det game against greedy at k=4 ends on its sixth move
+    report = duel(DetLowerBoundAdversary(4), GreedyMatcher(4, ARRIVAL), max_moves=cap)
+    assert report.stop_reason == stop
+    assert len(report.records) == min(cap, 6)
+    # an opponent is never resumed after its last allowed move, so it never
+    # reads the reply to a move past the cap
+    adversary = _Counter(6)
+    report = duel(adversary, GreedyMatcher(4, ARRIVAL), max_moves=cap)
+    assert report.stop_reason == stop
+    assert len(report.records) == min(cap, 6)
+    assert adversary.resumed == (cap - 1 if cap <= 6 else 6)
 
 
 @pytest.mark.parametrize("algo", ["greedy", "lgreedy", "amp"])
