@@ -1,17 +1,17 @@
-"""Hard instances and adaptive opponents for the online matchers.
+"""Hard instances and duel opponents for the online matchers.
 
 Two kinds of pressure live here.  The stream builders return fixed arrival
 sequences that starve a specific matcher down to its worst-case ratio when
-replayed.  The adversary classes instead play an interactive duel: they feed
-events in batches, watch how the matcher reacted, and either walk it into a
-fully blocked terminal configuration or stop the moment it declines an
-augmentation it cannot afford to skip.
+replayed.  The adversary classes instead play a duel: they feed events in
+batches, check the matching size each batch forces, and either walk the
+matcher into a fully blocked terminal configuration or stop the moment it
+declines an augmentation it cannot afford to skip.
 """
 
 from __future__ import annotations
 
 import itertools
-from typing import Iterator
+from typing import Generator, Iterator
 
 from .bounds import BadBudgetError, det_lower_bound, require_int
 from .core import Event, arrive, depart
@@ -20,6 +20,9 @@ from .core import Event, arrive, depart
 SCRIPT_COMPLETE = "script-complete"
 EXPECTATION_MISS = "expectation-miss"
 MOVE_CAP = "move-cap"
+
+# one scripted move: a batch of events and the matching size it forces
+Move = tuple[list[Event], int | None]
 
 
 # ----------------------------------------------------------------------
@@ -112,17 +115,21 @@ def _lgreedy_lb_copy(k: int, L: int, ids: Iterator[int]) -> list[Event]:
 
 
 # ----------------------------------------------------------------------
-# adaptive adversaries
+# duel opponents
 
 
 class ScriptedAdversary:
     """Base class for opponents that feed event batches and check replies.
 
     ``play`` yields batches of events; the caller feeds each batch to the
-    matcher and resumes the generator, which then inspects the matcher's
-    matching before deciding how to continue.  ``outcome`` is set when the
-    generator finishes: either the script ran to its blocked terminal
-    configuration or the matcher missed a forced augmentation.
+    matcher and resumes the generator.  A scripted opponent is oblivious:
+    ``_script`` yields its moves as ``(batch, forced_size)`` pairs, where
+    ``forced_size`` is the matching size the batch forces (None when it
+    forces nothing), and ``play`` is the one loop that plays them.
+    ``outcome`` is set when the generator finishes: either the script ran
+    to its blocked terminal configuration or the matcher missed a forced
+    augmentation.  An adaptive opponent, which reads the board to pick its
+    moves, overrides ``play``.
     """
 
     name = "adversary"
@@ -135,15 +142,16 @@ class ScriptedAdversary:
     def _fresh(self) -> int:
         return next(self._ids)
 
-    def play(self, matcher) -> Iterator[list[Event]]:
+    def _script(self) -> Iterator[Move]:
         raise NotImplementedError
 
-    def _check(self, matcher, size: int) -> bool:
-        """Record a miss unless the matcher holds exactly ``size`` edges."""
-        if matcher.graph.matching_size() == size:
-            return True
-        self.outcome = EXPECTATION_MISS
-        return False
+    def play(self, matcher) -> Iterator[list[Event]]:
+        for batch, forced_size in self._script():
+            yield batch
+            if forced_size is not None and matcher.graph.matching_size() != forced_size:
+                self.outcome = EXPECTATION_MISS
+                return
+        self.outcome = SCRIPT_COMPLETE
 
 
 class DetLowerBoundAdversary(ScriptedAdversary):
@@ -175,96 +183,72 @@ class DetLowerBoundAdversary(ScriptedAdversary):
         else:
             self.terminal = (k + 4, k + 7)
 
-    def play(self, matcher) -> Iterator[list[Event]]:
+    def _script(self) -> Iterator[Move]:
         if self.k == 3:
-            yield from self._play_pendant_rounds(matcher)
-        elif self.k % 2 == 0:
-            yield from self._play_even(matcher)
-        else:
-            yield from self._play_odd(matcher)
+            return self._pendant_rounds()
+        if self.k % 2 == 0:
+            return self._even()
+        return self._odd()
 
     # -- shared growth phase ------------------------------------------
 
-    def _grow(self, matcher):
+    def _grow(self) -> Generator[Move, None, list[int]]:
         """Stretch one path until its middle edge reaches type k.
 
-        Returns the path's vertices left to right, or None if the matcher
-        declined an augmentation (at sizes alg = j-1 vs opt = j, so the
-        witnessed ratio j/(j-1) is at or above the target for all j <= k).
+        Returns the path's vertices left to right.  A matcher that declines
+        an augmentation here stops at alg = j-1 vs opt = j, so the witnessed
+        ratio j/(j-1) is at or above the target for all j <= k.
         """
         f = self._fresh
         lo, hi = f(), f()
         path = [lo, hi]
-        yield [arrive(lo, hi)]
-        if not self._check(matcher, 1):
-            return None
+        yield [arrive(lo, hi)], 1
         for size in range(2, self.k + 1):
             lo, hi = f(), f()
-            yield [arrive(lo, path[0]), arrive(path[-1], hi)]
-            if not self._check(matcher, size):
-                return None
+            yield [arrive(lo, path[0]), arrive(path[-1], hi)], size
             path.insert(0, lo)
             path.append(hi)
         return path
 
     # -- budget 3: repeatable pendant rounds ---------------------------
 
-    def _play_pendant_rounds(self, matcher) -> Iterator[list[Event]]:
+    def _pendant_rounds(self) -> Iterator[Move]:
         f = self._fresh
         u, v = f(), f()
-        yield [arrive(u, v)]
-        if not self._check(matcher, 1):
-            return
+        yield [arrive(u, v)], 1
         pu, pv = f(), f()
-        yield [arrive(pu, u), arrive(v, pv)]
-        if not self._check(matcher, 2):
-            return
-        alg = 2
-        for _ in range(self.depth):
+        yield [arrive(pu, u), arrive(v, pv)], 2
+        for alg in range(3, 2 * self.depth + 3, 2):
             # extend both ends: the matcher must apply the length-5 path
             # (declining leaves it at ratio exactly 3/2)
             x, y = f(), f()
-            yield [arrive(x, pu), arrive(pv, y)]
-            alg += 1
-            if not self._check(matcher, alg):
-                return
+            yield [arrive(x, pu), arrive(pv, y)], alg
             # pendants around the now spent middle edge are dead weight for
             # the matcher; the pair on the surviving type-1 edge opens the
             # next round's short augmenting path
             c1, c2, w1, w2 = f(), f(), f(), f()
-            yield [arrive(u, c1), arrive(v, c2), arrive(pv, w1), arrive(y, w2)]
-            alg += 1
-            if not self._check(matcher, alg):
-                return
+            yield [arrive(u, c1), arrive(v, c2), arrive(pv, w1), arrive(y, w2)], alg + 1
             u, v, pu, pv = pv, y, w1, w2
-        self.outcome = SCRIPT_COMPLETE
 
     # -- even budgets --------------------------------------------------
 
-    def _play_even(self, matcher) -> Iterator[list[Event]]:
-        path = yield from self._grow(matcher)
-        if path is None:
-            return
+    def _even(self) -> Iterator[Move]:
+        path = yield from self._grow()
         k, f = self.k, self._fresh
         a, b, c, d = path[k - 2 : k + 2]
         pa, pb, pc, pd = f(), f(), f(), f()
         # pendants at the endpoints of both type k-1 edges open two short
         # augmenting paths; skipping them would freeze the ratio at
         # (k+2)/k, above the target
-        yield [arrive(a, pa), arrive(b, pb), arrive(c, pc), arrive(d, pd)]
-        if not self._check(matcher, k + 2):
-            return
+        yield [arrive(a, pa), arrive(b, pb), arrive(c, pc), arrive(d, pd)], k + 2
         # both middle edges are spent now; the outer pendants only feed
         # the optimum
-        yield [arrive(pa, f()), arrive(pb, f()), arrive(pc, f()), arrive(pd, f())]
-        self.outcome = SCRIPT_COMPLETE
+        yield [arrive(pa, f()), arrive(pb, f()), arrive(pc, f()), arrive(pd, f())], None
 
     # -- odd budgets -----------------------------------------------------
 
-    def _play_odd(self, matcher) -> Iterator[list[Event]]:
-        path = yield from self._grow(matcher)
-        if path is None:
-            return
+    def _odd(self) -> Iterator[Move]:
+        path = yield from self._grow()
         k, f = self.k, self._fresh
         a, b, c, d = path[k - 2 : k + 2]
         head, tail = path[0], path[-1]
@@ -279,20 +263,13 @@ class DetLowerBoundAdversary(ScriptedAdversary):
             arrive(c, pc),
             arrive(tail, pt),
             arrive(d, pd),
-        ]
-        if not self._check(matcher, k + 2):
-            return
+        ], k + 2
         hh, aa = f(), f()
-        yield [arrive(ph, hh), arrive(pa, aa)]
-        if not self._check(matcher, k + 3):
-            return
-        yield [arrive(hh, f()), arrive(aa, f())]
+        yield [arrive(ph, hh), arrive(pa, aa)], k + 3
+        yield [arrive(hh, f()), arrive(aa, f())], None
         tt, dd = f(), f()
-        yield [arrive(pt, tt), arrive(pd, dd)]
-        if not self._check(matcher, k + 4):
-            return
-        yield [arrive(tt, f()), arrive(dd, f())]
-        self.outcome = SCRIPT_COMPLETE
+        yield [arrive(pt, tt), arrive(pd, dd)], k + 4
+        yield [arrive(tt, f()), arrive(dd, f())], None
 
 
 class FullDepartureAdversary(ScriptedAdversary):
@@ -313,31 +290,19 @@ class FullDepartureAdversary(ScriptedAdversary):
         self.target = 2.0
         self.terminal = (1, 2) if k % 2 else (0, 1)
 
-    def play(self, matcher) -> Iterator[list[Event]]:
-        yield [arrive(2, 3)]
-        if not self._check(matcher, 1):
-            return
-        etype = 1
-        while etype + 2 <= self.k:
-            yield [arrive(1, 2), arrive(3, 4)]
-            if not self._check(matcher, 2):  # flips the middle up once
-                return
-            yield [depart(1, 2)]
-            yield [depart(3, 4)]
-            if not self._check(matcher, 1):  # re-matching flips it again
-                return
-            etype += 2
-        yield [arrive(1, 2), arrive(3, 4)]
-        if etype < self.k:
-            # even budget: one final climb, then strand the middle edge
-            if not self._check(matcher, 2):
-                return
-            yield [depart(1, 2)]
-            yield [depart(3, 4)]
-            if not self._check(matcher, 0):
-                return
-        elif not self._check(matcher, 1):
+    def _script(self) -> Iterator[Move]:
+        yield [arrive(2, 3)], 1
+        # each cycle flips the middle edge up once on arrival and once more
+        # when the sides leave and it is matched again
+        for _ in range((self.k - 1) // 2):
+            yield [arrive(1, 2), arrive(3, 4)], 2
+            yield [depart(1, 2)], None
+            yield [depart(3, 4)], 1
+        if self.k % 2:
             # odd budget: the middle edge is spent and blocks both sides
-            return
-        self.outcome = SCRIPT_COMPLETE
-
+            yield [arrive(1, 2), arrive(3, 4)], 1
+        else:
+            # even budget: one final climb, then strand the middle edge
+            yield [arrive(1, 2), arrive(3, 4)], 2
+            yield [depart(1, 2)], None
+            yield [depart(3, 4)], 0

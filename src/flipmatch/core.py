@@ -82,6 +82,12 @@ class Event:
     u: int
     v: int
 
+    def __post_init__(self) -> None:
+        if self.action not in (ARRIVE, DEPART):
+            raise BadParamsError(
+                f"unknown event action {self.action!r}; pick {ARRIVE!r} or {DEPART!r}"
+            )
+
     @property
     def endpoints(self) -> tuple[int, int]:
         return (self.u, self.v) if self.u <= self.v else (self.v, self.u)

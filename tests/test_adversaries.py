@@ -335,3 +335,27 @@ def _churn_events():
         events.extend(batch)
         replay(batch, matcher)
     return events
+
+
+def _played(adv, matcher):
+    """The batches a duel script feeds to ``matcher``, up to its stop."""
+    batches = []
+    for batch in adv.play(matcher):
+        batches.append(batch)
+        replay(batch, matcher)
+    assert adv.outcome in (EXPECTATION_MISS, SCRIPT_COMPLETE)
+    return batches
+
+
+@pytest.mark.parametrize(
+    "make,k,model",
+    [(DetLowerBoundAdversary, k, ARRIVAL) for k in range(3, 8)]
+    + [(FullDepartureAdversary, k, FULL) for k in range(3, 7)],
+)
+def test_28_scripted_duels_are_oblivious(make, k, model):
+    # the script never reads the board to pick a move: any matcher sees a
+    # prefix of the moves greedy sees, cut at its first miss
+    full = _played(make(k), GreedyMatcher(k, model))
+    for matcher in (LGreedyMatcher(k, model=model), AmpMatcher(k, model=model)):
+        played = _played(make(k), matcher)
+        assert played == full[: len(played)]

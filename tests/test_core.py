@@ -7,7 +7,7 @@ import random
 import pytest
 
 from flipmatch.algos import GreedyMatcher
-from flipmatch.bounds import BadBudgetError
+from flipmatch.bounds import BadBudgetError, BadParamsError
 from flipmatch.core import (
     ARRIVAL,
     FULL,
@@ -16,6 +16,7 @@ from flipmatch.core import (
     BlockedPathError,
     DuplicateEdgeError,
     EdgeState,
+    Event,
     Graph,
     GraphError,
     IllegalEventError,
@@ -463,3 +464,16 @@ def test_31_matchers_hand_the_event_to_the_graph_first():
         replay([arrive(2, 1), depart(1, 2.0)], matcher)
     assert matcher.graph.has_edge(1, 2) and matcher.graph.matching() == {(1, 2)}
     matcher.oracle.verify()
+
+
+def test_32_an_event_refuses_an_unknown_action():
+    # "stay" used to be replayed as a departure: it removed the live edge
+    # (1, 2) and was recorded as "- 1 2"
+    with pytest.raises(BadParamsError, match="unknown event action 'stay'") as err:
+        Event("stay", 1, 2)
+    assert err.value.code == "bad-params"
+    matcher = GreedyMatcher(4, FULL)
+    replay([arrive(1, 2)], matcher)
+    with pytest.raises(BadParamsError):
+        replay([Event("stay", 1, 2)], matcher)
+    assert matcher.graph.matching() == {(1, 2)}

@@ -33,6 +33,10 @@ DIGESTS = Path(__file__).resolve().parent / "golden" / "digests.json"
 
 MATCHERS = ("greedy", "lgreedy", "amp")
 BUDGETS = (4, 6, 8)
+# the scripted games take separate paths for odd budgets (det's pendant
+# rounds at k=3 and its odd script, full-departure's odd ending)
+ODD_BUDGETS = (3, 5, 7)
+SCRIPTED = ("det-lb", "full-departure")
 DUELS = {
     "det-lb": (DetLowerBoundAdversary, ARRIVAL),
     "full-departure": (FullDepartureAdversary, FULL),
@@ -69,6 +73,12 @@ def units() -> list[tuple[str, object, tuple]]:
         (f"duel {kind} k={k} {name}", _duel, (kind, k, name))
         for kind in DUELS
         for k in BUDGETS
+        for name in MATCHERS
+    ]
+    pinned += [
+        (f"duel {kind} k={k} {name}", _duel, (kind, k, name))
+        for kind in SCRIPTED
+        for k in ODD_BUDGETS
         for name in MATCHERS
     ]
     pinned += [
