@@ -52,6 +52,11 @@ def _chain(k: int):
     return replay(greedy_lb_stream(k, 40), GreedyMatcher(k, ARRIVAL))
 
 
+def _oracle_chain(name: str, k: int):
+    # L-Greedy and AMP steer by the oracle's walk, so these pin its choices
+    return replay(greedy_lb_stream(k, 40), make_matcher(name, k, ARRIVAL))
+
+
 def _swing_chain():
     return replay(lgreedy_lb_stream(8, 6, copies=3), LGreedyMatcher(8, L=6, model=ARRIVAL))
 
@@ -68,6 +73,7 @@ def _churn(model: str, k: int, name: str, seed: int):
 def units() -> list[tuple[str, object, tuple]]:
     """(label, function, arguments) of every pinned run, in a fixed order."""
     pinned = [(f"chain greedy k={k} n=40", _chain, (k,)) for k in (3, 4, 6)]
+    pinned += [(f"chain {name} k=6 n=40", _oracle_chain, (name, 6)) for name in ("lgreedy", "amp")]
     pinned.append(("swing-chain lgreedy k=8 L=6 copies=3", _swing_chain, ()))
     pinned += [
         (f"duel {kind} k={k} {name}", _duel, (kind, k, name))
