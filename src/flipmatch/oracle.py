@@ -25,13 +25,25 @@ vertex is matched.
 * delete of an unmatched edge: removing an edge never creates augmenting
   paths, so nothing needs to run.
 
-Before any search or DFS, an insert that is not matched directly counts
-the board's free vertices: every vertex is a key of the rows and every
-matched one a key of ``mate``, so there are at most ``len(rows) -
-len(mate)`` (isolated vertices count too, which only makes it an upper
-bound). An augmenting path has two distinct free ends, so with fewer than
-two there is none, and the update ends in O(1). A delete needs no count:
-it frees two vertices.
+The oracle keeps ``free``, the exact set of vertices of the rows that
+``mate`` lacks. A departure empties a row but keeps its key, so vertices
+never leave the rows and an isolated vertex stays free. An insert adds its
+free end, a direct match removes both ends, an augmentation removes the
+walk's two ends and the delete of a matched edge adds u and v. Before any
+search or DFS, an insert that is not matched directly reads ``len(free)``:
+an augmenting path has two distinct free ends, so with fewer than two
+there is none, and the update ends in O(1). A delete needs no count: it
+frees two vertices.
+
+An insert with one free end, ``end``, on a board with exactly two free
+vertices searches first from the other one, ``w``. Every augmenting path
+joins two free vertices, so it joins ``end`` and ``w``, and a one-root
+blossom search from ``w`` finds a path whenever one ends at ``w``. So when
+that search fails, no path exists and the update ends. The tree from ``w``
+is often far smaller than the one from ``end``, which on a chain spans the
+whole component. When it succeeds, the search from ``end`` runs as it
+would without the rule, and its walk is the one applied, so the matching
+and ``moved`` never depend on the rule.
 
 The graph refuses self-loops, duplicate pairs and unknown edges before the
 oracle hears of them. Budgets are irrelevant here -- the oracle answers
@@ -61,6 +73,7 @@ class OracleState:
     def __init__(self, rows: Mapping[int, Collection[int]]) -> None:
         self.rows = rows  # the graph's vertex -> {neighbor: edge state}, read only
         self.mate: dict[int, int] = {}  # vertex -> matched partner vertex
+        self.free: set[int] = set(rows)  # the vertices of ``rows`` that ``mate`` lacks
         self.moved: set[int] = set()  # vertices whose partner the last update changed
 
     @property
@@ -69,21 +82,29 @@ class OracleState:
 
     def insert(self, u: int, v: int) -> bool:
         """Repair after an edge joined the rows at u-v; True when the matching grew."""
-        mate = self.mate
+        mate, free = self.mate, self.free
         if u not in mate and v not in mate:
             mate[u] = v
             mate[v] = u
+            free.discard(u)
+            free.discard(v)
             self.moved = {u, v}
             return True
         self.moved = set()
-        if len(self.rows) - len(mate) < 2:
+        end = u if u not in mate else v if v not in mate else None  # the one free end
+        if end is not None:
+            free.add(end)
+        if len(free) < 2:
             return False  # an augmenting path needs two free ends
-        if u not in mate:
-            return self._augment((u,))
-        if v not in mate:
-            return self._augment((v,))
-        roots = self._free_in_component(u)
-        return len(roots) >= 2 and self._augment(roots)
+        if end is None:
+            roots = self._free_in_component(u)
+            return len(roots) >= 2 and self._augment(roots)
+        if len(free) == 2:
+            (w,) = free - {end}
+            if find_augmenting_path(self.rows, mate, (w,)) is None:
+                return False  # every augmenting path would end at w
+            # the walk from w can differ from end's: apply end's, as without the rule
+        return self._augment((end,))
 
     def delete(self, u: int, v: int) -> None:
         """Repair after the edge u-v left the rows, if it was matched."""
@@ -91,6 +112,7 @@ class OracleState:
         if self.mate.get(u) == v:
             del self.mate[u]
             del self.mate[v]
+            self.free.update((u, v))
             self.moved = {u, v}
             self._augment((u, v))
 
@@ -123,14 +145,18 @@ class OracleState:
         for a, b in zip(walk[::2], walk[1::2]):
             mate[a] = b
             mate[b] = a
+        self.free.difference_update((walk[0], walk[-1]))
         self.moved.update(walk)
         return True
 
     def verify(self) -> None:
-        """Assert that the matching is a matching of live edges (meant for tests)."""
+        """Assert that the matching is a matching of live edges and ``free``
+        the vertices it leaves free (meant for tests)."""
         for v, w in self.mate.items():
             assert self.mate.get(w) == v, f"vertex {v} is matched to {w}, not back"
             assert w in self.rows.get(v, ()), f"mates {v} and {w} are not joined by a live edge"
+        unmatched = {v for v in self.rows if v not in self.mate}
+        assert self.free == unmatched, f"free set {self.free}, unmatched vertices {unmatched}"
 
 
 # ----------------------------------------------------------------------

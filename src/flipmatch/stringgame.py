@@ -112,6 +112,7 @@ class StringConfig:
         self.k = k
         self.epsilon = epsilon
         self.strings: list[PathString] = []
+        self._at = 0  # where the last ``replace`` put its strings
         self.phase = phase
         self.labels: dict[PathString, tuple[str, int]] = {}
         self.totals: Counter = Counter()
@@ -133,14 +134,24 @@ class StringConfig:
         return cls(k, epsilon, strings, phase)
 
     def replace(self, old: PathString | None, new: Sequence[PathString]) -> None:
-        """Put ``new`` where ``old`` stood, or after the last string if None."""
+        """Put ``new`` where ``old`` stood, or after the last string if None.
+
+        The string a move answers is most often one the previous move put
+        in, so the search for ``old`` starts where those went and falls
+        back to a full scan. A string is in the list at most once, so
+        either finds the same position.
+        """
         if old is None:
             at = end = len(self.strings)
         else:
-            at = self.strings.index(old)
+            try:
+                at = self.strings.index(old, self._at)
+            except ValueError:
+                at = self.strings.index(old)
             end = at + 1
             self._count(self.labels.pop(old), -1)
         self.strings[at:end] = new
+        self._at = at
         for s in new:
             label = self.labels[s] = classify_string(s.digits, self.k)
             self._count(label, 1)

@@ -240,6 +240,7 @@ def test_13_flipped_is_the_last_repair_path():
             add(g, o, u, v)
         changed = {x for x in before.keys() | o.mate.keys() if before.get(x) != o.mate.get(x)}
         assert o.moved == changed
+        o.verify()
 
 
 @pytest.mark.parametrize(
@@ -394,10 +395,12 @@ def test_21_each_update_searches_only_from_the_roots_it_can_open(monkeypatch):
     assert add(g, o, 1, 2) is True
     assert calls == [] and o.moved == {1, 2}
     add(g, o, 3, 4)
-    # 8 is a free vertex away from the event, so the board has two free
-    # vertices once 0 arrives and the free-vertex count does not skip
+    # 8 and 9 are free vertices away from the event, so the board has three
+    # free vertices once 0 arrives: the free-vertex count does not skip, and
+    # the exactly-two rule (test_24) does not search from another vertex first
     add(g, o, 6, 7)
     add(g, o, 6, 8)
+    add(g, o, 6, 9)
     calls.clear()
     # one free end, on either side: the search starts from it alone
     assert add(g, o, 0, 1) is False
@@ -475,4 +478,61 @@ def test_23_an_insert_with_both_ends_matched_on_a_board_with_one_free_vertex_wal
     assert add(g, o, 2, 3) is True
     assert walks == [2]
     assert len(searches) == 1 and sorted(searches[0]) == [0, 5]
+    o.verify()
+
+
+
+def test_24_with_exactly_two_free_vertices_an_insert_searches_from_the_other_one_first(
+    monkeypatch,
+):
+    calls: list[tuple[int, ...]] = []
+
+    def spy(adj, mate, roots):
+        calls.append(tuple(roots))
+        return find_augmenting_path(adj, mate, roots)
+
+    monkeypatch.setattr(oracle, "find_augmenting_path", spy)
+    # 1-2 and 6-7 matched, 8 free behind 6: 0-1 arrives with one free end,
+    # 0, and 8 is the board's only other free vertex. The tree from 8 is
+    # 8-6-7 and stops there, so that one search settles the insert
+    g, o = board()
+    for u, v in [(1, 2), (6, 7), (6, 8)]:
+        add(g, o, u, v)
+    assert o.free == {8}
+    calls.clear()
+    assert add(g, o, 0, 1) is False
+    assert calls == [(8,)]
+    assert o.moved == set() and o.free == {0, 8}
+    o.verify()
+
+    # 1-2, 3-6 and 4-5 matched; 2-3-6-9 and 2-4-5-9 both lead from 2 to the
+    # free 9. Once 0-1 arrives, the search from 9 finds 9-5-4-2-1-0 and the
+    # search from 0 finds 0-1-2-3-6-9; the rule applies the latter
+    g, o = board()
+    for u, v in [(1, 2), (3, 6), (4, 5), (2, 3), (2, 4), (6, 9), (5, 9)]:
+        add(g, o, u, v)
+    assert o.free == {9}
+    g.add_edge(0, 1)
+    before = dict(o.mate)
+    from_end = find_augmenting_path(g.rows, before, (0,))
+    assert from_end == [0, 1, 2, 3, 6, 9]
+    assert find_augmenting_path(g.rows, before, (9,)) == [9, 5, 4, 2, 1, 0]
+    calls.clear()
+    assert o.insert(0, 1) is True
+    assert calls == [(9,), (0,)]
+    assert o.moved == set(from_end) and o.free == set()
+    assert o.mate == {0: 1, 1: 0, 2: 3, 3: 2, 6: 9, 9: 6, 4: 5, 5: 4}
+    o.verify()
+
+    # an unmatched departure empties 8's row, but 8 stays a free vertex of
+    # the rows: the search from it finds nothing at once
+    g, o = board()
+    for u, v in [(1, 2), (2, 8)]:
+        add(g, o, u, v)
+    remove(g, o, 2, 8)
+    assert g.rows[8] == {} and o.free == {8}
+    calls.clear()
+    assert add(g, o, 0, 1) is False
+    assert calls == [(8,)]
+    assert o.free == {0, 8} and o.size == 1
     o.verify()

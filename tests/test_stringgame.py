@@ -571,3 +571,28 @@ def test_31_playbook_table_agrees_with_the_rules(k):
     for stray in [(1,), (0, 2, 0), (0, k + 1, 0), ramp4(k + 2)]:
         with pytest.raises(IllegalTransitionError):
             classify_string(stray, k)
+
+
+def test_32_replace_keeps_the_list_order_wherever_the_old_string_lies():
+    # the board scan queues flipped strings in list order, so ``replace``
+    # must put the new strings exactly where the old one stood, whether the
+    # old string lies after the previous insert position or before it
+    cfg = cfg_of(4, ["0", "010", "01210", "0"])
+    a, b, c, d = cfg.strings
+    fresh = fresh_from(100)
+
+    def pieces(n):
+        return [PathString((0,), (fresh(), fresh())) for _ in range(n)]
+
+    e, f = pieces(2)
+    cfg.replace(c, [e, f])
+    assert cfg.strings == [a, b, e, f, d]
+    (g,) = pieces(1)
+    cfg.replace(f, [g])  # found from the previous insert position
+    assert cfg.strings == [a, b, e, g, d]
+    h, i = pieces(2)
+    cfg.replace(a, [h, i])  # before it: the full scan finds it
+    assert cfg.strings == [h, i, b, e, g, d]
+    cfg.replace(d, [])
+    assert cfg.strings == [h, i, b, e, g]
+    assert sum(cfg.totals.values()) == len(cfg.labels) == 5
