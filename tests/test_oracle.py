@@ -481,7 +481,6 @@ def test_23_an_insert_with_both_ends_matched_on_a_board_with_one_free_vertex_wal
     o.verify()
 
 
-
 def test_24_with_exactly_two_free_vertices_an_insert_searches_from_the_other_one_first(
     monkeypatch,
 ):
