@@ -90,7 +90,10 @@ def amp_bound(k: int, r: float) -> float:
     """Guarantee of the doubling matcher at growth factor ``r``: r^k/(r^(k-1)-r)."""
     require_int(k, 4, "budget", BadBudgetError, even=True)
     require_growth(r)
-    return r**k / (r ** (k - 1) - r)
+    try:
+        return r**k / (r ** (k - 1) - r)
+    except OverflowError:  # r^(2-k) is below float resolution, so the bound is r
+        return r
 
 
 def amp_bound_improved(k: int) -> float:
@@ -107,7 +110,10 @@ def amp_bound_original(k: int) -> float:
     require_int(k, 4, "budget", BadBudgetError, even=True)
 
     def denom(r: float) -> float:
-        return r ** (k - 1) * (r - 1) - r
+        try:
+            return r ** (k - 1) * (r - 1) - r
+        except OverflowError:
+            return math.inf  # far past the root, so positive
 
     lo, hi = 1.0 + 1e-6, 2.0
     if denom(lo) >= 0:
@@ -126,7 +132,10 @@ def amp_bound_original(k: int) -> float:
         d = denom(r)
         if d <= 0:
             return math.inf
-        return r**k * (r - 1) / d
+        try:
+            return r**k * (r - 1) / d
+        except OverflowError:  # r^(2-k) is below float resolution, so the ratio is r
+            return r
 
     result = minimize_1d(objective, r0 + 1e-9, 8.0, tol=1e-9)
     return result.min

@@ -274,10 +274,9 @@ def parse_stream(text: str) -> StreamFile:
                 raise BadStreamError(f"line {lineno}: header after events")
             if k is not None:
                 raise BadStreamError(f"line {lineno}: repeated `k` header")
-            try:
-                k = int(parts[1])
-            except ValueError:
-                raise BadStreamError(f"line {lineno}: bad budget {parts[1]!r}") from None
+            k = _written_int(parts[1])
+            if k is None:
+                raise BadStreamError(f"line {lineno}: bad budget {parts[1]!r}")
             if k < 1:
                 raise BadStreamError(f"line {lineno}: budget must be at least 1, got {k}")
             continue
@@ -291,10 +290,9 @@ def parse_stream(text: str) -> StreamFile:
             model = parts[1]
             continue
         if parts[0] in ("+", "-") and len(parts) == 3:
-            try:
-                u, v = int(parts[1]), int(parts[2])
-            except ValueError:
-                raise BadStreamError(f"line {lineno}: bad endpoints {line!r}") from None
+            u, v = _written_int(parts[1]), _written_int(parts[2])
+            if u is None or v is None:
+                raise BadStreamError(f"line {lineno}: bad endpoints {line!r}")
             if u <= 0 or v <= 0:
                 raise BadStreamError(f"line {lineno}: vertex ids must be positive")
             if u == v:
@@ -305,6 +303,17 @@ def parse_stream(text: str) -> StreamFile:
     if k is None or model is None:
         raise BadStreamError("missing `k` or `model` header")
     return StreamFile(k=k, model=model, events=tuple(events))
+
+
+def _written_int(token: str) -> int | None:
+    """``token``'s integer if it reads exactly as ``str`` writes that integer,
+    else None: ``int`` alone also takes ``+4``, ``01``, ``1_0`` and non-ASCII
+    digits, which would name the same vertex two ways."""
+    try:
+        value = int(token)
+    except ValueError:
+        return None
+    return value if str(value) == token else None
 
 
 def write_stream(k: int, model: str, events: Iterable[Event]) -> str:

@@ -30,20 +30,19 @@ The oracle keeps ``free``, the exact set of vertices of the rows that
 never leave the rows and an isolated vertex stays free. An insert adds its
 free end, a direct match removes both ends, an augmentation removes the
 walk's two ends and the delete of a matched edge adds u and v. Before any
-search or DFS, an insert that is not matched directly reads ``len(free)``:
-an augmenting path has two distinct free ends, so with fewer than two
-there is none, and the update ends in O(1). A delete needs no count: it
-frees two vertices.
+search or DFS, an insert that is not matched directly reads ``len(free)``.
+An augmenting path joins two distinct free vertices, so with fewer than
+two there is none, and the update ends in O(1). A delete needs no count:
+it frees two vertices.
 
-An insert with one free end, ``end``, on a board with exactly two free
-vertices searches first from the other one, ``w``. Every augmenting path
-joins two free vertices, so it joins ``end`` and ``w``, and a one-root
-blossom search from ``w`` finds a path whenever one ends at ``w``. So when
-that search fails, no path exists and the update ends. The tree from ``w``
-is often far smaller than the one from ``end``, which on a chain spans the
-whole component. When it succeeds, the search from ``end`` runs as it
-would without the rule, and its walk is the one applied, so the matching
-and ``moved`` never depend on the rule.
+With exactly two free vertices, every augmenting path joins them, and a
+one-root blossom search finds a path whenever one ends at its root. So one
+search settles the insert, and its walk is applied: L-Greedy and AMP steer
+by any maximum matching. It starts from the free vertex that is not the
+insert's end, whose tree is often far smaller (on a chain the end's spans
+the component), or from the smaller one when both ends are matched. The
+component DFS thus runs only with three or more free vertices, and no
+update searches twice.
 
 The graph refuses self-loops, duplicate pairs and unknown edges before the
 oracle hears of them. Budgets are irrelevant here -- the oracle answers
@@ -96,14 +95,12 @@ class OracleState:
             free.add(end)
         if len(free) < 2:
             return False  # an augmenting path needs two free ends
+        if len(free) == 2:
+            # every augmenting path joins the two: one search from either settles it
+            return self._augment((min(free - {end}),))
         if end is None:
             roots = self._free_in_component(u)
             return len(roots) >= 2 and self._augment(roots)
-        if len(free) == 2:
-            (w,) = free - {end}
-            if find_augmenting_path(self.rows, mate, (w,)) is None:
-                return False  # every augmenting path would end at w
-            # the walk from w can differ from end's: apply end's, as without the rule
         return self._augment((end,))
 
     def delete(self, u: int, v: int) -> None:

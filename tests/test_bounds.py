@@ -90,6 +90,12 @@ def test_06_amp_bound_improved_closed_form():
         assert amp_bound_improved(k) == pytest.approx(r**k / (r ** (k - 1) - r))
     assert amp_bound_improved(4) == pytest.approx(2.598076, abs=5e-7)
     assert amp_bound_improved(16) == pytest.approx(1.300079, abs=5e-7)
+    # from k=342 at r=8, r^(k-1) overflows; r^(2-k) is then below float
+    # resolution, so the bound is r, as it already reads where it computes
+    assert amp_bound(340, 8.0) == 8.0
+    assert amp_bound(342, 8.0) == 8.0
+    assert amp_bound(1000, 8.0) == 8.0
+    assert amp_bound(4, 1e200) == 1e200
 
 
 def test_07_amp_bound_original_reference_values():
@@ -108,6 +114,11 @@ def test_07_amp_bound_original_reference_values():
     }
     for k, expect in series.items():
         assert amp_bound_original(k) == pytest.approx(expect, abs=1e-4)
+    # from k=426 some golden-section trial points overflow r^(k-1), and from
+    # k=1026 the root's bracket does too; the series keeps falling through both
+    large = [amp_bound_original(k) for k in (424, 426, 1000, 1024, 1026)]
+    assert large == sorted(large, reverse=True) and large[-1] > 1
+    assert large[2] == pytest.approx(1.012473, abs=5e-7)
 
 
 def test_08_amp_original_dominates_improved():

@@ -203,3 +203,14 @@ def test_11_an_option_the_family_or_opponent_ignores_is_refused(runner, tmp_path
     assert message in result.output
     assert not out.exists()
 
+
+def test_12_bounds_and_amp_at_a_budget_of_1000(runner, tmp_path):
+    # at this budget r^(k-1) overflows a float at some of the r the bounds try
+    result = runner.invoke(main, ["bounds", "--k-min", "1000", "--k-max", "1000"])
+    assert result.exit_code == 0, result.output
+    assert result.output.splitlines()[1] == "1000,1.001001,1.001003,1.032220,1.007954,1.012473"
+    out = tmp_path / "one.stream"
+    out.write_text("k 1000\nmodel arrival\n+ 1 2\n")
+    result = runner.invoke(main, ["simulate", "--algo", "amp", "--r", "8", "--instance", str(out)])
+    assert result.exit_code == 0, result.output
+    assert "violations:  0" in result.output

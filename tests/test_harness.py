@@ -265,6 +265,12 @@ def test_15_stream_parse_errors():
         "k 4\nmodel full\n+ 3 3\n",  # self-loop
         "k 4\nk 6\nmodel full\n+ 1 2\n",  # repeated budget header
         "model full\nk 4\nmodel limited\n+ 1 2\n",  # repeated model header
+        # integers that write_stream never writes: int() alone reads them
+        "k 1_0\nmodel full\n",  # a budget of 10 with a digit separator
+        "k 4\nmodel full\n+ 1_0 2\n",  # the vertex 10, named a second way
+        "k 4\nmodel full\n+ +4 2\n",  # an explicit sign
+        "k 4\nmodel full\n+ 1 01\n",  # a leading zero
+        "k 4\nmodel full\n+ \u0663 2\n",  # an Arabic-Indic digit three
     ]
     for text in cases:
         with pytest.raises(BadStreamError):
@@ -273,6 +279,12 @@ def test_15_stream_parse_errors():
     # a budget below 1 names its line instead of failing later in the matcher
     with pytest.raises(BadStreamError, match="line 2: budget must be at least 1, got -3"):
         parse_stream("# no flips\nk -3\nmodel full\n+ 1 2\n")
+    with pytest.raises(BadStreamError, match="line 3: bad endpoints '\\+ 1_0 2'"):
+        parse_stream("k 4\nmodel full\n+ 1_0 2\n")
+    with pytest.raises(BadStreamError, match="line 1: bad budget '01'"):
+        parse_stream("k 01\nmodel full\n")
+    with pytest.raises(BadStreamError, match="line 3: vertex ids must be positive"):
+        parse_stream("k 4\nmodel full\n+ -1 2\n")
     with pytest.raises(BadStreamError, match="line 4: self-loop at vertex 3"):
         parse_stream("k 4\nmodel full\n+ 1 3\n- 3 3\n")
     # a second header line used to win silently

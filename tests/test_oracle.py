@@ -7,15 +7,17 @@ import random
 import pytest
 
 from flipmatch import oracle
-from flipmatch.algos import MATCHERS, make_matcher
+from flipmatch.algos import MATCHERS, LGreedyMatcher, make_matcher
 from flipmatch.blossom import find_augmenting_path
-from flipmatch.core import FULL, EdgeState, Graph, SelfLoopError, arrive, depart
+from flipmatch.core import FULL, LIMITED, EdgeState, Graph, SelfLoopError, arrive, depart
+from flipmatch.harness import duel
 from flipmatch.oracle import (
     BRUTE_FORCE_EDGE_LIMIT,
     OracleState,
     TooLargeError,
     brute_force_max_matching,
 )
+from flipmatch.stringgame import StringGameAdversary
 
 try:
     import networkx as nx
@@ -468,16 +470,16 @@ def test_23_an_insert_with_both_ends_matched_on_a_board_with_one_free_vertex_wal
     assert add(g, o, 2, 3) is False
     assert walks == [] and searches == []
     assert o.moved == set() and o.size == 2
-    # test_21's board has exactly two free vertices, 0 and 5, so 2-3 still
-    # collects them and searches from both
+    # test_21's board has exactly two free vertices, 0 and 5, so 2-3 makes no
+    # DFS: it searches once, from the smaller one
     g, o = board()
     for u, v in [(1, 2), (3, 4), (0, 1), (4, 5)]:
         add(g, o, u, v)
     walks.clear()
     searches.clear()
     assert add(g, o, 2, 3) is True
-    assert walks == [2]
-    assert len(searches) == 1 and sorted(searches[0]) == [0, 5]
+    assert walks == []
+    assert searches == [(0,)]
     o.verify()
 
 
@@ -506,21 +508,21 @@ def test_24_with_exactly_two_free_vertices_an_insert_searches_from_the_other_one
 
     # 1-2, 3-6 and 4-5 matched; 2-3-6-9 and 2-4-5-9 both lead from 2 to the
     # free 9. Once 0-1 arrives, the search from 9 finds 9-5-4-2-1-0 and the
-    # search from 0 finds 0-1-2-3-6-9; the rule applies the latter
+    # search from 0 would find 0-1-2-3-6-9; the insert searches only from 9
+    # and applies its walk
     g, o = board()
     for u, v in [(1, 2), (3, 6), (4, 5), (2, 3), (2, 4), (6, 9), (5, 9)]:
         add(g, o, u, v)
     assert o.free == {9}
     g.add_edge(0, 1)
     before = dict(o.mate)
-    from_end = find_augmenting_path(g.rows, before, (0,))
-    assert from_end == [0, 1, 2, 3, 6, 9]
+    assert find_augmenting_path(g.rows, before, (0,)) == [0, 1, 2, 3, 6, 9]
     assert find_augmenting_path(g.rows, before, (9,)) == [9, 5, 4, 2, 1, 0]
     calls.clear()
     assert o.insert(0, 1) is True
-    assert calls == [(9,), (0,)]
-    assert o.moved == set(from_end) and o.free == set()
-    assert o.mate == {0: 1, 1: 0, 2: 3, 3: 2, 6: 9, 9: 6, 4: 5, 5: 4}
+    assert calls == [(9,)]
+    assert o.moved == {0, 1, 2, 4, 5, 9} and o.free == set()
+    assert o.mate == {0: 1, 1: 0, 2: 4, 4: 2, 5: 9, 9: 5, 3: 6, 6: 3}
     o.verify()
 
     # an unmatched departure empties 8's row, but 8 stays a free vertex of
@@ -535,3 +537,31 @@ def test_24_with_exactly_two_free_vertices_an_insert_searches_from_the_other_one
     assert calls == [(8,)]
     assert o.free == {0, 8} and o.size == 1
     o.verify()
+
+
+def test_25_no_insert_of_a_string_duel_searches_twice(monkeypatch):
+    # the k=8 string duel against L-Greedy meets hundreds of inserts on a
+    # board with exactly two free vertices whose search succeeds; each makes
+    # one search, whichever end of the insert is free
+    searches: list[tuple[int, ...]] = []
+    inserts: list[tuple[int, bool, bool]] = []  # searches, exactly two, grew
+    insert = OracleState.insert
+
+    def search_spy(adj, mate, roots):
+        searches.append(tuple(roots))
+        return find_augmenting_path(adj, mate, roots)
+
+    def insert_spy(self, u, v):
+        free = self.free | {x for x in (u, v) if x not in self.mate}
+        direct = u not in self.mate and v not in self.mate
+        searches.clear()
+        grew = insert(self, u, v)
+        inserts.append((len(searches), not direct and len(free) == 2, grew))
+        return grew
+
+    monkeypatch.setattr(oracle, "find_augmenting_path", search_spy)
+    monkeypatch.setattr(OracleState, "insert", insert_spy)
+    report = duel(StringGameAdversary(8), LGreedyMatcher(8, model=LIMITED))
+    assert report.bound_violations == 0
+    assert max(n for n, _, _ in inserts) == 1
+    assert any(two and grew for _, two, grew in inserts)
