@@ -115,9 +115,15 @@ def amp_bound_original(k: int) -> float:
         except OverflowError:
             return math.inf  # far past the root, so positive
 
-    lo, hi = 1.0 + 1e-6, 2.0
-    if denom(lo) >= 0:
-        raise BadBudgetError(f"no denominator root above 1 for k={k}")
+    # the root nears 1 as k grows (past it from about k=1.38e7 at 1 + 1e-6),
+    # so halve lo - 1 until lo is below the root again
+    step = 1e-6
+    lo, hi = 1.0 + step, 2.0
+    while denom(lo) >= 0:
+        step /= 2
+        lo = 1.0 + step
+        if lo == 1.0:
+            raise BadBudgetError(f"no denominator root above 1 for k={k}")
     while denom(hi) <= 0:
         hi *= 2
     for _ in range(200):

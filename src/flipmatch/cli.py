@@ -66,7 +66,11 @@ def bounds_cmd(k_min: int, k_max: int) -> None:
     ks = [k for k in range(k_min, k_max + 1) if k % 2 == 0 and k >= 4]
     if not ks:
         raise click.BadParameter(f"no even budgets >= 4 in [{k_min}, {k_max}]")
-    click.echo(emit_bound_table(ks), nl=False)
+    try:
+        table = emit_bound_table(ks)
+    except ValueError as exc:
+        raise click.ClickException(str(exc)) from exc
+    click.echo(table, nl=False)
 
 
 @main.command("simulate")

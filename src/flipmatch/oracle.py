@@ -161,50 +161,78 @@ class OracleState:
 
 
 def brute_force_max_matching(edges: Iterable[tuple[int, int]]) -> int:
-    """Exact maximum matching size by exhaustive branching over edge bitmasks.
+    """Exact maximum matching size: peel pendant edges, then branch on the rest.
 
-    The input is normalised to a set of unordered pairs, so a reversed
-    duplicate counts once; a self-loop raises ``SelfLoopError``. Guarded to
-    at most ``BRUTE_FORCE_EDGE_LIMIT`` distinct pairs. Each connected
-    component is solved by ``_component_max``, which memoizes within a call
-    on the mask of live edges and across calls on the component's pairs, so
-    repeated calls on evolving graphs stay cheap.
+    The input is normalised to neighbour sets, so a reversed duplicate
+    counts once; a self-loop raises ``SelfLoopError``. Guarded to at most
+    ``BRUTE_FORCE_EDGE_LIMIT`` distinct pairs.
+
+    Every vertex of degree 1 is peeled first: the leaf x is matched to its
+    only neighbour y, the count rises by one, and x and y leave the board.
+    This is exact (Karp and Sipser's degree-1 rule): take a maximum matching
+    M. If x is matched, its partner is y. If x is free and y is free, M + xy
+    is larger, which is impossible. If x is free and y is matched, swapping
+    y's matched edge for xy gives a maximum matching with xy. So some maximum
+    matching holds xy, and nu(G) = 1 + nu(G - x - y). A neighbour of y that
+    drops to degree 1 is queued in turn, so a forest is peeled away entirely
+    and only the 2-core, where every vertex has degree at least 2, is left.
+    Each connected component of what remains is solved by ``_component_max``.
     """
-    pairs: set[tuple[int, int]] = set()
+    nbrs: dict[int, set[int]] = {}
     for u, v in edges:
         if u == v:
             raise SelfLoopError(f"self-loop at vertex {u}")
-        pairs.add((u, v) if u < v else (v, u))
-    if len(pairs) > BRUTE_FORCE_EDGE_LIMIT:
+        nbrs.setdefault(u, set()).add(v)
+        nbrs.setdefault(v, set()).add(u)
+    count = sum(map(len, nbrs.values())) // 2
+    if count > BRUTE_FORCE_EDGE_LIMIT:
         raise TooLargeError(
-            f"{len(pairs)} edges exceed the brute-force limit of {BRUTE_FORCE_EDGE_LIMIT}"
+            f"{count} edges exceed the brute-force limit of {BRUTE_FORCE_EDGE_LIMIT}"
         )
-    at: dict[int, list[tuple[int, int]]] = {}
-    for pair in pairs:
-        for x in pair:
-            at.setdefault(x, []).append(pair)
     total = 0
+    leaves = [x for x, around in nbrs.items() if len(around) == 1]
+    while leaves:
+        x = leaves.pop()
+        if len(nbrs.get(x, ())) != 1:
+            continue  # gone with a partner, or isolated when its neighbour went
+        (y,) = nbrs.pop(x)
+        total += 1
+        for z in nbrs.pop(y):
+            if z != x:
+                around = nbrs[z]
+                around.discard(y)
+                if len(around) == 1:
+                    leaves.append(z)
     seen: set[int] = set()
-    for start in at:
-        if start in seen:
+    for start, around in nbrs.items():
+        if start in seen or not around:
             continue
         seen.add(start)
         stack = [start]
         comp: set[tuple[int, int]] = set()
         while stack:
-            for pair in at[stack.pop()]:
-                comp.add(pair)
-                for y in pair:
-                    if y not in seen:
-                        seen.add(y)
-                        stack.append(y)
+            x = stack.pop()
+            for y in nbrs[x]:
+                comp.add((x, y) if x < y else (y, x))
+                if y not in seen:
+                    seen.add(y)
+                    stack.append(y)
         total += _component_max(frozenset(comp))
     return total
 
 
 @lru_cache(maxsize=200_000)
 def _component_max(edges: frozenset[tuple[int, int]]) -> int:
-    """Maximum matching size of one component; edge ``i`` of the sorted pairs is bit ``i``."""
+    """Maximum matching size of one component; edge ``i`` of the sorted pairs is bit ``i``.
+
+    Each call branches on the lowest live edge: drop it, or take it and
+    clear every edge that shares an endpoint. It memoizes within a call on
+    the mask of live edges and across calls on the component's pairs.
+    ``brute_force_max_matching`` hands it only components of the 2-core
+    left after peeling every degree-1 vertex, which is exact because some
+    maximum matching holds each pendant edge (see there): a forest never
+    reaches it, so the cache holds only the kernels of the boards.
+    """
     pairs = sorted(edges)
     incident: dict[int, int] = {}  # vertex -> mask of its edges
     for i, (u, v) in enumerate(pairs):
