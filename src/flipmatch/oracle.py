@@ -174,8 +174,8 @@ def brute_force_max_matching(edges: Iterable[tuple[int, int]]) -> int:
     is larger, which is impossible. If x is free and y is matched, swapping
     y's matched edge for xy gives a maximum matching with xy. So some maximum
     matching holds xy, and nu(G) = 1 + nu(G - x - y). A neighbour of y that
-    drops to degree 1 is queued in turn, so a forest is peeled away entirely
-    and only the 2-core, where every vertex has degree at least 2, is left.
+    drops to degree 1 is queued in turn. What is left has no vertex of
+    degree 1: it lies in the 2-core, and a forest is peeled away entirely.
     Each connected component of what remains is solved by ``_component_max``.
     """
     nbrs: dict[int, set[int]] = {}
@@ -228,10 +228,11 @@ def _component_max(edges: frozenset[tuple[int, int]]) -> int:
     Each call branches on the lowest live edge: drop it, or take it and
     clear every edge that shares an endpoint. It memoizes within a call on
     the mask of live edges and across calls on the component's pairs.
-    ``brute_force_max_matching`` hands it only components of the 2-core
-    left after peeling every degree-1 vertex, which is exact because some
-    maximum matching holds each pendant edge (see there): a forest never
-    reaches it, so the cache holds only the kernels of the boards.
+    ``brute_force_max_matching`` hands it only the components left after
+    peeling every degree-1 vertex, in which every vertex has degree 2 or
+    more. The peel is exact because some maximum matching holds each
+    pendant edge (proved there), so a forest never reaches this DP and the
+    cache holds only the boards' kernels.
     """
     pairs = sorted(edges)
     incident: dict[int, int] = {}  # vertex -> mask of its edges

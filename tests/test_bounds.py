@@ -374,3 +374,20 @@ def test_21_every_integer_parameter_is_refused_one_way(call, value, error):
         call(value)
     assert type(err.value) is error
     assert err.value.code == error.code
+
+
+def test_22_amp_bound_original_past_the_fixed_bracket():
+    # from about k=1.38e7 the root of the denominator lies below 1 + 1e-6,
+    # so the bracket's lower end is halved towards 1 until it is below again
+    at_14m = amp_bound_original(14_000_000)
+    assert at_14m == pytest.approx(1.0000022, abs=5e-8)
+    at_1e9 = amp_bound_original(10**9)
+    assert 1 < at_1e9 < at_14m
+    for k, value in ((14_000_000, at_14m), (10**9, at_1e9)):
+        assert value >= amp_bound_improved(k)
+    # budgets the fixed bracket served keep their values bit for bit
+    assert amp_bound_original(1000) == 1.0124734309370467
+    assert amp_bound_original(13_000_000) == 1.0000023369290556
+    # from about k=1e18 the root is within float resolution of 1
+    with pytest.raises(BadBudgetError, match="no denominator root above 1"):
+        amp_bound_original(10**18)

@@ -214,3 +214,16 @@ def test_12_bounds_and_amp_at_a_budget_of_1000(runner, tmp_path):
     result = runner.invoke(main, ["simulate", "--algo", "amp", "--r", "8", "--instance", str(out)])
     assert result.exit_code == 0, result.output
     assert "violations:  0" in result.output
+
+
+def test_13_bounds_at_large_budgets(runner):
+    result = runner.invoke(main, ["bounds", "--k-min", "14000000", "--k-max", "14000000"])
+    assert result.exit_code == 0, result.output
+    assert result.output.splitlines()[1] == "14000000,1.000000,1.000000,1.000267,1.000001,1.000002"
+    # at k=1e18 the growth factors sit within float resolution of 1, and
+    # the refusal is an error message, not a traceback
+    k = str(10**18)
+    result = runner.invoke(main, ["bounds", "--k-min", k, "--k-max", k])
+    assert result.exit_code == 1
+    assert isinstance(result.exception, SystemExit)
+    assert result.output.startswith("Error: ") and "above 1" in result.output

@@ -565,3 +565,120 @@ def test_25_no_insert_of_a_string_duel_searches_twice(monkeypatch):
     assert report.bound_violations == 0
     assert max(n for n, _, _ in inserts) == 1
     assert any(two and grew for _, two, grew in inserts)
+
+
+def pendant_board(rng: random.Random) -> tuple[str, set[str], list[tuple[int, int]]]:
+    """A non-trivial 2-core with pendant paths and trees hung off it: at most
+    24 distinct pairs, relabelled and oriented at random. Returns the core's
+    shape, the kinds of pendant hung and the pairs."""
+    shape = rng.choice(("odd cycle", "blossom", "petersen minus edges"))
+    if shape == "odd cycle":
+        n = rng.choice((3, 5, 7, 9))
+        core = [(i, (i + 1) % n) for i in range(n)]
+    elif shape == "blossom":
+        # an odd cycle, a stem of 0-2 edges from its vertex 0, and a second
+        # odd cycle through the stem's far end
+        a, b = rng.choice((3, 5)), rng.choice((3, 5, 7))
+        core = [(i, (i + 1) % a) for i in range(a)]
+        join, nxt = 0, a
+        for _ in range(rng.randint(0, 2)):
+            core.append((join, nxt))
+            join, nxt = nxt, nxt + 1
+        ring = [join, *range(nxt, nxt + b - 1)]
+        core += list(zip(ring, ring[1:] + ring[:1]))
+    else:
+        core = petersen_edges()
+        for e in rng.sample(core, rng.randint(1, 3)):
+            core.remove(e)
+    pairs = list(core)
+    verts = sorted({x for e in core for x in e})
+    nxt = max(verts) + 1
+    kinds: set[str] = set()
+    for _ in range(rng.randint(1, 3)):
+        room = BRUTE_FORCE_EDGE_LIMIT - len(pairs)
+        if room == 0:
+            break
+        kind = rng.choice(("path", "tree"))
+        grown = [rng.choice(verts)]
+        for _ in range(rng.randint(1, min(6, room))):
+            at = grown[-1] if kind == "path" else rng.choice(grown)
+            pairs.append((at, nxt))
+            grown.append(nxt)
+            nxt += 1
+        verts += grown[1:]
+        kinds.add(kind)
+    labels = rng.sample(range(100), nxt)
+    out = [(labels[u], labels[v])[:: rng.choice((1, -1))] for u, v in pairs]
+    rng.shuffle(out)
+    return shape, kinds, out
+
+
+@pytest.mark.skipif(nx is None, reason="networkx not installed")
+def test_26_peeling_pendants_off_a_core_agrees_with_networkx(monkeypatch):
+    dp_calls = []
+    solve = oracle._component_max
+
+    def spy(edges):
+        dp_calls.append(edges)
+        return solve(edges)
+
+    monkeypatch.setattr(oracle, "_component_max", spy)
+    rng = random.Random(26)
+    shapes: dict[str, int] = {}
+    kinds = {"path": 0, "tree": 0}
+    reached_dp = 0
+    for board_no in range(2000):
+        shape, hung, edges = pendant_board(rng)
+        g = nx.Graph(edges)
+        assert g.number_of_edges() == len(edges) <= BRUTE_FORCE_EDGE_LIMIT
+        assert nx.k_core(g, 2).number_of_edges() > 0 and min(d for _, d in g.degree) == 1
+        expect = len(nx.max_weight_matching(g, maxcardinality=True))
+        if board_no % 4 == 0:
+            edges = edges + [(v, u) for u, v in rng.sample(edges, (len(edges) + 1) // 2)]
+        dp_calls.clear()
+        assert brute_force_max_matching(edges) == expect, edges
+        shapes[shape] = shapes.get(shape, 0) + 1
+        for kind in hung:
+            kinds[kind] += 1
+        reached_dp += bool(dp_calls)
+    # the generator reaches every shape it promises, and the peel both leaves
+    # kernels to the DP and, on some boards, eats the whole core
+    assert len(shapes) == 3 and min(shapes.values()) > 500, shapes
+    assert min(kinds.values()) > 500, kinds
+    assert 200 < reached_dp < 1800, reached_dp
+
+
+def test_27_forests_never_reach_the_dp_and_a_core_hands_it_only_its_kernel(monkeypatch):
+    dp_calls = []
+    solve = oracle._component_max
+
+    def spy(edges):
+        dp_calls.append(edges)
+        return solve(edges)
+
+    monkeypatch.setattr(oracle, "_component_max", spy)
+    path = [(i, i + 1) for i in range(9)]
+    star = [(0, i) for i in range(1, 9)]
+    spine = [(i, i + 1) for i in range(4)]
+    caterpillar = spine + [(i, 10 + 2 * i + j) for i in range(5) for j in range(2)]
+    for edges, size in ((path, 5), (star, 1), (caterpillar, 5)):
+        assert brute_force_max_matching(edges) == size
+        assert brute_force_max_matching([(v, u) for u, v in reversed(edges)]) == size
+    # a pendant at a triangle takes a core vertex, and the rest peels too
+    assert brute_force_max_matching([(1, 2), (2, 3), (1, 3), (3, 4)]) == 2
+    assert dp_calls == []
+
+    def pairs(edges):
+        return frozenset((min(e), max(e)) for e in edges)
+
+    pentagon = [(i, (i + 1) % 5) for i in range(5)]
+    # a two-edge pendant path off vertex 0 peels to the bare pentagon
+    assert brute_force_max_matching(pentagon + [(0, 10), (10, 11)]) == 3
+    assert dp_calls == [pairs(pentagon)]
+    dp_calls.clear()
+    # a star hung by its centre off the Petersen graph, beside a loose path:
+    # only the Petersen graph is left
+    star_off_0 = [(0, 20), (20, 21), (20, 22)]
+    loose = [(30, 31), (31, 32), (32, 33)]
+    assert brute_force_max_matching(petersen_edges() + star_off_0 + loose) == 5 + 1 + 2
+    assert dp_calls == [pairs(petersen_edges())]
