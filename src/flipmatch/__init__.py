@@ -29,14 +29,12 @@ from .bounds import (
     amp_bound_improved,
     amp_bound_original,
     amp_default_r,
-    bound_rows,
     dep_lower_bound,
     det_lower_bound,
     greedy_bound,
     lgreedy_bound,
     lgreedy_default_L,
     lgreedy_lower_bound,
-    minimize_1d,
 )
 from .core import (
     ARRIVAL,
@@ -107,7 +105,6 @@ __all__ = [
     "amp_default_r",
     "amp_phase_violations",
     "arrive",
-    "bound_rows",
     "brute_force_max_matching",
     "config_matches_graph",
     "dep_lower_bound",
@@ -123,7 +120,6 @@ __all__ = [
     "lgreedy_lb_stream",
     "lgreedy_lower_bound",
     "make_matcher",
-    "minimize_1d",
     "parse_stream",
     "random_arrival_stream",
     "random_churn",

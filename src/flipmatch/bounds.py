@@ -2,8 +2,9 @@
 
 Everything here is pure arithmetic on the budget ``k`` (and the length cap
 ``L`` of the bounded-length matcher): the guaranteed ratios of the three
-online algorithms, the adversarial lower bounds, and a small golden-section
-minimizer used to tune the phase growth factor of the doubling matcher.
+online algorithms and the adversarial lower bounds. The two bounds of the
+doubling matcher are minima over its growth factor, solved from their
+stationarity conditions.
 """
 
 from __future__ import annotations
@@ -20,10 +21,6 @@ class BadBudgetError(ValueError):
 
 class BadParamsError(ValueError):
     code = "bad-params"
-
-
-class BadIntervalError(ValueError):
-    code = "bad-interval"
 
 
 def require_int(
@@ -80,10 +77,26 @@ def lgreedy_bound(k: int, L: int | None = None) -> float:
     return (k * (L + 2) - 2) / ((L + 1) * (k - 1))
 
 
-def amp_default_r(k: int) -> float:
-    """Growth factor minimizing the doubling matcher's improved guarantee."""
+def _require_amp_budget(k: int) -> None:
+    """The check of an AMP budget: an even integer >= 4 that fits in a float."""
     require_int(k, 4, "budget", BadBudgetError, even=True)
-    return (k - 1) ** (1.0 / (k - 2))
+    try:
+        float(k)
+    except OverflowError:
+        raise BadBudgetError("budget does not fit in a float (k >= 2**1024)") from None
+
+
+def amp_default_r(k: int) -> float:
+    """Growth factor minimizing the doubling matcher's improved guarantee.
+
+    From about k = 4e17 on, (k-1)^(1/(k-2)) rounds to 1 in floats, and a
+    growth factor of 1 never opens a phase, so such a budget is refused.
+    """
+    _require_amp_budget(k)
+    r = (k - 1) ** (1.0 / (k - 2))
+    if r == 1.0:
+        raise BadBudgetError(f"growth factor (k-1)^(1/(k-2)) rounds to 1 in floats at k={k}")
+    return r
 
 
 def amp_bound(k: int, r: float) -> float:
@@ -97,54 +110,46 @@ def amp_bound(k: int, r: float) -> float:
 
 
 def amp_bound_improved(k: int) -> float:
-    """Improved guarantee of the doubling matcher: min over r of r^k/(r^(k-1)-r)."""
-    return amp_bound(k, amp_default_r(k))
+    """Improved guarantee of the doubling matcher: min over r of r^k/(r^(k-1)-r).
+
+    The derivative of the log vanishes where r^(k-2) = k-1, so at
+    r = (k-1)^(1/(k-2)) the bound r/(1 - r^(2-k)) is r(k-1)/(k-2). It is
+    taken as the exp of its log, which cannot overflow.
+    """
+    _require_amp_budget(k)
+    return math.exp(math.log(k - 1) / (k - 2) + math.log1p(1 / (k - 2)))
 
 
 def amp_bound_original(k: int) -> float:
     """First-published guarantee of the doubling matcher.
 
-    min over r > r0 of r^k (r-1) / (r^(k-1)(r-1) - r), where r0 is the point
-    where the denominator turns positive.
+    The minimum of f(r) = r^k (r-1) / (r^(k-1)(r-1) - r) over the r > 1 where
+    the denominator is positive. Put t = r - 1 and A = (1+t)^(k-2) t, which
+    rises with t; then f = (1+t) A / (A - 1) on the domain A > 1.
+
+    - Multiplying d(log f)/dt by t(1+t)(A-1) > 0 leaves
+      p(t) = (1+t)^(k-2) t^2 - (kt + 1), so f' has the sign of p there.
+    - p(0) = -1, and p is convex for t >= 0 (its first term is a polynomial
+      with non-negative coefficients), so p has exactly one positive root t*,
+      with p < 0 below it and p > 0 above it.
+    - Where the domain begins, A = 1 and p = (1-k)t - 1 < 0, so t* lies
+      inside the domain: f falls before t* and rises after it, and the
+      bound is f(t*).
+    - At t*, A t = kt + 1, so A = k + 1/t and f(t*) = (1+t)(1 + t/(1 + (k-1)t)).
+
+    t* is found by bisecting [0, 2] (p(2) > 0 for every k >= 4) on the sign of
+    (k-2) log1p(t) + 2 log(t) - log1p(kt), which is p's sign and cannot
+    overflow, down to adjacent floats.
     """
-    require_int(k, 4, "budget", BadBudgetError, even=True)
-
-    def denom(r: float) -> float:
-        try:
-            return r ** (k - 1) * (r - 1) - r
-        except OverflowError:
-            return math.inf  # far past the root, so positive
-
-    # the root nears 1 as k grows (past it from about k=1.38e7 at 1 + 1e-6),
-    # so halve lo - 1 until lo is below the root again
-    step = 1e-6
-    lo, hi = 1.0 + step, 2.0
-    while denom(lo) >= 0:
-        step /= 2
-        lo = 1.0 + step
-        if lo == 1.0:
-            raise BadBudgetError(f"no denominator root above 1 for k={k}")
-    while denom(hi) <= 0:
-        hi *= 2
-    for _ in range(200):
-        mid = (lo + hi) / 2
-        if denom(mid) <= 0:
-            lo = mid
+    _require_amp_budget(k)
+    lo, hi = 0.0, 2.0
+    while (t := (lo + hi) / 2) not in (lo, hi):
+        if (k - 2) * math.log1p(t) + 2 * math.log(t) < math.log1p(k * t):
+            lo = t
         else:
-            hi = mid
-    r0 = hi
-
-    def objective(r: float) -> float:
-        d = denom(r)
-        if d <= 0:
-            return math.inf
-        try:
-            return r**k * (r - 1) / d
-        except OverflowError:  # r^(2-k) is below float resolution, so the ratio is r
-            return r
-
-    result = minimize_1d(objective, r0 + 1e-9, 8.0, tol=1e-9)
-    return result.min
+            hi = t
+    s = hi / (1 + (k - 1) * hi)
+    return 1 + (hi + s + hi * s)
 
 
 # ----------------------------------------------------------------------
@@ -216,70 +221,3 @@ def lgreedy_case_expressions(k: int, L: int, alpha: float) -> LedgerCases:
 def cycle_case(length: int, L: int, alpha: float) -> float:
     """Ratio charged to an alternating cycle of the given half-length."""
     return length / (length - 2 * length * L * alpha)
-
-
-# ----------------------------------------------------------------------
-# 1-D minimization
-
-
-@dataclass
-class MinimizeResult:
-    argmin: float
-    min: float
-
-
-def minimize_1d(
-    f: Callable[[float], float], lo: float, hi: float, tol: float = 1e-9
-) -> MinimizeResult:
-    """Golden-section search for a unimodal function on [lo, hi]."""
-    if not (lo < hi and tol > 0):  # refuses a nan tolerance too
-        raise BadIntervalError(f"need lo < hi and tol > 0, got [{lo!r}, {hi!r}], tol={tol!r}")
-    inv_phi = (math.sqrt(5) - 1) / 2
-    a, b = lo, hi
-    c = b - inv_phi * (b - a)
-    d = a + inv_phi * (b - a)
-    fc, fd = f(c), f(d)
-    while b - a > tol:
-        if fc <= fd:
-            b, d, fd = d, c, fc
-            c = b - inv_phi * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + inv_phi * (b - a)
-            fd = f(d)
-    x = (a + b) / 2
-    return MinimizeResult(x, f(x))
-
-
-# ----------------------------------------------------------------------
-# table assembly
-
-
-@dataclass
-class BoundRow:
-    k: int
-    det_lb: float
-    dep_lb: float
-    lgreedy: float
-    amp_improved: float
-    amp_original: float
-
-
-def bound_rows(k_min: int, k_max: int) -> list[BoundRow]:
-    """One row per even budget in [k_min, k_max]."""
-    require_int(k_min, 4, "k_min")
-    require_int(k_max, k_min, "k_max")
-    rows = []
-    for k in range(k_min + (k_min % 2), k_max + 1, 2):
-        rows.append(
-            BoundRow(
-                k=k,
-                det_lb=det_lower_bound(k),
-                dep_lb=dep_lower_bound(k),
-                lgreedy=lgreedy_bound(k),
-                amp_improved=amp_bound_improved(k),
-                amp_original=amp_bound_original(k),
-            )
-        )
-    return rows

@@ -1,9 +1,10 @@
-"""Closed-form ratios, the golden-section minimizer, and orderings."""
+"""Closed-form ratios, AMP's two minima against a decimal reference, and orderings."""
 
 from __future__ import annotations
 
 import math
 import random
+from decimal import MAX_EMAX, Decimal, localcontext
 
 import pytest
 
@@ -16,13 +17,11 @@ from flipmatch.adversaries import (
 from flipmatch.algos import AmpMatcher, AmpState, GreedyMatcher, LGreedyMatcher, effective_budget
 from flipmatch.bounds import (
     BadBudgetError,
-    BadIntervalError,
     BadParamsError,
     amp_bound,
     amp_bound_improved,
     amp_bound_original,
     amp_default_r,
-    bound_rows,
     cycle_case,
     dep_lower_bound,
     det_lower_bound,
@@ -31,14 +30,13 @@ from flipmatch.bounds import (
     lgreedy_case_expressions,
     lgreedy_default_L,
     lgreedy_lower_bound,
-    minimize_1d,
 )
 from flipmatch.core import FULL, Graph
-from flipmatch.harness import duel, emit_bound_table, random_arrival_stream, random_churn
+from flipmatch.harness import TABLE_HEADER, duel, emit_bound_table, random_arrival_stream, random_churn
 from flipmatch.stringgame import OddKError, StringGameAdversary
 
 try:
-    from scipy.optimize import minimize_scalar
+    from scipy.optimize import brentq, minimize_scalar
 except ModuleNotFoundError:  # pragma: no cover
     minimize_scalar = None
 
@@ -114,8 +112,7 @@ def test_07_amp_bound_original_reference_values():
     }
     for k, expect in series.items():
         assert amp_bound_original(k) == pytest.approx(expect, abs=1e-4)
-    # from k=426 some golden-section trial points overflow r^(k-1), and from
-    # k=1026 the root's bracket does too; the series keeps falling through both
+    # and it keeps falling at larger budgets
     large = [amp_bound_original(k) for k in (424, 426, 1000, 1024, 1026)]
     assert large == sorted(large, reverse=True) and large[-1] > 1
     assert large[2] == pytest.approx(1.012473, abs=5e-7)
@@ -179,43 +176,16 @@ def test_13_case_expressions_divide_by_zero():
         lgreedy_case_expressions(4, 1, 0.5)
 
 
-def test_14_minimize_quadratic():
-    res = minimize_1d(lambda r: (r - 2) ** 2, 0.0, 5.0, tol=1e-10)
-    assert res.argmin == pytest.approx(2.0, abs=1e-6)
-    assert res.min == pytest.approx(0.0, abs=1e-12)
-
-
-def test_15_minimize_recovers_default_r():
-    k = 4
-    res = minimize_1d(lambda r: r**k / (r ** (k - 1) - r), 1.1, 4.0, tol=1e-12)
-    assert res.argmin == pytest.approx(math.sqrt(3), abs=1e-6)
-    assert res.min == pytest.approx(amp_bound_improved(4), abs=1e-9)
-
-
-def test_16_minimize_interval_validation():
-    with pytest.raises(BadIntervalError) as err:
-        minimize_1d(lambda x: x, 2.0, 1.0)
-    assert err.value.code == "bad-interval"
-    with pytest.raises(BadIntervalError):
-        minimize_1d(lambda x: x, 0.0, 1.0, tol=0)
-    with pytest.raises(BadIntervalError):
-        minimize_1d(lambda x: (x - 0.3) ** 2, 0, 1, tol=math.nan)
-
-
 @pytest.mark.skipif(minimize_scalar is None, reason="scipy not installed")
-def test_17_minimize_agrees_with_scipy():
-    functions = [
-        (lambda x: (x - 1.3) ** 2 + 0.5, 0.0, 3.0),
-        (lambda x: math.cosh(x - 0.25), -2.0, 2.0),
-        (lambda r: r**6 / (r**5 - r), 1.05, 4.0),
-    ]
-    for f, lo, hi in functions:
-        mine = minimize_1d(f, lo, hi, tol=1e-10)
+def test_17_amp_bound_original_at_most_scipy_minimum():
+    # an independent search over r, from just above the denominator's root
+    for k in range(4, 41, 2):
+        r0 = brentq(lambda r: r ** (k - 1) * (r - 1) - r, 1.0, 2.0, xtol=1e-15)
         ref = minimize_scalar(
-            f, bounds=(lo, hi), method="bounded", options={"xatol": 1e-12}
+            lambda r: r**k * (r - 1) / (r ** (k - 1) * (r - 1) - r),
+            bounds=(r0 * (1 + 1e-9), 4.0), method="bounded", options={"xatol": 1e-12},
         )
-        assert mine.argmin == pytest.approx(ref.x, abs=1e-5)
-        assert mine.min == pytest.approx(ref.fun, abs=1e-9)
+        assert ref.fun - 1e-9 <= amp_bound_original(k) <= ref.fun + 1e-12, k
 
 
 def test_18_asymptotic_envelope():
@@ -239,14 +209,10 @@ def test_19_bound_rows_frozen_table():
         20: (1.052632, 1.058104, 1.242105, 1.243148),
         22: (1.047619, 1.052109, 1.238095, 1.222645),
     }
-    rows = {row.k: row for row in bound_rows(4, 22)}
-    assert sorted(rows) == sorted(table)
-    for k, (det, dep, lg, amp) in table.items():
-        row = rows[k]
-        assert row.det_lb == pytest.approx(det, abs=5e-7)
-        assert row.dep_lb == pytest.approx(dep, abs=5e-7)
-        assert row.lgreedy == pytest.approx(lg, abs=5e-7)
-        assert row.amp_improved == pytest.approx(amp, abs=5e-7)
+    header, *lines = emit_bound_table(range(4, 23, 2)).splitlines()
+    assert header == TABLE_HEADER
+    rows = {int(cells[0]): cells[1:5] for cells in (line.split(",") for line in lines)}
+    assert rows == {k: [f"{v:.6f}" for v in row] for k, row in table.items()}
 
 
 def test_20_greedy_bound():
@@ -286,12 +252,11 @@ INTEGER_PARAMETERS = [
     ("lgreedy_bound.L", lambda v: lgreedy_bound(6, v), 0, BP, None),
     ("amp_default_r", amp_default_r, 4, BB, BB),
     ("amp_bound", lambda v: amp_bound(v, 1.5), 4, BB, BB),
+    ("amp_bound_improved", amp_bound_improved, 4, BB, BB),
     ("amp_bound_original", amp_bound_original, 4, BB, BB),
     ("dep_lower_bound", dep_lower_bound, 4, BB, BB),
     ("lgreedy_lower_bound.k", lambda v: lgreedy_lower_bound(v, 3), 4, BP, BP),
     ("lgreedy_lower_bound.L", lambda v: lgreedy_lower_bound(4, v), 3, BP, None),
-    ("bound_rows.k_min", lambda v: bound_rows(v, 6), 4, BP, None),
-    ("bound_rows.k_max", lambda v: bound_rows(4, v), 4, BP, None),
     ("greedy_lb_stream.k", lambda v: greedy_lb_stream(v, 1), 2, BB, None),
     ("greedy_lb_stream.n", lambda v: greedy_lb_stream(2, v), 0, BP, None),
     ("lgreedy_lb_stream.k", lambda v: lgreedy_lb_stream(v, 3), 4, BB, BB),
@@ -321,7 +286,6 @@ INTEGER_HOLES = [
     ("greedy_lb_stream(6.0,3)", lambda v: greedy_lb_stream(v, 3), 6.0, BB),
     ("lgreedy_lb_stream(6,3.0)", lambda v: lgreedy_lb_stream(6, v), 3.0, BP),
     ("lgreedy_lb_stream(6,3,copies=True)", lambda v: lgreedy_lb_stream(6, 3, copies=v), True, BP),
-    ("bound_rows(4.0,6)", lambda v: bound_rows(v, 6), 4.0, BP),
     ("random_churn(n_events=2.5)", _churn, 2.5, BP),
     ("random_arrival_stream(rng,2.5)", _arrivals, 2.5, BP),
     ("lgreedy_bound(6,L=True)", lambda v: lgreedy_bound(6, L=v), True, BP),
@@ -377,17 +341,71 @@ def test_21_every_integer_parameter_is_refused_one_way(call, value, error):
 
 
 def test_22_amp_bound_original_past_the_fixed_bracket():
-    # from about k=1.38e7 the root of the denominator lies below 1 + 1e-6,
-    # so the bracket's lower end is halved towards 1 until it is below again
+    # from about k=1.38e7 the root of the denominator lies below 1 + 1e-6
     at_14m = amp_bound_original(14_000_000)
     assert at_14m == pytest.approx(1.0000022, abs=5e-8)
     at_1e9 = amp_bound_original(10**9)
     assert 1 < at_1e9 < at_14m
     for k, value in ((14_000_000, at_14m), (10**9, at_1e9)):
         assert value >= amp_bound_improved(k)
-    # budgets the fixed bracket served keep their values bit for bit
-    assert amp_bound_original(1000) == 1.0124734309370467
-    assert amp_bound_original(13_000_000) == 1.0000023369290556
-    # from about k=1e18 the root is within float resolution of 1
-    with pytest.raises(BadBudgetError, match="no denominator root above 1"):
-        amp_bound_original(10**18)
+    # the true bound at k=1e18 is 1 + 4e-17, so 1.0 is correctly rounded
+    assert amp_bound_original(10**18) == 1.0
+    assert amp_bound_improved(10**18) == 1.0
+
+
+REFERENCE_BUDGETS = [*range(4, 23, 2), 100, 726, 1000, 1026, 10**6, 13 * 10**6, 10**9]
+REFERENCE_BUDGETS += [10**12, 10**15, 10**18]
+
+
+def _improved_reference(k):
+    """min over r of r^k/(r^(k-1)-r), to 60 digits: r(k-1)/(k-2) at r^(k-2) = k-1."""
+    with localcontext() as ctx:
+        ctx.prec = 60
+        K = Decimal(k)
+        return ((K - 1).ln() / (K - 2)).exp() * (K - 1) / (K - 2)
+
+
+def _original_reference(k):
+    """min over t of (1+t)A/(A-1), A = (1+t)^(k-2) t, to 60 digits, at the
+    root of (1+t)^(k-2) t^2 - (kt+1), bisected without logs."""
+    with localcontext() as ctx:
+        ctx.prec, ctx.Emax = 60, MAX_EMAX
+        K = Decimal(k)
+        lo, hi = Decimal(0), Decimal(2)
+        for _ in range(250):
+            t = (lo + hi) / 2
+            if (1 + t) ** (K - 2) * t * t < K * t + 1:
+                lo = t
+            else:
+                hi = t
+        a = (1 + hi) ** (K - 2) * hi
+        return (1 + hi) * a / (a - 1)
+
+
+@pytest.mark.parametrize("k", REFERENCE_BUDGETS)
+def test_23_amp_bounds_match_a_decimal_reference(k):
+    for value, ref in ((amp_bound_improved(k), _improved_reference(k)),
+                       (amp_bound_original(k), _original_reference(k))):
+        assert abs(Decimal(value) - ref) <= 2 * Decimal(math.ulp(value)), (value, ref)
+
+
+def test_24_amp_bounds_fall_at_every_even_budget():
+    for bound in (amp_bound_improved, amp_bound_original):
+        values = [bound(k) for k in range(4, 4001, 2)]
+        assert all(math.isfinite(v) for v in values)
+        assert all(b < a for a, b in zip(values, values[1:]))
+
+
+def test_25_huge_budgets_are_refused_typed():
+    # from about k=4e17 the default growth factor rounds to 1 in floats
+    for call in (amp_default_r, AmpMatcher):
+        for k in (10**18, 10**400):
+            with pytest.raises(BadBudgetError) as err:
+                call(k)
+            assert err.value.code == "bad-k"
+    # both bounds are defined up to the largest float, and refused past it
+    for bound in (amp_bound_improved, amp_bound_original):
+        assert bound(2**1023) == 1.0
+        for k in (2**1024, 10**400):
+            with pytest.raises(BadBudgetError, match="does not fit in a float"):
+                bound(k)

@@ -205,7 +205,7 @@ def test_11_an_option_the_family_or_opponent_ignores_is_refused(runner, tmp_path
 
 
 def test_12_bounds_and_amp_at_a_budget_of_1000(runner, tmp_path):
-    # at this budget r^(k-1) overflows a float at some of the r the bounds try
+    # at this budget r^(k-1) overflows a float at r = 8
     result = runner.invoke(main, ["bounds", "--k-min", "1000", "--k-max", "1000"])
     assert result.exit_code == 0, result.output
     assert result.output.splitlines()[1] == "1000,1.001001,1.001003,1.032220,1.007954,1.012473"
@@ -217,13 +217,22 @@ def test_12_bounds_and_amp_at_a_budget_of_1000(runner, tmp_path):
 
 
 def test_13_bounds_at_large_budgets(runner):
-    result = runner.invoke(main, ["bounds", "--k-min", "14000000", "--k-max", "14000000"])
-    assert result.exit_code == 0, result.output
-    assert result.output.splitlines()[1] == "14000000,1.000000,1.000000,1.000267,1.000001,1.000002"
-    # at k=1e18 the growth factors sit within float resolution of 1, and
-    # the refusal is an error message, not a traceback
-    k = str(10**18)
+    rows = {
+        "726": "726,1.001379,1.001383,1.038365,1.010532,1.016405",
+        "14000000": "14000000,1.000000,1.000000,1.000267,1.000001,1.000002",
+        # every bound is within float resolution of 1 here
+        str(10**18): f"{10**18},1.000000,1.000000,1.000000,1.000000,1.000000",
+    }
+    for k, row in rows.items():
+        result = runner.invoke(main, ["bounds", "--k-min", k, "--k-max", k])
+        assert result.exit_code == 0, result.output
+        assert result.output.splitlines()[1] == row
+
+
+def test_14_bounds_past_the_float_range_is_an_error_message(runner):
+    k = str(10**400)
     result = runner.invoke(main, ["bounds", "--k-min", k, "--k-max", k])
     assert result.exit_code == 1
     assert isinstance(result.exception, SystemExit)
-    assert result.output.startswith("Error: ") and "above 1" in result.output
+    assert result.output.startswith("Error: ") and "does not fit in a float" in result.output
+    assert "Traceback" not in result.output
