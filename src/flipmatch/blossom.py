@@ -2,7 +2,7 @@
 
 Works on plain adjacency data (vertex -> its neighbors; of a graph's rows
 only the keys are read) plus a mate map, so the same routine serves both the
-online matchers (which ban edges whose flip budget is spent) and the
+online matchers (which search a view without spent edges and walls) and the
 optimum-tracking oracle (which ignores budgets).
 
 Roots are tried in increasing vertex order, neighbors are scanned sorted and
@@ -30,11 +30,9 @@ def find_augmenting_path(
     The walk alternates unmatched/matched edges and both end vertices are
     free.
 
-    A matched vertex whose matched edge is missing from ``adj`` is a wall:
-    every matched vertex on an augmenting path carries its matched edge on
-    the path, so no augmenting path can visit it. The search skips a wall
-    when it scans it as a neighbor, so it is never traversed through its
-    mate; neighbors that have no row in ``adj`` are skipped the same way.
+    Neighbors that have no row in ``adj`` lie outside the searched view and
+    are skipped. A matched vertex with a row must list its matched edge, as
+    the search walks from it to its partner.
     """
     for root in sorted(roots):
         path = _search(root, adj, mate)
@@ -88,12 +86,9 @@ def _search(
         v = queue.popleft()
         v_mate = mate.get(v)
         for to in sorted(adj[v]):
-            row = adj.get(to)
-            if row is None:
+            if to not in adj:
                 continue  # outside the searched view
             to_mate = mate.get(to)
-            if to_mate is not None and to_mate not in row:
-                continue  # a wall
             if base.get(v, v) == base.get(to, to) or v_mate == to:
                 continue
             if to == root or (to_mate is not None and to_mate in parent):

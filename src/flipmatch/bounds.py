@@ -31,12 +31,15 @@ def require_int(
     even: bool = False,
 ) -> None:
     """The one check of an integer parameter: an ``int``, not a ``bool``, at
-    least ``minimum`` and, if ``even`` is set, even. Raises ``error`` otherwise."""
+    least ``minimum`` and, if ``even`` is set, even. Raises ``error`` otherwise,
+    naming a long value by its bit length: decimal fails past 4300 digits."""
     if isinstance(value, bool) or not isinstance(value, int):
         raise error(f"{what} must be an integer, got {value!r}")
     if value < minimum or even and value % 2:
         kind = "an even integer" if even else "an integer"
-        raise error(f"{what} must be {kind} >= {minimum}, got {value!r}")
+        bits = value.bit_length()
+        got = value if bits <= 64 else f"a {'negative ' if value < 0 else ''}{bits}-bit integer"
+        raise error(f"{what} must be {kind} >= {minimum}, got {got}")
 
 
 def require_growth(r: object) -> None:
@@ -170,7 +173,7 @@ def dep_lower_bound(k: int) -> float:
 
 def lgreedy_lower_bound(k: int, L: int) -> float:
     """Hard-instance ratio forced on the bounded-length matcher."""
-    require_int(k, 4, "budget", even=True)
+    require_int(k, 4, "budget", BadBudgetError, even=True)
     require_int(L, 3, "length cap L")
     return (3 * ((L - 1) // 2) + k - 2) / (L + k - 3)
 

@@ -2,7 +2,8 @@
 
 Exit status is nonzero exactly when a finished run broke a guarantee
 assertion (a matcher exceeding its proven ratio); bad flags or unreadable
-files are ordinary usage errors.
+files are ordinary usage errors. One boundary, the group's ``invoke``, turns
+every refusal into a one-line ``Error:`` message and exit status 1.
 """
 
 from __future__ import annotations
@@ -25,7 +26,20 @@ from .harness import RunReport, duel as run_duel, emit_bound_table, parse_stream
 from .stringgame import StringGameAdversary
 
 
-@click.group()
+class _RefusingGroup(click.Group):
+    """Reports a subcommand's ``ValueError``, ``GraphError`` or ``OSError`` as
+    a ``click.ClickException``; click itself handles a broken stdout."""
+
+    def invoke(self, ctx: click.Context):
+        try:
+            return super().invoke(ctx)
+        except BrokenPipeError:
+            raise
+        except (ValueError, GraphError, OSError) as exc:
+            raise click.ClickException(str(exc)) from exc
+
+
+@click.group(cls=_RefusingGroup)
 def main() -> None:
     """Matching with a per-edge flip budget: bounds, replays, and duels."""
 
@@ -66,11 +80,7 @@ def bounds_cmd(k_min: int, k_max: int) -> None:
     ks = [k for k in range(k_min, k_max + 1) if k % 2 == 0 and k >= 4]
     if not ks:
         raise click.BadParameter(f"no even budgets >= 4 in [{k_min}, {k_max}]")
-    try:
-        table = emit_bound_table(ks)
-    except ValueError as exc:
-        raise click.ClickException(str(exc)) from exc
-    click.echo(table, nl=False)
+    click.echo(emit_bound_table(ks), nl=False)
 
 
 @main.command("simulate")
@@ -96,11 +106,7 @@ def simulate_cmd(algo: str, k: int | None, model: str | None, instance: str,
         kwargs["L"] = cap
     if growth is not None:
         kwargs["r"] = growth
-    try:
-        matcher = make_matcher(algo, k, model=model, **kwargs)
-        report = replay(stream.events, matcher)
-    except (ValueError, TypeError, GraphError) as exc:
-        raise click.ClickException(str(exc)) from exc
+    report = replay(stream.events, make_matcher(algo, k, model=model, **kwargs))
     _echo_report(report, "events")
     _exit_on_violation(report)
 
@@ -120,17 +126,13 @@ def duel_cmd(opponent: str, algo: str, k: int, epsilon: float, depth: int,
     """Run one adaptive opponent against one matcher."""
     ignored = {"det": ("epsilon",), "string": ("depth",), "fulldep": ("epsilon", "depth")}
     _refuse_ignored(f"adversary {opponent!r}", ignored[opponent])
-    try:
-        if opponent == "det":
-            adv, model = DetLowerBoundAdversary(k, depth=depth), ARRIVAL
-        elif opponent == "string":
-            adv, model = StringGameAdversary(k, epsilon=epsilon), LIMITED
-        else:
-            adv, model = FullDepartureAdversary(k), FULL
-        matcher = make_matcher(algo, k, model=model)
-        report = run_duel(adv, matcher, max_moves=max_moves)
-    except (ValueError, TypeError, GraphError) as exc:
-        raise click.ClickException(str(exc)) from exc
+    if opponent == "det":
+        adv, model = DetLowerBoundAdversary(k, depth=depth), ARRIVAL
+    elif opponent == "string":
+        adv, model = StringGameAdversary(k, epsilon=epsilon), LIMITED
+    else:
+        adv, model = FullDepartureAdversary(k), FULL
+    report = run_duel(adv, make_matcher(algo, k, model=model), max_moves=max_moves)
     click.echo(f"opponent:    {adv.name} (target {adv.target:.6f})")
     click.echo(f"stop reason: {report.stop_reason}")
     if report.witnessed is not None:
@@ -152,15 +154,12 @@ def gen_cmd(family: str, k: int, n: int, cap: int | None, copies: int, out: str)
     """Write a hard instance to a stream file."""
     ignored = {"greedy-lb": ("cap", "copies"), "lgreedy-lb": ("n",)}
     _refuse_ignored(f"family {family!r}", ignored[family])
-    try:
-        if family == "greedy-lb":
-            events = greedy_lb_stream(k, n)
-        else:
-            if cap is None:
-                cap = max(3, bounds_mod.lgreedy_default_L(k))
-            events = lgreedy_lb_stream(k, cap, copies=copies)
-    except (ValueError, TypeError) as exc:
-        raise click.ClickException(str(exc)) from exc
+    if family == "greedy-lb":
+        events = greedy_lb_stream(k, n)
+    else:
+        if cap is None:
+            cap = max(3, bounds_mod.lgreedy_default_L(k))
+        events = lgreedy_lb_stream(k, cap, copies=copies)
     with open(out, "w", encoding="utf-8") as fh:
         fh.write(write_stream(k, ARRIVAL, events))
     click.echo(f"wrote {len(events)} events to {out}")

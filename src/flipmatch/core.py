@@ -256,13 +256,15 @@ class Graph:
     def component_view(
         self, seeds: Iterable[int]
     ) -> tuple[dict[int, dict[int, EdgeState]], list[int]]:
-        """The searchable view of the component of ``seeds`` over unspent edges.
+        """The searchable view of the component of ``seeds`` in G*.
 
-        Returns the adjacency, over edges whose flip budget is not spent, of
-        the vertices reachable from ``seeds`` over those edges, and the free
-        vertices among them. A vertex whose matched edge is spent keeps its
-        partner in ``mate`` but not the edge, which makes it a wall for
-        ``blossom.find_augmenting_path``.
+        G* is the graph of unspent edges without the walls, the vertices
+        whose matched edge is spent: no augmenting path can visit a wall,
+        since it would have to cross that edge. Returns the adjacency of
+        the vertices reachable from ``seeds`` in G*, each row listing the
+        vertex's unspent edges, and the free vertices among them. A wall
+        gets no row and is not expanded, so a search skips it as a neighbor
+        without a row.
         """
         budget, rows, mate = self.budget, self.rows, self.mate
         adj: dict[int, dict[int, EdgeState]] = {}
@@ -271,10 +273,13 @@ class Graph:
         seen = set(queue)
         while queue:
             v = queue.popleft()
-            row = adj[v] = {}
-            if v not in mate:
+            v_rows, partner = rows[v], mate.get(v)
+            if partner is None:
                 roots.append(v)
-            for nbr, e in rows[v].items():
+            elif v_rows[partner].etype >= budget:
+                continue  # a wall
+            row = adj[v] = {}
+            for nbr, e in v_rows.items():
                 if e.etype >= budget:
                     continue
                 row[nbr] = e

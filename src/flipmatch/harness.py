@@ -23,6 +23,7 @@ from .core import (
     FULL,
     MODELS,
     Event,
+    Graph,
     arrive,
     depart,
 )
@@ -232,7 +233,7 @@ def emit_bound_table(k_range: Iterable[int]) -> str:
     """
     ks = sorted(set(k_range))
     for k in ks:
-        bounds.require_int(k, 4, "table row budget", even=True)
+        bounds.require_int(k, 4, "table row budget", bounds.BadBudgetError, even=True)
     lines = [TABLE_HEADER]
     for k in ks:
         cells = (
@@ -339,6 +340,41 @@ def write_stream(k: int, model: str, events: Iterable[Event]) -> str:
 # randomized churn for the regression suite
 
 
+DEPART_CHANCE = 0.35  # share of churn events that try a departure first
+
+
+def _random_events(
+    rng: random.Random, g: Graph, n_events: int, max_vertices: int, max_edges: int
+) -> Iterator[Event]:
+    """Draw up to ``n_events`` events, each against the board ``g`` as it is.
+
+    The live edges are capped at ``max_edges`` and at the number of vertex
+    pairs, so below the cap a free pair always exists and an arrival is
+    redrawn until it finds one. Departures respect the board's model: under
+    the limited model only unmatched edges can leave. The draws end early
+    only when the board is at its cap and no edge may leave.
+    """
+    bounds.require_int(n_events, 0, "n_events")
+    bounds.require_int(max_vertices, 2, "max_vertices")
+    bounds.require_int(max_edges, 1, "max_edges")
+    cap = min(max_edges, max_vertices * (max_vertices - 1) // 2)
+    model = g.model
+    for _ in range(n_events):
+        # g.edges is in arrival order, which rng.choice relies on
+        removable = [pair for pair, e in g.edges.items() if model == FULL or not e.matched]
+        can_depart = model != ARRIVAL and removable
+        if can_depart and (rng.random() < DEPART_CHANCE or len(g.edges) >= cap):
+            yield depart(*rng.choice(removable))
+            continue
+        if len(g.edges) >= cap:
+            return
+        while True:
+            u, v = rng.sample(range(1, max_vertices + 1), 2)
+            if not g.has_edge(u, v):
+                break
+        yield arrive(*((u, v) if u < v else (v, u)))
+
+
 def random_arrival_stream(
     rng: random.Random,
     n_events: int,
@@ -346,24 +382,12 @@ def random_arrival_stream(
     max_edges: int = 24,
 ) -> list[Event]:
     """Random arrival-only stream staying inside the brute-force envelope."""
-    bounds.require_int(n_events, 0, "n_events")
-    bounds.require_int(max_vertices, 2, "max_vertices")
-    bounds.require_int(max_edges, 1, "max_edges")
-    # no more edges than the vertices have pairs, or the loop would never end
-    max_edges = min(max_edges, max_vertices * (max_vertices - 1) // 2)
-    present: set[tuple[int, int]] = set()
-    events: list[Event] = []
-    while len(events) < n_events and len(present) < max_edges:
-        u, v = rng.sample(range(1, max_vertices + 1), 2)
-        pair = (u, v) if u < v else (v, u)
-        if pair in present:
-            continue
-        present.add(pair)
-        events.append(arrive(*pair))
+    g = Graph(1, ARRIVAL)
+    events = []
+    for ev in _random_events(rng, g, n_events, max_vertices, max_edges):
+        g.add_edge(ev.u, ev.v)
+        events.append(ev)
     return events
-
-
-DEPART_CHANCE = 0.35  # share of churn events that try a departure first
 
 
 def random_churn(
@@ -375,36 +399,7 @@ def random_churn(
 ) -> RunReport:
     """Drive a matcher with random arrivals and legal random departures.
 
-    Departures respect the matcher's model: under the limited model only
-    edges the matcher has left unmatched can leave, so the stream is built
-    move by move against the matcher's live state.
+    Each event is drawn from the board the previous one left, so under the
+    limited model only edges the matcher has left unmatched can leave.
     """
-    bounds.require_int(n_events, 0, "n_events")
-    bounds.require_int(max_vertices, 2, "max_vertices")
-    bounds.require_int(max_edges, 1, "max_edges")
-    g = matcher.graph
-    model = g.model
-
-    def events() -> Iterator[Event]:
-        # each event is drawn from the board the previous one left
-        for _ in range(n_events):
-            # g.edges is in arrival order, which rng.choice relies on
-            removable = [pair for pair, e in g.edges.items() if model == FULL or not e.matched]
-            can_depart = model != ARRIVAL and bool(removable)
-            wants_departure = can_depart and rng.random() < DEPART_CHANCE
-            if not wants_departure and len(g.edges) >= max_edges:
-                if not can_depart:
-                    return
-                wants_departure = True
-            if wants_departure:
-                yield depart(*rng.choice(removable))
-                continue
-            for _attempt in range(64):
-                u, v = rng.sample(range(1, max_vertices + 1), 2)
-                if not g.has_edge(u, v):
-                    break
-            else:
-                return
-            yield arrive(*((u, v) if u < v else (v, u)))
-
-    return replay(events(), matcher)
+    return replay(_random_events(rng, matcher.graph, n_events, max_vertices, max_edges), matcher)

@@ -135,8 +135,10 @@ def test_10_lgreedy_lower_bound():
     with pytest.raises(BadParamsError) as err:
         lgreedy_lower_bound(8, 2)
     assert err.value.code == "bad-params"
-    with pytest.raises(BadParamsError):
+    # an odd budget is a budget refusal, like every other
+    with pytest.raises(BadBudgetError) as err:
         lgreedy_lower_bound(7, 3)
+    assert err.value.code == "bad-k"
 
 
 def test_11_case_expressions_balance_at_alpha_2b():
@@ -255,7 +257,7 @@ INTEGER_PARAMETERS = [
     ("amp_bound_improved", amp_bound_improved, 4, BB, BB),
     ("amp_bound_original", amp_bound_original, 4, BB, BB),
     ("dep_lower_bound", dep_lower_bound, 4, BB, BB),
-    ("lgreedy_lower_bound.k", lambda v: lgreedy_lower_bound(v, 3), 4, BP, BP),
+    ("lgreedy_lower_bound.k", lambda v: lgreedy_lower_bound(v, 3), 4, BB, BB),
     ("lgreedy_lower_bound.L", lambda v: lgreedy_lower_bound(4, v), 3, BP, None),
     ("greedy_lb_stream.k", lambda v: greedy_lb_stream(v, 1), 2, BB, None),
     ("greedy_lb_stream.n", lambda v: greedy_lb_stream(2, v), 0, BP, None),
@@ -267,7 +269,7 @@ INTEGER_PARAMETERS = [
     ("FullDepartureAdversary.k", FullDepartureAdversary, 1, BB, None),
     ("StringGameAdversary.k", StringGameAdversary, 4, BB, OddKError),
     ("duel.max_moves", _duel, 1, BP, None),
-    ("emit_bound_table", lambda v: emit_bound_table([v]), 4, BP, BP),
+    ("emit_bound_table", lambda v: emit_bound_table([v]), 4, BB, BB),
     ("random_arrival_stream.n_events", _arrivals, 0, BP, None),
     ("random_arrival_stream.max_vertices", lambda v: _arrivals(3, v), 2, BP, None),
     ("random_arrival_stream.max_edges", lambda v: _arrivals(3, 20, v), 1, BP, None),
@@ -409,3 +411,19 @@ def test_25_huge_budgets_are_refused_typed():
         for k in (2**1024, 10**400):
             with pytest.raises(BadBudgetError, match="does not fit in a float"):
                 bound(k)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: amp_bound_original(10**5000 + 1), "got a 16610-bit integer"),
+        (lambda: FullDepartureAdversary(-(10**5000)), "got a negative 16610-bit integer"),
+    ],
+    ids=["odd", "negative"],
+)
+def test_26_over_long_integers_are_refused_typed(call, message):
+    # the message used to print the value in decimal, which raises the
+    # interpreter's own ValueError past 4300 digits
+    with pytest.raises(BadBudgetError, match=message) as err:
+        call()
+    assert err.value.code == "bad-k"

@@ -236,3 +236,14 @@ def test_14_bounds_past_the_float_range_is_an_error_message(runner):
     assert isinstance(result.exception, SystemExit)
     assert result.output.startswith("Error: ") and "does not fit in a float" in result.output
     assert "Traceback" not in result.output
+
+
+def test_15_an_unwritable_output_file_is_an_error_message(runner, tmp_path):
+    out = tmp_path / "missing" / "x.txt"
+    result = runner.invoke(
+        main, ["gen", "--family", "greedy-lb", "--k", "4", "--n", "2", "--out", str(out)]
+    )
+    assert result.exit_code == 1
+    assert isinstance(result.exception, SystemExit)
+    assert result.output.startswith("Error: ") and str(out) in result.output
+    assert "Traceback" not in result.output

@@ -16,6 +16,7 @@ from __future__ import annotations
 import hashlib
 import json
 import random
+import re
 from pathlib import Path
 
 from flipmatch.adversaries import (
@@ -25,11 +26,14 @@ from flipmatch.adversaries import (
     lgreedy_lb_stream,
 )
 from flipmatch.algos import GreedyMatcher, LGreedyMatcher, make_matcher
-from flipmatch.core import ARRIVAL, FULL, LIMITED
+from flipmatch.core import ARRIVAL, FULL, LIMITED, arrive
 from flipmatch.harness import duel, random_churn, replay
 from flipmatch.stringgame import StringGameAdversary
 
 DIGESTS = Path(__file__).resolve().parent / "golden" / "digests.json"
+WORKFLOW = Path(__file__).resolve().parents[1] / ".github" / "workflows" / "tier1.yml"
+# the benchmark's chain workload at seed 1, which CI pins by its decisions
+BENCH_CHAIN = "bench-chain greedy k=6 n=300 seed=1"
 
 MATCHERS = ("greedy", "lgreedy", "amp")
 BUDGETS = (4, 6, 8)
@@ -50,6 +54,17 @@ CHURN_EVENTS = 30
 
 def _chain(k: int):
     return replay(greedy_lb_stream(k, 40), GreedyMatcher(k, ARRIVAL))
+
+
+def _relabelled_chain(k: int, n: int, seed: int):
+    # relabelled as benchmarks/worker.py's chain_units does
+    stream = greedy_lb_stream(k, n)
+    labels = sorted({v for ev in stream for v in ev.endpoints})
+    shuffled = list(labels)
+    random.Random(seed).shuffle(shuffled)
+    rename = dict(zip(labels, shuffled))
+    stream = [arrive(rename[ev.u], rename[ev.v]) for ev in stream]
+    return replay(stream, GreedyMatcher(k, ARRIVAL))
 
 
 def _oracle_chain(name: str, k: int):
@@ -75,6 +90,7 @@ def units() -> list[tuple[str, object, tuple]]:
     pinned = [(f"chain greedy k={k} n=40", _chain, (k,)) for k in (3, 4, 6)]
     pinned += [(f"chain {name} k=6 n=40", _oracle_chain, (name, 6)) for name in ("lgreedy", "amp")]
     pinned.append(("swing-chain lgreedy k=8 L=6 copies=3", _swing_chain, ()))
+    pinned.append((BENCH_CHAIN, _relabelled_chain, (6, 300, 1)))
     pinned += [
         (f"duel {kind} k={k} {name}", _duel, (kind, k, name))
         for kind in DUELS
@@ -114,6 +130,14 @@ def test_decisions_match_the_golden_digests():
     assert not (moved or dropped or unpinned), (
         f"moved: {moved}; pinned but no longer run: {dropped}; run but not pinned: {unpinned}"
     )
+
+
+def test_the_bench_chain_unit_is_the_one_ci_pins():
+    # the benchmark digests a workload as the sha256 of its units' digests,
+    # and the chain workload has one unit
+    pinned = re.search(r"check chain ([0-9a-f]{64})", WORKFLOW.read_text()).group(1)
+    unit = json.loads(DIGESTS.read_text())[BENCH_CHAIN]
+    assert hashlib.sha256(unit.encode()).hexdigest() == pinned
 
 
 if __name__ == "__main__":

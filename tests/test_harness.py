@@ -21,7 +21,7 @@ from flipmatch.algos import (
     PhaseRecord,
     make_matcher,
 )
-from flipmatch.bounds import BadParamsError, lgreedy_bound
+from flipmatch.bounds import BadBudgetError, BadParamsError, lgreedy_bound
 from flipmatch.core import (
     ARRIVAL,
     ARRIVE,
@@ -233,8 +233,9 @@ def test_12_bound_table_values():
 
 def test_13_bound_table_rejects_bad_budgets():
     for bad in (3, 2, [4, 5], [True]):
-        with pytest.raises(BadParamsError):
+        with pytest.raises(BadBudgetError) as err:
             emit_bound_table(bad if isinstance(bad, list) else [bad])
+        assert err.value.code == "bad-k"
 
 
 def test_14_stream_files_round_trip():
@@ -439,6 +440,17 @@ class _Counter(ScriptedAdversary):
             yield [arrive(2 * i + 1, 2 * i + 2)]
             self.resumed += 1
         self.outcome = SCRIPT_COMPLETE
+
+
+@pytest.mark.parametrize("model,records", [(LIMITED, 200), (FULL, 200), (ARRIVAL, 6)])
+def test_32_random_churn_on_a_full_board_departs_instead_of_stopping(model, records):
+    # four vertices have six pairs: a full board must shed an edge, and only
+    # the arrival model, where none may leave, stops there
+    for seed in range(50):
+        matcher = make_matcher("greedy", 4, model=model)
+        report = random_churn(random.Random(seed), matcher, 200, max_vertices=4)
+        assert len(report.records) == records
+        assert len(matcher.graph.edges) <= 6
 
 
 @pytest.mark.parametrize("cap,stop", [(5, MOVE_CAP), (6, MOVE_CAP), (7, SCRIPT_COMPLETE)])

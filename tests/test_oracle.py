@@ -209,15 +209,49 @@ def test_11_deterministic_across_runs():
     assert run() == run()
 
 
+class _RowsRead(dict):
+    """A view that records every vertex whose row is read: the vertices a
+    search visits."""
+
+    def __init__(self, adj):
+        super().__init__(adj)
+        self.read: set[int] = set()
+
+    def __getitem__(self, v):
+        self.read.add(v)
+        return super().__getitem__(v)
+
+
+def _search_every_vertex(g: Graph) -> list[int] | None:
+    """Search the component view of every vertex of ``g`` and check it.
+
+    The search finds a path exactly when brute force on the unspent edges
+    between non-walls beats the matched ones among them, and it never
+    visits a wall, a vertex whose matched edge is spent.
+    """
+    walls = {v for v, w in g.mate.items() if g.edge(v, w).etype >= g.budget}
+    adj, roots = g.component_view(g.vertices)
+    view = _RowsRead(adj)
+    walk = find_augmenting_path(view, g.mate, roots)
+    searchable = [
+        e.endpoints for e in g.edges.values() if e.etype < g.budget and not walls & {e.u, e.v}
+    ]
+    matched = sum(1 for u, v in searchable if g.mate.get(u) == v)
+    assert (walk is not None) == (brute_force_max_matching(searchable) > matched)
+    assert not walls & adj.keys()  # a wall gets no row
+    assert not view.read & walls
+    return walk
+
+
 def test_12_blossom_never_crosses_a_walled_matched_vertex():
-    # 3-0-1-2 would augment, but the matched edge 0-1 is absent from the
-    # searchable edges (spent), so 0 and 1 are walls and no path exists
-    adj = {0: {3: 1}, 3: {0: 1}, 1: {2: 2}, 2: {1: 2}}
-    mate = {0: 1, 1: 0}
-    assert find_augmenting_path(adj, mate, free(adj, mate)) is None
-    # with the matched edge searchable the same path is found
-    adj[0][1] = adj[1][0] = 0
-    assert find_augmenting_path(adj, mate, free(adj, mate)) == [2, 1, 0, 3]
+    # 3-0-1-2 would augment, but at budget 1 the matched edge 0-1 is spent,
+    # so 0 and 1 are walls and no path exists; at budget 3 it is not spent
+    for budget, want in ((1, None), (3, [2, 1, 0, 3])):
+        g = Graph(budget)
+        for u, v in [(0, 3), (0, 1), (1, 2)]:
+            g.add_edge(u, v)
+        g.apply_augmenting_path([0, 1])
+        assert _search_every_vertex(g) == want
 
 
 def test_13_flipped_is_the_last_repair_path():
@@ -269,48 +303,30 @@ def test_15_verify_catches_adjacency_that_disagrees_with_the_edges(corrupt):
         g.validate()
 
 
-def _is_wall(adj, mate, v):
-    return v in mate and mate[v] not in adj.get(v, {})
-
-
 @pytest.mark.parametrize("seed", range(4))
 def test_16_search_finds_a_path_exactly_when_the_wall_free_graph_has_one(seed):
-    # random boards of at most 10 vertices with a random matching; some
-    # matched edges are left out of adj, which makes their ends walls
+    # random boards of at most 10 vertices at the odd budget 3 with a random
+    # matching; some matched edges are spent, which makes their ends walls
     rng = random.Random(seed)
     found = 0
     for _ in range(1500):
         n = rng.randint(2, 10)
         pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
-        edges = rng.sample(pairs, rng.randint(1, min(len(pairs), 18)))
-        mate: dict[int, int] = {}
-        walled: list[tuple[int, int]] = []
-        for u, v in rng.sample(edges, len(edges)):
-            if u not in mate and v not in mate and rng.random() < 0.6:
-                mate[u], mate[v] = v, u
+        g = Graph(3)
+        for u, v in rng.sample(pairs, rng.randint(1, min(len(pairs), 18))):
+            g.add_edge(u, v)
+        for e in rng.sample(list(g.edges.values()), len(g.edges)):
+            if g.is_free(e.u) and g.is_free(e.v) and rng.random() < 0.6:
+                g.apply_augmenting_path([e.u, e.v])
                 if rng.random() < 0.3:
-                    walled.append((u, v))
-        adj: dict[int, dict[int, int]] = {v: {} for v in range(n) if rng.random() < 0.9}
-        for eid, (u, v) in enumerate(edges):
-            if (u, v) not in walled:
-                adj.setdefault(u, {})[v] = eid
-                adj.setdefault(v, {})[u] = eid
-        walls = {v for v in adj if _is_wall(adj, mate, v)}
-        searchable = [
-            (u, v) for u in adj for v in adj[u] if u < v and not {u, v} & walls
-        ]
-        matched = sum(1 for u, v in searchable if mate.get(u) == v)
-        walk = find_augmenting_path(adj, mate, free(adj, mate))
-        assert (walk is not None) == (brute_force_max_matching(searchable) > matched)
+                    e.etype = g.budget  # spent, as two more flips would leave it
+        g.validate()
+        walk = _search_every_vertex(g)
         if walk is None:
             continue
         found += 1
-        assert len(walk) % 2 == 0 and len(set(walk)) == len(walk)
-        assert walk[0] not in mate and walk[-1] not in mate
-        for i, (a, b) in enumerate(zip(walk, walk[1:])):
-            assert b in adj[a]
-            assert (mate.get(a) == b) == (i % 2 == 1)
-        assert not set(walk) & walls
+        # the graph checks the walk: alternating, free ends, no spent edge
+        g.apply_augmenting_path(walk)
     assert found > 50
 
 
