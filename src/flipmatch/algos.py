@@ -11,8 +11,9 @@ an event; each strategy reacts to an applied event in ``_react``:
 * ``AmpMatcher`` waits until the optimum grows by a factor ``r`` and then
   syncs its whole matching to the optimum, skipping spent edges.
 
-Odd budgets: the two bookkeeping matchers reserve the last flip and run on an
-even effective budget of ``k - 1``; plain greedy uses all ``k`` flips.
+Odd budgets: the two bookkeeping matchers reserve the last flip, so their board
+is built at the even budget ``k - 1`` and refuses a walk over an edge of type
+``k - 1``; plain greedy's board holds all ``k`` flips.
 """
 
 from __future__ import annotations
@@ -71,7 +72,7 @@ class NegativeEndpointWeightError(ValueError):
 
 
 def effective_budget(k: int) -> int:
-    """Even budget the bookkeeping matchers actually spend: k, or k-1 if odd."""
+    """Even budget a bookkeeping matcher builds its board at: k, or k-1 if odd."""
     bounds.require_int(k, 2, "a bookkeeping matcher's budget", bounds.BadBudgetError)
     return k - k % 2
 
@@ -187,17 +188,18 @@ class LGreedyMatcher(OnlineMatcher):
     def __init__(self, k: int, L: int | None = None, model: str = FULL):
         if L is not None:
             bounds.require_int(L, 0, "length cap L")
+        k = effective_budget(k)
         super().__init__(k, model)
-        self.k_eff = effective_budget(k)
-        if L is None and self.k_eff >= 6:
-            L = bounds.lgreedy_default_L(self.k_eff)
-        elif L is None and self.k_eff < 4:
+        if L is None and k >= 6:
+            L = bounds.lgreedy_default_L(k)
+        elif L is None and k < 4:
             L = 1
         self.L = L
-        self.ledger = WeightLedger(self.k_eff, self.L)
+        self.ledger = WeightLedger(k, L)
 
     def guarantee(self) -> float | None:
-        return None if self.k_eff < 4 else bounds.lgreedy_bound(self.k_eff, self.L)
+        k = self.graph.budget
+        return None if k < 4 else bounds.lgreedy_bound(k, self.L)
 
     def _react(self, ends: tuple[int, int], departed: EdgeState | None) -> None:
         """Apply the candidates the event opened.
@@ -209,7 +211,7 @@ class LGreedyMatcher(OnlineMatcher):
         """
         cap = None if self.L is None else 2 * self.L + 1
         seeds = self.oracle.moved.union(ends)
-        self._exhaust(symmetric_difference(self.graph, self.oracle.mate, seeds, self.k_eff, cap))
+        self._exhaust(symmetric_difference(self.graph, self.oracle.mate, seeds, cap=cap))
 
     def _exhaust(self, candidates: list[list[int]]) -> None:
         """Apply every candidate walk, in the order found.
@@ -228,9 +230,9 @@ class LGreedyMatcher(OnlineMatcher):
 
 @dataclass
 class PhaseRecord:
-    """Snapshot taken when a phase opens (right after the sync)."""
+    """Snapshot taken when a phase opens (right after the sync); phase p's
+    record is ``history[p - 1]``."""
 
-    phase: int
     ell: int
     opt_size: int
     alg_size: int
@@ -239,13 +241,12 @@ class PhaseRecord:
 
 @dataclass
 class AmpState:
-    """Bookkeeping of the doubling matcher: even budget, growth factor, phases.
+    """Bookkeeping of the doubling matcher: growth factor, optimum, phases.
 
     The phase count is ``len(history)`` and the current level is the last
     record's ``ell``.
     """
 
-    k: int
     r: float
     oracle: OracleState | None = None  # the matcher's board optimum
     history: list[PhaseRecord] = field(default_factory=list)
@@ -266,12 +267,8 @@ def floor_log(value: int, r: float) -> int:
     return est
 
 
-def _spent_vertex_count(g: Graph, threshold: int) -> int:
-    spent: set[int] = set()
-    for e in g.edges.values():
-        if e.etype >= threshold:
-            spent.update(e.endpoints)
-    return len(spent)
+def _spent_vertex_count(g: Graph) -> int:
+    return len({v for e in g.edges.values() if e.etype >= g.budget for v in e.endpoints})
 
 
 class AmpMatcher(OnlineMatcher):
@@ -280,11 +277,11 @@ class AmpMatcher(OnlineMatcher):
     name = "amp"
 
     def __init__(self, k: int, r: float | None = None, model: str = FULL):
+        k = effective_budget(k)
         super().__init__(k, model)
-        k_eff = effective_budget(k)
         if r is None:
-            r = bounds.amp_default_r(k_eff) if k_eff >= 4 else 2.0
-        self.state = AmpState(k_eff, r, oracle=self.oracle)
+            r = bounds.amp_default_r(k) if k >= 4 else 2.0
+        self.state = AmpState(r, oracle=self.oracle)
 
     @property
     def r(self) -> float:
@@ -299,8 +296,8 @@ class AmpMatcher(OnlineMatcher):
         return self.state.history
 
     def guarantee(self) -> float | None:
-        k_eff = self.state.k
-        return None if k_eff < 4 else bounds.amp_bound(k_eff, self.state.r)
+        k = self.graph.budget
+        return None if k < 4 else bounds.amp_bound(k, self.state.r)
 
     def _react(self, ends: tuple[int, int], departed: EdgeState | None) -> None:
         """Open a phase and sync once the optimum has grown by the factor ``r``."""
@@ -314,11 +311,10 @@ class AmpMatcher(OnlineMatcher):
         self._sync()
         state.history.append(
             PhaseRecord(
-                phase=len(state.history) + 1,
                 ell=ell,
                 opt_size=opt,
                 alg_size=g.matching_size(),
-                spent_vertices=_spent_vertex_count(g, state.k),
+                spent_vertices=_spent_vertex_count(g),
             )
         )
 
@@ -331,7 +327,7 @@ class AmpMatcher(OnlineMatcher):
         """
         g, opt = self.graph, self.oracle.mate
         # every vertex either map covers; the walk skips those whose partners agree
-        for walk in symmetric_difference(g, opt, g.mate.keys() | opt.keys(), self.state.k):
+        for walk in symmetric_difference(g, opt, g.mate.keys() | opt.keys()):
             g.apply_augmenting_path(walk)
 
 

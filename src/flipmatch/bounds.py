@@ -31,21 +31,31 @@ def require_int(
     even: bool = False,
 ) -> None:
     """The one check of an integer parameter: an ``int``, not a ``bool``, at
-    least ``minimum`` and, if ``even`` is set, even. Raises ``error`` otherwise,
-    naming a long value by its bit length: decimal fails past 4300 digits."""
+    least ``minimum`` and, if ``even`` is set, even. Raises ``error`` otherwise."""
     if isinstance(value, bool) or not isinstance(value, int):
         raise error(f"{what} must be an integer, got {value!r}")
     if value < minimum or even and value % 2:
         kind = "an even integer" if even else "an integer"
-        bits = value.bit_length()
-        got = value if bits <= 64 else f"a {'negative ' if value < 0 else ''}{bits}-bit integer"
-        raise error(f"{what} must be {kind} >= {minimum}, got {got}")
+        raise error(f"{what} must be {kind} >= {minimum}, got {_shown(value)}")
+
+
+def _shown(value: object) -> str:
+    """``value`` for an error message, naming a long ``int`` by its bit length:
+    decimal fails past 4300 digits."""
+    if isinstance(value, int) and value.bit_length() > 64:
+        return f"a {'negative ' if value < 0 else ''}{value.bit_length()}-bit integer"
+    return repr(value)
 
 
 def require_growth(r: object) -> None:
-    """The one check of a growth factor: a finite real number above 1 (not nan)."""
-    if not (isinstance(r, numbers.Real) and 1 < r < math.inf):
-        raise BadParamsError(f"growth factor must be a finite real number above 1, got {r!r}")
+    """The one check of a growth factor: a real number whose float is finite and
+    above 1 (not nan), which an ``int`` past the float range is not."""
+    try:
+        fits = isinstance(r, numbers.Real) and 1 < float(r) < math.inf
+    except OverflowError:
+        fits = False
+    if not fits:
+        raise BadParamsError(f"growth factor must be a real in (1, 2**1024), got {_shown(r)}")
 
 
 # ----------------------------------------------------------------------
@@ -67,13 +77,14 @@ def lgreedy_default_L(k: int) -> int:
 def lgreedy_bound(k: int, L: int | None = None) -> float:
     """Guarantee of the bounded-length matcher at even budget ``k``.
 
-    The budget-4 case caps at 3/2 (it cannot beat plain greedy); from 6 on the
-    default length parameter gives (k(L+2)-2) / ((L+1)(k-1)).
+    An explicit cap ``L`` gives (k(L+2)-2) / ((L+1)(k-1)). Without one, budget
+    4 runs uncapped with plain greedy's 3/2, and from 6 on the default cap is
+    used.
     """
     require_int(k, 4, "budget", BadBudgetError, even=True)
     if L is not None:
         require_int(L, 0, "length cap L")
-    if k == 4:
+    if k == 4 and L is None:
         return 1.5
     if L is None:
         L = lgreedy_default_L(k)

@@ -322,11 +322,7 @@ def is_augmenting(g: Graph, walk: Sequence[int]) -> bool:
 
 
 def symmetric_difference(
-    g: Graph,
-    opt: dict[int, int],
-    seeds: Iterable[int],
-    spent_at: int,
-    cap: int | None = None,
+    g: Graph, opt: dict[int, int], seeds: Iterable[int], *, cap: int | None = None
 ) -> list[list[int]]:
     """The walks of the augmenting components of ALG ^ OPT through ``seeds``.
 
@@ -334,8 +330,8 @@ def symmetric_difference(
     difference when its two partners differ, and a walk that reached it over
     an edge of one matching leaves it over the other's. A component is kept
     when it is an augmenting path of at most ``cap`` edges (any length when
-    ``cap`` is None) with no edge of type >= ``spent_at``. Edges are read
-    with ``g.edge``, so an OPT pair that is no live edge raises
+    ``cap`` is None) with no spent edge, one of type >= ``g.budget``. Edges
+    are read with ``g.edge``, so an OPT pair that is no live edge raises
     ``UnknownEdgeError``. Each vertex is judged once: a walk gives up when
     its component fails a test or reaches a judged vertex, one that an
     earlier walk settled, or its own seed around a cycle.
@@ -347,7 +343,7 @@ def symmetric_difference(
     or the stub is a single vertex. The returned components share no vertex,
     so the order in which they are applied does not matter.
     """
-    alg = g.mate
+    alg, budget = g.mate, g.budget
     judged: set[int] = set()
 
     def walk_from(v: int) -> list[int] | None:
@@ -362,7 +358,7 @@ def symmetric_difference(
                 judged.add(cur)
                 halves[side].append(cur)
                 length += 1
-                if g.edge(prev, cur).etype >= spent_at or cap is not None and length > cap:
+                if g.edge(prev, cur).etype >= budget or cap is not None and length > cap:
                     return None
                 prev, cur = cur, (opt if alg.get(cur) == prev else alg).get(cur)
         return halves[0][::-1] + [v] + halves[1]

@@ -198,22 +198,19 @@ def amp_phase_violations(matcher: AmpMatcher) -> list[str]:
     2*opt(p-k+1) vertices whose budget is exhausted. Returns one message per
     violated record; an empty list means the trace is clean.
     """
-    k, r = matcher.state.k, matcher.r
-    by_phase = {record.phase: record for record in matcher.history}
+    k, r, history = matcher.graph.budget, matcher.r, matcher.history
     problems = []
-    for record in matcher.history:
-        past = by_phase.get(record.phase - k + 1)
-        if record.phase < k + 1 or past is None:
-            continue
+    for p in range(k + 1, len(history) + 1):
+        record, past = history[p - 1], history[p - k]  # phases p and p-k+1
         floor = r**record.ell - r ** (past.ell + 1)
         if record.alg_size <= floor - 1e-9:
             problems.append(
-                f"phase {record.phase}: matching size {record.alg_size} "
+                f"phase {p}: matching size {record.alg_size} "
                 f"at or below the floor {floor:.6f}"
             )
         if record.spent_vertices > 2 * past.opt_size:
             problems.append(
-                f"phase {record.phase}: {record.spent_vertices} spent vertices "
+                f"phase {p}: {record.spent_vertices} spent vertices "
                 f"exceed twice the old optimum {past.opt_size}"
             )
     return problems

@@ -333,10 +333,8 @@ def _check_ledger(matcher: LGreedyMatcher) -> None:
     assert abs(ledger.total() - g.matching_size()) <= 1e-9 * max(1, g.matching_size())
     cap = matcher.L or 0
     matched_floor = 0.5 - cap * ledger.alpha
-    spent_floor = matched_floor + (matcher.k_eff - 1) * ledger.alpha
-    spent_ends = {
-        v for e in g.edges.values() if e.etype >= matcher.k_eff for v in e.endpoints
-    }
+    spent_floor = matched_floor + (g.budget - 1) * ledger.alpha
+    spent_ends = {v for e in g.edges.values() if e.etype >= g.budget for v in e.endpoints}
     for pair in g.matching():
         for v in pair:
             assert ledger.weights.get(v, 0.0) >= matched_floor - 1e-12, v

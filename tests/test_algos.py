@@ -27,6 +27,7 @@ from flipmatch.core import (
     FULL,
     LIMITED,
     MODELS,
+    BlockedPathError,
     Graph,
     IllegalEventError,
     arrive,
@@ -34,7 +35,7 @@ from flipmatch.core import (
     is_augmenting,
     symmetric_difference,
 )
-from flipmatch.harness import duel, random_churn
+from flipmatch.harness import duel, random_churn, replay
 from flipmatch.oracle import brute_force_max_matching
 from flipmatch.stringgame import MATCHER_STALLED, string_game_adversary
 
@@ -92,14 +93,14 @@ def decompose(g, alg, opt):
     return walks
 
 
-def augmenting_unspent(g, walks, spent_at, max_edges=None):
-    """The augmenting ``walks`` with at most ``max_edges`` edges, none of type >= ``spent_at``."""
+def augmenting_unspent(g, walks, max_edges=None):
+    """The augmenting ``walks`` with at most ``max_edges`` edges, none spent on ``g``."""
     return [
         w
         for w in walks
         if is_augmenting(g, w)
         and (max_edges is None or len(w) - 1 <= max_edges)
-        and all(g.edge(a, b).etype < spent_at for a, b in zip(w, w[1:]))
+        and all(g.edge(a, b).etype < g.budget for a, b in zip(w, w[1:]))
     ]
 
 
@@ -107,7 +108,7 @@ def lgreedy_candidates(m):
     """L-Greedy's candidate walks, from the whole-graph decomposition of ALG ^ OPT."""
     g = m.graph
     cap = None if m.L is None else 2 * m.L + 1
-    return augmenting_unspent(g, decompose(g, g.mate, m.oracle.mate), m.k_eff, cap)
+    return augmenting_unspent(g, decompose(g, g.mate, m.oracle.mate), cap)
 
 
 def unoriented(walks):
@@ -258,7 +259,7 @@ def test_11_lgreedy_blind_spot_stays_stalled():
     assert not uv.matched and uv.etype == 0
     assert g.is_free(u) and g.is_free(v)
     assert lgreedy_candidates(m) == []
-    assert symmetric_difference(g, m.oracle.mate, g.vertices, m.k_eff, 2 * m.L + 1) == []
+    assert symmetric_difference(g, m.oracle.mate, g.vertices, cap=2 * m.L + 1) == []
     # plain greedy on the same graph would grab the missed edge immediately
     assert is_augmenting(g, [u, v])
     g.apply_augmenting_path([u, v])
@@ -274,7 +275,7 @@ def test_12_lgreedy_ledger_tracks_matching_size():
 
 def test_13_lgreedy_odd_budget_reserves_last_flip():
     m = LGreedyMatcher(5, L=1)
-    assert m.k_eff == 4
+    assert m.graph.budget == 4
     # ledger uses the even budget too
     assert m.ledger.alpha == pytest.approx(1 / 20)
     # budget 4 (and odd 5) defaults to no cap; the ledger then has no
@@ -305,7 +306,7 @@ def test_15_amp_phase_trace_k4():
     for i in range(6):
         m.on_arrival(arrive(2 * i, 2 * i + 1))
     # levels at optimum sizes 1..6: 0,1,2,2,2,3 -> phases open at 1,2,3,6
-    assert [rec.phase for rec in m.history] == [1, 2, 3, 4]
+    assert m.phase == len(m.history) == 4
     assert [rec.ell for rec in m.history] == [0, 1, 2, 3]
     assert [rec.opt_size for rec in m.history] == [1, 2, 3, 6]
     assert [rec.alg_size for rec in m.history] == [1, 2, 3, 6]
@@ -359,16 +360,16 @@ def test_18_amp_rejects_bad_growth_and_rounds_odd_budgets():
     # an infinite r used to build a matcher whose guarantee() read nan, so
     # the referee's ratio > bound test never counted a violation
     for r in (1.0, math.inf, math.nan):
-        for build in (AmpState, AmpMatcher, bounds.amp_bound):
+        for build in (AmpState, lambda r: AmpMatcher(4, r), lambda r: bounds.amp_bound(4, r)):
             with pytest.raises(bounds.BadParamsError) as err:
-                build(4, r)
+                build(r)
             assert err.value.code == "bad-params"
-    # the matcher rounds an odd budget down to the even one its state spends
+    # the matcher builds its board at the even budget below an odd one
     m = AmpMatcher(5)
-    assert m.state.k == 4
+    assert m.graph.budget == 4
     assert m.r == pytest.approx(math.sqrt(3))
     m3 = AmpMatcher(3)
-    assert m3.state.k == 2
+    assert m3.graph.budget == 2
     assert m3.r == 2.0
 
 
@@ -494,7 +495,7 @@ def test_23_lgreedy_applies_both_tied_candidates_in_one_event():
     m = LGreedyMatcher(2, model=FULL)
     feed(m, [arrive(1, 4), arrive(4, 5), arrive(0, 1), depart(4, 5), depart(0, 1)])
     g = m.graph
-    assert g.edge(1, 4).etype == m.k_eff
+    assert g.edge(1, 4).etype == g.budget
     assert g.matching_size() == 0
     handed = []
     exhaust = m._exhaust
@@ -544,7 +545,7 @@ def test_25_lgreedy_string_duel_never_rebuilds_the_difference(monkeypatch):
     reacting = []  # (matcher, event ends) of the reaction in progress
     calls = {"lgreedy": 0, "amp": 0}
 
-    def spy(g, opt, seeds, spent_at, cap=None):
+    def spy(g, opt, seeds, *, cap=None):
         seeds = list(seeds)
         m, ends = reacting[-1]
         assert g is m.graph and opt is m.oracle.mate
@@ -553,7 +554,7 @@ def test_25_lgreedy_string_duel_never_rebuilds_the_difference(monkeypatch):
         else:
             assert {v for v, _ in g.mate.items() ^ opt.items()} <= set(seeds)
         calls[m.name] += 1
-        return walker(g, opt, seeds, spent_at, cap)
+        return walker(g, opt, seeds, cap=cap)
 
     monkeypatch.setattr(algos, "symmetric_difference", spy)
     for algo in calls:
@@ -660,7 +661,7 @@ def test_29_lgreedy_walk_stops_when_it_closes_a_cycle(monkeypatch):
 
     monkeypatch.setattr(Graph, "edge", spy)
     # each vertex is judged once, so seeding all four reads each edge at most once
-    assert symmetric_difference(m.graph, m.oracle.mate, [1, 2, 3, 4], m.k_eff) == []
+    assert symmetric_difference(m.graph, m.oracle.mate, [1, 2, 3, 4]) == []
     assert len(reads) == len(set(reads)) <= 4
     reads.clear()
     m.oracle.moved = {1, 2, 3, 4}
@@ -686,9 +687,31 @@ def test_30_amp_sync_leaves_no_augmenting_unspent_component(model, k):
             if m.phase > phase:
                 g = m.graph
                 walks = decompose(g, g.mate, m.oracle.mate)
-                assert augmenting_unspent(g, walks, m.state.k) == [], (model, k, seed)
+                assert augmenting_unspent(g, walks) == [], (model, k, seed)
                 synced += 1
 
         m._react = checked_react
         random_churn(random.Random(100 * k + seed), m, 80, max_vertices=12)
     assert synced > 0
+
+
+@pytest.mark.parametrize("build", [LGreedyMatcher, AmpMatcher])
+def test_31_bookkeeping_board_holds_the_even_budget(build):
+    # at an odd budget the board itself keeps the last flip in reserve
+    g = build(5).graph
+    assert g.budget == 4
+    g.add_edge(1, 2).etype = 4  # unmatched, after four flips
+    with pytest.raises(BlockedPathError) as err:
+        g.apply_augmenting_path([1, 2])
+    assert err.value.code == "blocked-path"
+
+
+@pytest.mark.parametrize("k", [4, 5])
+def test_32_lgreedy_budget_4_with_a_cap_claims_the_formula(k):
+    # the walk 1-2-3-4 is longer than the cap's 1 edge, so L-Greedy stays at
+    # ratio 2, which an explicit cap at budget 4 must allow
+    stream = [arrive(2, 3), arrive(1, 2), arrive(3, 4)]
+    report = replay(stream, LGreedyMatcher(k, L=0, model=ARRIVAL))
+    assert report.final_sizes == (1, 2)
+    assert report.bound == 2.0
+    assert report.bound_violations == 0

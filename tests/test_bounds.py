@@ -69,6 +69,9 @@ def test_03_lgreedy_default_L():
 
 def test_04_lgreedy_bound_values():
     assert lgreedy_bound(4) == 1.5
+    # an explicit cap at budget 4 gets the formula, not uncapped greedy's 3/2
+    assert lgreedy_bound(4, 0) == 2.0
+    assert lgreedy_bound(4, 1) == pytest.approx(5 / 3)
     assert lgreedy_bound(6) == pytest.approx(22 / 15)
     assert lgreedy_bound(8) == pytest.approx(10 / 7)
     assert lgreedy_bound(10) == pytest.approx(4 / 3)
@@ -301,7 +304,7 @@ INTEGER_HOLES = [
 # above 1. A string used to die with a bare TypeError.
 GROWTH_SITES = [
     ("AmpMatcher.r", lambda v: AmpMatcher(4, r=v)),
-    ("AmpState.r", lambda v: AmpState(4, v)),
+    ("AmpState.r", AmpState),
     ("amp_bound.r", lambda v: amp_bound(4, v)),
 ]
 GROWTH_VALUES = [
@@ -311,6 +314,11 @@ GROWTH_VALUES = [
     ("True", True, BP),
     ("nan", math.nan, BP),
     ("inf", math.inf, BP),
+    # ints too large for a float: amp_bound returned one, and the referee's
+    # ratio test died with a bare OverflowError
+    ("10**400", 10**400, BP),
+    ("2**1024", 2**1024, BP),
+    ("10**5000", 10**5000, BP),
     ("int", 2, None),
     ("float", 1.5, None),
 ]

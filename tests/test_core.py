@@ -256,32 +256,32 @@ def test_20_symmetric_difference_kinds():
     opt = partners({(1, 2), (3, 4), (5, 6)})
     # a seed anywhere on the component walks all of it, in some direction
     for seed in range(1, 7):
-        (walk,) = symmetric_difference(g, opt, [seed], 6)
+        (walk,) = symmetric_difference(g, opt, [seed])
         assert min(walk, walk[::-1]) == [1, 2, 3, 4, 5, 6]
-    assert symmetric_difference(g, opt, [1], 6, cap=5) == [[1, 2, 3, 4, 5, 6]]
-    assert symmetric_difference(g, opt, [1], 6, cap=4) == []
+    assert symmetric_difference(g, opt, [1], cap=5) == [[1, 2, 3, 4, 5, 6]]
+    assert symmetric_difference(g, opt, [1], cap=4) == []
     # a seed whose two partners agree, or that neither map covers, is no seed
-    assert symmetric_difference(g, opt, [7], 6) == []
-    assert symmetric_difference(g, dict(g.mate), list(g.vertices), 6) == []
+    assert symmetric_difference(g, opt, [7]) == []
+    assert symmetric_difference(g, dict(g.mate), list(g.vertices)) == []
     # the augmenting component for OPT is not one for ALG
-    assert symmetric_difference(Graph(6), g.mate, [1], 6) == []
-    g.apply_augmenting_path(symmetric_difference(g, opt, [3], 6)[0])
+    assert symmetric_difference(Graph(6), g.mate, [1]) == []
+    g.apply_augmenting_path(symmetric_difference(g, opt, [3])[0])
     assert g.mate == opt
 
 
 def test_22_symmetric_difference_skips_a_spent_component():
-    # types 1,2,1 at budget 2 on 1-2-3-4, then fresh 0-1 and 4-5: the path
-    # 0-1-2-3-4-5 is augmenting but crosses the spent 2-3
-    g = Graph(2)
-    path = build_path(g, [1, 2, 3, 4])
-    g.apply_augmenting_path([2, 3])
-    g.apply_augmenting_path([1, 2, 3, 4])
-    assert [e.etype for e in path] == [1, 2, 1]
-    build_path(g, [0, 1])
-    build_path(g, [4, 5])
-    opt = partners({(0, 1), (2, 3), (4, 5)})
-    assert symmetric_difference(g, opt, [0], 3) == [[0, 1, 2, 3, 4, 5]]
-    assert symmetric_difference(g, opt, range(6), 2) == []
+    # types 1,2,1 on 1-2-3-4, then fresh 0-1 and 4-5: the path 0-1-2-3-4-5
+    # is augmenting, and its edge 2-3 is spent on a board of budget 2 only
+    for budget, walks in ((2, []), (3, [[0, 1, 2, 3, 4, 5]])):
+        g = Graph(budget)
+        path = build_path(g, [1, 2, 3, 4])
+        g.apply_augmenting_path([2, 3])
+        g.apply_augmenting_path([1, 2, 3, 4])
+        assert [e.etype for e in path] == [1, 2, 1]
+        build_path(g, [0, 1])
+        build_path(g, [4, 5])
+        opt = partners({(0, 1), (2, 3), (4, 5)})
+        assert symmetric_difference(g, opt, range(6)) == walks
 
 
 def test_15_symmetric_difference_cycle_walk_closes(monkeypatch):
@@ -294,7 +294,7 @@ def test_15_symmetric_difference_cycle_walk_closes(monkeypatch):
     reads = count_edge_reads(monkeypatch)
     # the cycle is dropped, and each vertex judged once: seeding all of it
     # reads each of its edges at most once
-    assert symmetric_difference(g, opt, [5, 6, 7, 8, 1, 2], 4) == [[1, 2]]
+    assert symmetric_difference(g, opt, [5, 6, 7, 8, 1, 2]) == [[1, 2]]
     assert len(reads) == len(set(reads)) <= 5
 
 
@@ -328,7 +328,8 @@ def _naive_components(alg: set[tuple], opt: set[tuple]) -> list[tuple]:
 @pytest.mark.parametrize("seed", range(20))
 def test_23_symmetric_difference_matches_naive_scan(seed):
     rng = random.Random(seed)
-    g = Graph(9)
+    budget = rng.choice((2, 3, 9))
+    g = Graph(budget)
     n = 8
     pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
     rng.shuffle(pairs)
@@ -347,14 +348,14 @@ def test_23_symmetric_difference_matches_naive_scan(seed):
 
     alg, opt = random_matching(), random_matching()
     g.mate.update(partners(alg))
+    # types up to the budget, odd exactly on ALG's edges
     for pair in alg:
-        g.edges[pair].etype = rng.choice((1, 3))
+        g.edges[pair].etype = rng.choice([t for t in (1, 3) if t <= budget])
     for pair in set(live) - alg:
         g.edges[pair].etype = rng.choice((0, 2))
     g.validate()
-    spent_at = rng.choice((2, 3, 9))
     cap = rng.choice((None, 1, 3))
-    walks = symmetric_difference(g, partners(opt), rng.sample(range(n), n), spent_at, cap)
+    walks = symmetric_difference(g, partners(opt), rng.sample(range(n), n), cap=cap)
     edge_walks = [[g.edge(a, b).endpoints for a, b in zip(w, w[1:])] for w in walks]
     got = sorted(
         ((frozenset(es), sum(1 if e in opt else -1 for e in es)) for es in edge_walks),
@@ -367,7 +368,7 @@ def test_23_symmetric_difference_matches_naive_scan(seed):
         for es, surplus in _naive_components(alg, opt)
         if surplus == 1
         and (cap is None or len(es) <= cap)
-        and all(g.edges[e].etype < spent_at for e in es)
+        and all(g.edges[e].etype < budget for e in es)
     ]
     # every walk alternates, starting and ending on an OPT edge
     for es in edge_walks:
@@ -383,9 +384,9 @@ def test_26_symmetric_difference_rejects_a_pair_that_is_no_edge():
     g.add_edge(1, 2)
     g.apply_augmenting_path([1, 2])
     with pytest.raises(UnknownEdgeError) as err:
-        symmetric_difference(g, {1: 3, 3: 1}, [1], 4)
+        symmetric_difference(g, {1: 3, 3: 1}, [1])
     assert err.value.code == "unknown-edge"
-    assert symmetric_difference(g, {1: 2, 2: 1}, [1, 2], 4) == []
+    assert symmetric_difference(g, {1: 2, 2: 1}, [1, 2]) == []
 
 
 def test_27_refusals_name_the_pairs_they_refuse():

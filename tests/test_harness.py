@@ -347,11 +347,11 @@ def test_18_doubler_trace_checks():
     assert amp_phase_violations(matcher) == []
     # breaking a late record by hand must be caught
     matcher.state.history.extend(
-        PhaseRecord(phase=p, ell=p, opt_size=2**p, alg_size=2**p, spent_vertices=0)
+        PhaseRecord(ell=p, opt_size=2**p, alg_size=2**p, spent_vertices=0)
         for p in range(len(matcher.history) + 1, 12)
     )
     matcher.state.history.append(
-        PhaseRecord(phase=12, ell=12, opt_size=4096, alg_size=1, spent_vertices=9999)
+        PhaseRecord(ell=12, opt_size=4096, alg_size=1, spent_vertices=9999)
     )
     problems = amp_phase_violations(matcher)
     assert len(problems) == 2
