@@ -23,6 +23,7 @@ from .algos import (
     LGreedyMatcher,
     OnlineMatcher,
     WeightLedger,
+    amp_phase_violations,
     make_matcher,
 )
 from .bounds import (
@@ -53,7 +54,6 @@ from .core import (
 from .harness import (
     RunReport,
     StepRecord,
-    amp_phase_violations,
     duel,
     emit_bound_table,
     parse_stream,

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import inspect
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from . import bounds
 from .blossom import find_augmenting_path
@@ -239,22 +239,6 @@ class PhaseRecord:
     spent_vertices: int
 
 
-@dataclass
-class AmpState:
-    """Bookkeeping of the doubling matcher: growth factor, optimum, phases.
-
-    The phase count is ``len(history)`` and the current level is the last
-    record's ``ell``.
-    """
-
-    r: float
-    oracle: OracleState | None = None  # the matcher's board optimum
-    history: list[PhaseRecord] = field(default_factory=list)
-
-    def __post_init__(self) -> None:
-        bounds.require_growth(self.r)
-
-
 def floor_log(value: int, r: float) -> int:
     """Largest integer level with r**level <= value, robust to float noise."""
     if value <= 0:
@@ -272,7 +256,11 @@ def _spent_vertex_count(g: Graph) -> int:
 
 
 class AmpMatcher(OnlineMatcher):
-    """Resync to the optimum whenever it grows by the factor ``r``."""
+    """Resync to the optimum whenever it grows by the factor ``r``.
+
+    ``history`` holds one ``PhaseRecord`` per opened phase, so the phase is
+    its length and the current level is the last record's ``ell``.
+    """
 
     name = "amp"
 
@@ -281,35 +269,36 @@ class AmpMatcher(OnlineMatcher):
         super().__init__(k, model)
         if r is None:
             r = bounds.amp_default_r(k) if k >= 4 else 2.0
-        self.state = AmpState(r, oracle=self.oracle)
-
-    @property
-    def r(self) -> float:
-        return self.state.r
+        bounds.require_growth(r)
+        self.r = r
+        self.history: list[PhaseRecord] = []
 
     @property
     def phase(self) -> int:
-        return len(self.state.history)
+        return len(self.history)
 
     @property
-    def history(self) -> list[PhaseRecord]:
-        return self.state.history
+    def state(self) -> AmpMatcher:
+        """The matcher itself: ``benchmarks/worker.py`` reads
+        ``matcher.state.oracle``. The alias goes with the next change to the
+        benchmark (ROADMAP items 3 and 16)."""
+        return self
 
     def guarantee(self) -> float | None:
         k = self.graph.budget
-        return None if k < 4 else bounds.amp_bound(k, self.state.r)
+        return None if k < 4 else bounds.amp_bound(k, self.r)
 
     def _react(self, ends: tuple[int, int], departed: EdgeState | None) -> None:
         """Open a phase and sync once the optimum has grown by the factor ``r``."""
-        state, g = self.state, self.graph
         opt = self.oracle.size
         if opt == 0:
             return
-        ell = floor_log(opt, state.r)
-        if state.history and ell <= state.history[-1].ell:
+        ell = floor_log(opt, self.r)
+        if self.history and ell <= self.history[-1].ell:
             return
         self._sync()
-        state.history.append(
+        g = self.graph
+        self.history.append(
             PhaseRecord(
                 ell=ell,
                 opt_size=opt,
@@ -331,11 +320,33 @@ class AmpMatcher(OnlineMatcher):
             g.apply_augmenting_path(walk)
 
 
-MATCHERS = {
-    "greedy": GreedyMatcher,
-    "lgreedy": LGreedyMatcher,
-    "amp": AmpMatcher,
-}
+def amp_phase_violations(matcher: AmpMatcher) -> list[str]:
+    """Check the doubling matcher's per-phase floor and spent-vertex cap.
+
+    Each opened phase p from p = k+1 on, with k the board's budget, must
+    satisfy alg_size > r^level(p) - r^(level(p-k+1)+1) and must carry at most
+    2*opt(p-k+1) vertices whose budget is exhausted. Returns one message per
+    violated record; an empty list means the trace is clean.
+    """
+    k, r, history = matcher.graph.budget, matcher.r, matcher.history
+    problems = []
+    for p in range(k + 1, len(history) + 1):
+        record, past = history[p - 1], history[p - k]  # phases p and p-k+1
+        floor = r**record.ell - r ** (past.ell + 1)
+        if record.alg_size <= floor - 1e-9:
+            problems.append(
+                f"phase {p}: matching size {record.alg_size} "
+                f"at or below the floor {floor:.6f}"
+            )
+        if record.spent_vertices > 2 * past.opt_size:
+            problems.append(
+                f"phase {p}: {record.spent_vertices} spent vertices "
+                f"exceed twice the old optimum {past.opt_size}"
+            )
+    return problems
+
+
+MATCHERS = {cls.name: cls for cls in (GreedyMatcher, LGreedyMatcher, AmpMatcher)}
 
 
 def make_matcher(algo: str, k: int, model: str = FULL, **kwargs) -> OnlineMatcher:

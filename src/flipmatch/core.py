@@ -4,7 +4,8 @@ Every edge carries a flip counter (its *type*). A fresh edge starts at type 0
 and is not in the matching. Each time an augmentation walks over the edge the
 counter goes up by one and the edge toggles in or out of the matching, so an
 edge is matched exactly when its type is odd. Once the counter reaches the
-budget ``k`` the edge is frozen for good -- we call it *blocked*.
+board's ``budget`` the edge is frozen for good -- we call it *spent*. The
+budget is ``k``, or ``k - 1`` on a bookkeeping matcher's board at an odd k.
 
 A path or cycle is its vertex walk, the list of vertices it visits in
 order; a cycle's walk closes on its start. The module applies an augmenting

@@ -16,7 +16,7 @@ from typing import Iterable, Iterator, Sequence
 
 from . import bounds
 from .adversaries import MOVE_CAP, ScriptedAdversary
-from .algos import AmpMatcher, OnlineMatcher
+from .algos import OnlineMatcher
 from .core import (
     ARRIVAL,
     ARRIVE,
@@ -187,36 +187,6 @@ def duel(
 
 
 # ----------------------------------------------------------------------
-# doubling-matcher trace checks
-
-
-def amp_phase_violations(matcher: AmpMatcher) -> list[str]:
-    """Check the doubling matcher's per-phase floor and spent-vertex cap.
-
-    Each opened phase p late enough to have a phase p-k+1 behind it must
-    satisfy alg_size > r^level(p) - r^(level(p-k+1)+1) and must carry at most
-    2*opt(p-k+1) vertices whose budget is exhausted. Returns one message per
-    violated record; an empty list means the trace is clean.
-    """
-    k, r, history = matcher.graph.budget, matcher.r, matcher.history
-    problems = []
-    for p in range(k + 1, len(history) + 1):
-        record, past = history[p - 1], history[p - k]  # phases p and p-k+1
-        floor = r**record.ell - r ** (past.ell + 1)
-        if record.alg_size <= floor - 1e-9:
-            problems.append(
-                f"phase {p}: matching size {record.alg_size} "
-                f"at or below the floor {floor:.6f}"
-            )
-        if record.spent_vertices > 2 * past.opt_size:
-            problems.append(
-                f"phase {p}: {record.spent_vertices} spent vertices "
-                f"exceed twice the old optimum {past.opt_size}"
-            )
-    return problems
-
-
-# ----------------------------------------------------------------------
 # bound table
 
 
@@ -272,25 +242,21 @@ def parse_stream(text: str) -> StreamFile:
         if not line or line.startswith("#"):
             continue
         parts = line.split()
-        if parts[0] == "k" and len(parts) == 2:
+        if parts[0] in ("k", "model") and len(parts) == 2:
             if events:
                 raise BadStreamError(f"line {lineno}: header after events")
-            if k is not None:
-                raise BadStreamError(f"line {lineno}: repeated `k` header")
+            if (k if parts[0] == "k" else model) is not None:
+                raise BadStreamError(f"line {lineno}: repeated `{parts[0]}` header")
+            if parts[0] == "model":
+                if parts[1] not in MODELS:
+                    raise BadStreamError(f"line {lineno}: unknown model {parts[1]!r}")
+                model = parts[1]
+                continue
             k = _written_int(parts[1])
             if k is None:
                 raise BadStreamError(f"line {lineno}: bad budget {parts[1]!r}")
             if k < 1:
                 raise BadStreamError(f"line {lineno}: budget must be at least 1, got {k}")
-            continue
-        if parts[0] == "model" and len(parts) == 2:
-            if events:
-                raise BadStreamError(f"line {lineno}: header after events")
-            if model is not None:
-                raise BadStreamError(f"line {lineno}: repeated `model` header")
-            if parts[1] not in MODELS:
-                raise BadStreamError(f"line {lineno}: unknown model {parts[1]!r}")
-            model = parts[1]
             continue
         if parts[0] in ("+", "-") and len(parts) == 3:
             u, v = _written_int(parts[1]), _written_int(parts[2])

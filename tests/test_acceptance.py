@@ -18,7 +18,7 @@ from flipmatch.adversaries import (
     greedy_lb_stream,
     lgreedy_lb_stream,
 )
-from flipmatch.algos import AmpMatcher, GreedyMatcher, LGreedyMatcher
+from flipmatch.algos import AmpMatcher, GreedyMatcher, LGreedyMatcher, amp_phase_violations
 from flipmatch.bounds import (
     amp_bound_improved,
     dep_lower_bound,
@@ -30,7 +30,6 @@ from flipmatch.bounds import (
 )
 from flipmatch.core import ARRIVAL, ARRIVE, FULL, LIMITED, Graph, arrive, depart
 from flipmatch.harness import (
-    amp_phase_violations,
     duel,
     emit_bound_table,
     random_arrival_stream,

@@ -10,11 +10,11 @@ import pytest
 
 from flipmatch.algos import (
     AmpMatcher,
-    AmpState,
     GreedyMatcher,
     LGreedyMatcher,
     NegativeEndpointWeightError,
     WeightLedger,
+    amp_phase_violations,
     effective_budget,
     floor_log,
     make_matcher,
@@ -320,7 +320,7 @@ def test_16_amp_idles_between_phases():
     # optimum is 4 but the last phase synced at 3
     assert len(m.graph.matching()) == 3
     assert m.phase == 3
-    assert m.state.oracle.size == 4
+    assert m.oracle.size == 4
 
 
 def test_17_amp_sync_skips_spent_edges():
@@ -340,14 +340,14 @@ def test_17_amp_sync_skips_spent_edges():
     m.on_departure(depart(1, 3))
     # the matcher is empty; the internal optimum falls back on the spent edge
     assert len(m.graph.matching()) == 0
-    assert m.state.oracle.size == 1
+    assert m.oracle.size == 1
     m.on_arrival(arrive(4, 5))
     m.on_arrival(arrive(6, 7))
     m.on_arrival(arrive(8, 9))
     # optimum 4 lifts the level to 2; the sync must skip the spent edge
     assert m.phase == 3
     assert len(m.graph.matching()) == 3
-    assert m.state.oracle.size == 4
+    assert m.oracle.size == 4
     assert not g.edge(0, 1).matched
     rec = m.history[-1]
     assert rec.alg_size == 3
@@ -360,7 +360,7 @@ def test_18_amp_rejects_bad_growth_and_rounds_odd_budgets():
     # an infinite r used to build a matcher whose guarantee() read nan, so
     # the referee's ratio > bound test never counted a violation
     for r in (1.0, math.inf, math.nan):
-        for build in (AmpState, lambda r: AmpMatcher(4, r), lambda r: bounds.amp_bound(4, r)):
+        for build in (lambda r: AmpMatcher(4, r), lambda r: bounds.amp_bound(4, r)):
             with pytest.raises(bounds.BadParamsError) as err:
                 build(r)
             assert err.value.code == "bad-params"
@@ -462,10 +462,7 @@ if HAVE_HYPOTHESIS:
             alg = len(m.graph.matching())
             opt = brute_force_max_matching(live)
             assert alg <= opt
-            if hasattr(m, "oracle"):
-                assert m.oracle.size == opt
-            elif hasattr(m, "state"):
-                assert m.state.oracle.size == opt
+            assert m.oracle.size == opt
 
 
 @pytest.mark.parametrize("algo", ["lgreedy", "amp"])
@@ -715,3 +712,23 @@ def test_32_lgreedy_budget_4_with_a_cap_claims_the_formula(k):
     assert report.final_sizes == (1, 2)
     assert report.bound == 2.0
     assert report.bound_violations == 0
+
+
+@pytest.mark.parametrize(
+    "k,edges,alg,ells",
+    [(4, 5, 3, [0, 1, 2]), (6, 37, 25, list(range(9)))],
+)
+def test_33_amp_idles_up_to_r_between_phases(k, edges, alg, ells):
+    # disjoint arrivals grow the optimum by one edge a step; AMP matches
+    # nothing new until the optimum reaches the next power of r, so its
+    # ratio climbs towards r while greedy and L-Greedy match every edge
+    stream = [arrive(2 * i + 1, 2 * i + 2) for i in range(edges)]
+    m = AmpMatcher(k, model=ARRIVAL)
+    report = replay(stream, m)
+    assert report.final_sizes == (alg, edges)
+    assert report.bound_violations == 0
+    assert [rec.ell for rec in m.history] == ells
+    assert amp_phase_violations(m) == []
+    for algo in ("greedy", "lgreedy"):
+        other = replay(stream, make_matcher(algo, k, ARRIVAL))
+        assert {rec.ratio for rec in other.records} == {1.0}

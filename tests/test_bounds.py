@@ -14,7 +14,7 @@ from flipmatch.adversaries import (
     greedy_lb_stream,
     lgreedy_lb_stream,
 )
-from flipmatch.algos import AmpMatcher, AmpState, GreedyMatcher, LGreedyMatcher, effective_budget
+from flipmatch.algos import AmpMatcher, GreedyMatcher, LGreedyMatcher, effective_budget
 from flipmatch.bounds import (
     BadBudgetError,
     BadParamsError,
@@ -304,7 +304,6 @@ INTEGER_HOLES = [
 # above 1. A string used to die with a bare TypeError.
 GROWTH_SITES = [
     ("AmpMatcher.r", lambda v: AmpMatcher(4, r=v)),
-    ("AmpState.r", AmpState),
     ("amp_bound.r", lambda v: amp_bound(4, v)),
 ]
 GROWTH_VALUES = [

@@ -19,6 +19,7 @@ from flipmatch.algos import (
     GreedyMatcher,
     LGreedyMatcher,
     PhaseRecord,
+    amp_phase_violations,
     make_matcher,
 )
 from flipmatch.bounds import BadBudgetError, BadParamsError, lgreedy_bound
@@ -44,7 +45,6 @@ from flipmatch.harness import (
     RunReport,
     StreamFile,
     TABLE_HEADER,
-    amp_phase_violations,
     duel,
     emit_bound_table,
     parse_stream,
@@ -346,11 +346,11 @@ def test_18_doubler_trace_checks():
     replay(random_arrival_stream(random.Random(2), 24), matcher)
     assert amp_phase_violations(matcher) == []
     # breaking a late record by hand must be caught
-    matcher.state.history.extend(
+    matcher.history.extend(
         PhaseRecord(ell=p, opt_size=2**p, alg_size=2**p, spent_vertices=0)
         for p in range(len(matcher.history) + 1, 12)
     )
-    matcher.state.history.append(
+    matcher.history.append(
         PhaseRecord(ell=12, opt_size=4096, alg_size=1, spent_vertices=9999)
     )
     problems = amp_phase_violations(matcher)
@@ -488,8 +488,6 @@ def test_23_one_oracle_per_run(algo, monkeypatch):
     assert all(o is matcher.oracle for log in calls.values() for o in log)
     # one edge index per board: the oracle searches the graph's own rows
     assert matcher.oracle.rows is matcher.graph.rows
-    if algo == "amp":
-        assert matcher.state.oracle is matcher.oracle
 
 
 if HAVE_HYPOTHESIS:
