@@ -94,8 +94,22 @@ class GreedyMatcher(OnlineMatcher):
         return bounds.greedy_bound(self.graph.budget)
 
     def _react(self, ends: tuple[int, int], departed: EdgeState | None) -> None:
-        # only a departure that tore out a matched edge can open new paths
-        if departed is None or departed.matched:
+        """Apply the augmenting paths the event opened (see ``_exhaust``).
+
+        An arrival uv between two free vertices is matched without a view or
+        a search, as it is the only augmenting path of G* + uv. The new edge
+        has type 0 and a free vertex is never a wall, so uv lies in G*. Any
+        augmenting path uses uv, since M* was maximum in G* before it, and
+        the free u and v must then be the path's two ends, so the path is uv
+        itself. The search would fail from every root but u and v and return
+        ``[u, v]`` from the smaller one, which is ``ends``.
+        """
+        mate = self.graph.mate
+        if departed is None and ends[0] not in mate and ends[1] not in mate:
+            self.graph.apply_augmenting_path(ends)
+            self.augmentations += 1
+        elif departed is None or departed.matched:
+            # only a departure that tore out a matched edge can open new paths
             spent = departed is not None and departed.etype >= self.graph.budget
             self._exhaust(ends, 2 if spent else 1)
 

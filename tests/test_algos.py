@@ -5,6 +5,7 @@ from __future__ import annotations
 import copy
 import math
 import random
+from collections.abc import Mapping
 
 import pytest
 
@@ -19,7 +20,8 @@ from flipmatch.algos import (
     floor_log,
     make_matcher,
 )
-from flipmatch import algos, bounds
+from flipmatch import algos, bounds, oracle
+from flipmatch.adversaries import greedy_lb_stream
 from flipmatch.blossom import find_augmenting_path
 from flipmatch.core import (
     ARRIVAL,
@@ -621,9 +623,10 @@ def test_28_greedy_builds_no_view_while_the_board_has_under_two_free_vertices(mo
 
     monkeypatch.setattr(Graph, "component_view", spy)
     m = GreedyMatcher(4, ARRIVAL)
+    # an arrival between two free vertices is its own augmenting path
     feed(m, [arrive(1, 2), arrive(3, 4)])
-    assert len(views) == 2
-    views.clear()
+    assert views == []
+    assert m.augmentations == 2
     # an augmenting path needs two free vertices: none is free when 1-3
     # arrives, and 0 is the only one when 0-1 and then 2-3 do
     feed(m, [arrive(1, 3), arrive(0, 1), arrive(2, 3)])
@@ -732,3 +735,76 @@ def test_33_amp_idles_up_to_r_between_phases(k, edges, alg, ells):
     for algo in ("greedy", "lgreedy"):
         other = replay(stream, make_matcher(algo, k, ARRIVAL))
         assert {rec.ratio for rec in other.records} == {1.0}
+
+
+def test_34_greedy_matches_a_both_free_arrival_as_its_search_would():
+    # the rule in GreedyMatcher._react against the search it skips: from the
+    # view built before the reaction, the search returns the arrived edge
+    checked = 0
+    for model in MODELS:
+        for k in range(1, 10):
+            for vertices in (8, 16):
+                for seed in range(8):
+                    m = GreedyMatcher(k, model)
+                    react = m._react
+
+                    def checked_react(ends, departed, m=m, react=react):
+                        nonlocal checked
+                        g = m.graph
+                        if departed is None and ends[0] not in g.mate and ends[1] not in g.mate:
+                            adj, roots = g.component_view(ends)
+                            assert find_augmenting_path(adj, g.mate, roots) == list(ends)
+                            checked += 1
+                        react(ends, departed)
+
+                    m._react = checked_react
+                    random_churn(random.Random(seed), m, 100, max_vertices=vertices)
+    assert checked > 2000
+
+
+class CountingRows(Mapping):
+    """Rows a search reads through, counting each ``adj[v]`` read."""
+
+    def __init__(self, rows, reads):
+        self.rows, self.reads = rows, reads
+
+    def __getitem__(self, v):
+        self.reads[0] += 1
+        return self.rows[v]
+
+    def __contains__(self, v):
+        return v in self.rows
+
+    def __iter__(self):
+        return iter(self.rows)
+
+    def __len__(self):
+        return len(self.rows)
+
+
+@pytest.mark.parametrize("algo", ["greedy", "lgreedy", "amp"])
+def test_35_plain_chain_scans_stay_linear(algo, monkeypatch):
+    # rows scanned per event (component-view rows plus each search's row
+    # reads) stay flat as the starvation chain grows: about 4x from n = 500
+    # to 2000 would mean a quadratic replay
+    scans = [0]
+    component_view, search = Graph.component_view, find_augmenting_path
+
+    def view_spy(self, seeds):
+        adj, roots = component_view(self, seeds)
+        scans[0] += len(adj)
+        return adj, roots
+
+    def search_spy(adj, mate, roots):
+        return search(CountingRows(adj, scans), mate, roots)
+
+    monkeypatch.setattr(Graph, "component_view", view_spy)
+    monkeypatch.setattr(algos, "find_augmenting_path", search_spy)
+    monkeypatch.setattr(oracle, "find_augmenting_path", search_spy)
+    per_event = []
+    for n in (500, 2000):
+        scans[0] = 0
+        stream = greedy_lb_stream(6, n)
+        replay(stream, make_matcher(algo, 6, ARRIVAL))
+        per_event.append(scans[0] / len(stream))
+    assert per_event[1] <= 1.5 * per_event[0]

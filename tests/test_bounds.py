@@ -434,3 +434,12 @@ def test_26_over_long_integers_are_refused_typed(call, message):
     with pytest.raises(BadBudgetError, match=message) as err:
         call()
     assert err.value.code == "bad-k"
+
+
+def test_27_lgreedy_beats_amp_up_to_k_20_and_amp_leads_from_22():
+    # the abstract's "L-Greedy outperforms AMP for small k", as the formulas
+    # give it: at k = 20 the two are 1.24211 < 1.24315, at k = 22 1.2381 > 1.22264
+    for k in range(4, 21, 2):
+        assert lgreedy_bound(k) < amp_bound_improved(k), k
+    for k in range(22, 41, 2):
+        assert lgreedy_bound(k) > amp_bound_improved(k), k
