@@ -147,7 +147,10 @@ def duel_cmd(opponent: str, algo: str, k: int, epsilon: float, depth: int,
 @click.option("--n", type=int, default=50, show_default=True,
               help="Chain parameter of the greedy-lb family.")
 @click.option("--L", "cap", type=int, default=None,
-              help="Length cap targeted by the lgreedy-lb family.")
+              help="Length cap targeted by the lgreedy-lb family, at least 3; "
+                   "defaults to max(3, isqrt(k-1)). At k = 4, 6 and 8 that is not "
+                   "the cap of 'simulate --algo lgreedy' (uncapped at 4, 2 at 6 "
+                   "and 8): pass the same --L to both.")
 @click.option("--copies", type=int, default=1, show_default=True)
 @click.option("--out", type=click.Path(dir_okay=False, writable=True), required=True)
 def gen_cmd(family: str, k: int, n: int, cap: int | None, copies: int, out: str) -> None:

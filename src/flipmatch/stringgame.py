@@ -291,44 +291,28 @@ def augment_response(
 def _respond(
     t: PathString, label: tuple[str, int], k: int, phase: int, fresh: Callable[[], int]
 ) -> list[PathString]:
-    """``augment_response`` for a string of playbook ``label`` flipped up to ``t``."""
+    """``augment_response`` for a string of playbook ``label`` flipped up to ``t``.
+
+    Every answer has one shape: drop the freshly unmatched edges at
+    ``drop``, join the first and last pieces around a fresh 0-edge when
+    ``join`` holds, then pad every piece. A family only picks the two.
+    """
     if max(t.digits) > k:
         raise IllegalTransitionError(f"string {t.digits} was spent before its flip")
     family, j = label
-    if family == "seed":
-        return [_pad(t, fresh)]
-    if family == "y":
-        if len(t.digits) == 3:
-            return [_pad(t, fresh)]
-        if k == 4 and phase >= 3:
-            return [_pad(t, fresh)]
-        head, mid, tail = _split(t, (1, 3))
-        return [_pad(_join(head, tail), fresh), _pad(mid, fresh)]
-    if family == "x":
-        if phase == 1:
-            head, tail = _split(t, (1,))
-            return [_pad(head, fresh), _pad(tail, fresh)]
-        return [_pad(t, fresh)]
-    if family == "w":
-        if j < k - 2:
-            return [_pad(t, fresh)]
+    drop, join = (), False
+    to_ramp = family == "y" and k == 4 and phase >= 3  # padded onto the ramps
+    if family in ("y", "a") and len(t.digits) == 5 and not to_ramp:
+        drop, join = (1, 3), True
+    elif family == "x" and phase == 1:
+        drop = (1,)
+    elif family == "w" and j >= k - 2:
         drop = tuple(i for i, d in enumerate(t.digits) if d == k - 2)
-        pieces = _split(t, drop)
-        if k == 4 and phase == 2:
-            head, mid1, mid2, tail = pieces
-            return [
-                _pad(_join(head, tail), fresh),
-                _pad(mid1, fresh),
-                _pad(mid2, fresh),
-            ]
-        return [_pad(p, fresh) for p in pieces]
-    if family == "v":
-        return [_pad(t, fresh)]
-    # family == "a": the short form pads, the long form feeds the next rung
-    if len(t.digits) == 3:
-        return [_pad(t, fresh)]
-    head, mid, tail = _split(t, (1, 3))
-    return [_pad(_join(head, tail), fresh), _pad(mid, fresh)]
+        join = k == 4 and phase == 2
+    pieces = _split(t, drop)
+    if join:
+        pieces = [_join(pieces[0], pieces[-1]), *pieces[1:-1]]
+    return [_pad(p, fresh) for p in pieces]
 
 
 # ----------------------------------------------------------------------

@@ -39,10 +39,10 @@ from flipmatch.harness import (
 from flipmatch.oracle import OracleState, brute_force_max_matching
 from flipmatch.stringgame import (
     MATCHER_STALLED,
+    StringGameAdversary,
     config_matches_graph,
     invariant_balance,
     invariant_threshold,
-    string_game_adversary,
 )
 
 
@@ -205,7 +205,7 @@ def test_string_game_duels_force_the_departure_floor():
         floor = dep_lower_bound(k)
         for name, make in matchers.items():
             matcher = make(k)
-            adv = string_game_adversary(k, epsilon=0.05)
+            adv = StringGameAdversary(k, epsilon=0.05)
             t0 = time.perf_counter()
             for batch in adv.play(matcher):
                 for ev in batch:

@@ -39,7 +39,7 @@ from flipmatch.core import (
 )
 from flipmatch.harness import duel, random_churn, replay
 from flipmatch.oracle import brute_force_max_matching
-from flipmatch.stringgame import MATCHER_STALLED, string_game_adversary
+from flipmatch.stringgame import MATCHER_STALLED, StringGameAdversary
 
 try:
     from hypothesis import given, settings, strategies as st
@@ -566,7 +566,7 @@ def test_25_lgreedy_string_duel_never_rebuilds_the_difference(monkeypatch):
             reacting.pop()
 
         m._react = watched
-        report = duel(string_game_adversary(8), m)
+        report = duel(StringGameAdversary(8), m)
         assert report.bound_violations == 0
         assert calls[algo] > 0
         if algo == "lgreedy":

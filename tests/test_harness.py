@@ -55,7 +55,7 @@ from flipmatch.harness import (
     write_stream,
 )
 from flipmatch.oracle import OracleState
-from flipmatch.stringgame import string_game_adversary
+from flipmatch.stringgame import StringGameAdversary
 
 try:
     from hypothesis import given, settings
@@ -187,12 +187,12 @@ def test_08_duel_records_an_early_miss():
 
 def test_09_duel_move_cap_is_reported_not_raised():
     report = duel(
-        string_game_adversary(4), GreedyMatcher(4, LIMITED), max_moves=3
+        StringGameAdversary(4), GreedyMatcher(4, LIMITED), max_moves=3
     )
     assert report.stop_reason == MOVE_CAP
     assert len(report.records) == 3
     with pytest.raises(BadParamsError) as err:
-        duel(string_game_adversary(4), GreedyMatcher(4, LIMITED), max_moves=0)
+        duel(StringGameAdversary(4), GreedyMatcher(4, LIMITED), max_moves=0)
     assert err.value.code == "bad-params"
 
 
@@ -207,7 +207,7 @@ def test_10_duel_full_departures_starve_the_matcher():
 
 
 def test_11_duel_string_game_end_to_end():
-    report = duel(string_game_adversary(4), GreedyMatcher(4, LIMITED))
+    report = duel(StringGameAdversary(4), GreedyMatcher(4, LIMITED))
     assert report.stop_reason == SCRIPT_COMPLETE
     assert report.witnessed >= 10 / 7 - 1e-9
     assert report.bound_violations == 0

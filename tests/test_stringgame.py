@@ -21,6 +21,7 @@ from flipmatch.stringgame import (
     StringGameAdversary,
     UsedAdversaryError,
     ZeroAlgError,
+    _increment,
     _playbook,
     augment_response,
     classify_string,
@@ -29,7 +30,6 @@ from flipmatch.stringgame import (
     config_sizes,
     invariant_balance,
     invariant_threshold,
-    string_game_adversary,
     string_ratio,
     validate_strings,
 )
@@ -301,33 +301,33 @@ def test_17_compile_batch_shape_for_a_split_response():
 
 def test_18_argument_validation():
     with pytest.raises(OddKError) as err:
-        string_game_adversary(5)
+        StringGameAdversary(5)
     assert err.value.code == "odd-k"
     with pytest.raises(BadBudgetError):
-        string_game_adversary(2)
+        StringGameAdversary(2)
     with pytest.raises(BadBudgetError):
-        string_game_adversary("4")
+        StringGameAdversary("4")
     with pytest.raises(BadParamsError):
-        string_game_adversary(4, epsilon=0.0)
+        StringGameAdversary(4, epsilon=0.0)
     with pytest.raises(BadParamsError):
-        string_game_adversary(4, epsilon=-0.1)
+        StringGameAdversary(4, epsilon=-0.1)
     # a nan slack never leaves phase one, and a bool is not a slack
     for epsilon in (math.nan, True, False):
         with pytest.raises(BadParamsError) as err:
-            string_game_adversary(6, epsilon=epsilon)
+            StringGameAdversary(6, epsilon=epsilon)
         assert err.value.code == "bad-params"
     with pytest.raises(EpsilonTooLargeError) as err:
-        string_game_adversary(4, epsilon=4 / 3)
+        StringGameAdversary(4, epsilon=4 / 3)
     assert err.value.code == "epsilon-too-large"
     with pytest.raises(EpsilonTooLargeError):
-        string_game_adversary(6, epsilon=math.inf)
+        StringGameAdversary(6, epsilon=math.inf)
     with pytest.raises(EpsilonTooLargeError):
-        string_game_adversary(6, epsilon=2.4)
-    string_game_adversary(6, epsilon=2.39)  # just inside
+        StringGameAdversary(6, epsilon=2.4)
+    StringGameAdversary(6, epsilon=2.39)  # just inside
 
 
 def test_19_adversary_reports_name_and_target():
-    adv = string_game_adversary(6)
+    adv = StringGameAdversary(6)
     assert isinstance(adv, StringGameAdversary)
     assert adv.name == "string-game-k6"
     assert adv.cfg.epsilon == 0.05
@@ -337,7 +337,7 @@ def test_19_adversary_reports_name_and_target():
 
 
 def test_20_k4_greedy_runs_to_spent_terminal():
-    adv = string_game_adversary(4)
+    adv = StringGameAdversary(4)
     matcher = GreedyMatcher(4, LIMITED)
     assert drive(adv, matcher) == SCRIPT_COMPLETE
     assert adv.cfg.phase == 3
@@ -350,7 +350,7 @@ def test_20_k4_greedy_runs_to_spent_terminal():
 
 
 def test_21_k4_uncapped_lgreedy_matches_greedy_run():
-    adv = string_game_adversary(4)
+    adv = StringGameAdversary(4)
     matcher = LGreedyMatcher(4, model=LIMITED)
     assert drive(adv, matcher) == SCRIPT_COMPLETE
     assert set(families(adv.cfg.strings)) <= {(0, 1, 4, 1, 0), ramp4(4)}
@@ -365,7 +365,7 @@ def test_22_duels_keep_invariants_and_bisimulation(k, algo):
         "lgreedy": lambda: LGreedyMatcher(k, model=LIMITED),
         "amp": lambda: AmpMatcher(k, model=LIMITED),
     }
-    adv = string_game_adversary(k)
+    adv = StringGameAdversary(k)
     matcher = makers[algo]()
     for batch in adv.play(matcher):
         replay(batch, matcher)
@@ -393,7 +393,7 @@ def test_22_duels_keep_invariants_and_bisimulation(k, algo):
 @pytest.mark.parametrize("k", [4, 6])
 def test_23_phase_one_balance_is_tight(k):
     # until phase one ends, the live strings track the reservoir exactly
-    adv = string_game_adversary(k)
+    adv = StringGameAdversary(k)
     matcher = GreedyMatcher(k, LIMITED)
     for batch in adv.play(matcher):
         replay(batch, matcher)
@@ -420,7 +420,7 @@ def test_24_idle_matcher_is_stalled_and_scored():
         def on_departure(self, event):  # pragma: no cover - never reached
             self.graph.remove_edge(*event.endpoints)
 
-    adv = string_game_adversary(4)
+    adv = StringGameAdversary(4)
     assert drive(adv, Idler()) == MATCHER_STALLED
     assert adv.terminal == (0, 1)
     assert adv.witnessed is None
@@ -440,12 +440,12 @@ def test_25_board_corruption_is_an_expectation_miss():
                 victim = next(pair for pair, e in g.edges.items() if not e.matched)
                 g.remove_edge(*victim)
 
-    adv = string_game_adversary(4)
+    adv = StringGameAdversary(4)
     assert drive(adv, Saboteur()) == EXPECTATION_MISS
 
 
 def test_26_amp_duel_stalls_above_target():
-    adv = string_game_adversary(4)
+    adv = StringGameAdversary(4)
     matcher = AmpMatcher(4, model=LIMITED)
     assert drive(adv, matcher) == MATCHER_STALLED
     # the matcher holds back between growth bursts, so live strings remain
@@ -458,7 +458,7 @@ if HAVE_HYPOTHESIS:
     @given(epsilon=st.floats(0.05, 1.3))
     @settings(max_examples=8, deadline=None)
     def test_27_any_slack_forces_the_same_terminal(epsilon):
-        adv = string_game_adversary(4, epsilon=epsilon)
+        adv = StringGameAdversary(4, epsilon=epsilon)
         matcher = GreedyMatcher(4, LIMITED)
         assert drive(adv, matcher) == SCRIPT_COMPLETE
         assert set(families(adv.cfg.strings)) <= {(0, 1, 4, 1, 0), ramp4(4)}
@@ -495,7 +495,7 @@ def test_28_config_matches_graph_rejects_unrealised_boards():
 
 
 def test_29_a_used_adversary_refuses_a_second_game():
-    adv = string_game_adversary(4)
+    adv = StringGameAdversary(4)
     assert drive(adv, GreedyMatcher(4, LIMITED)) == SCRIPT_COMPLETE
     moves, strings = adv.moves, list(adv.cfg.strings)
     second = adv.play(GreedyMatcher(4, LIMITED))
@@ -596,3 +596,27 @@ def test_32_replace_keeps_the_list_order_wherever_the_old_string_lies():
     cfg.replace(d, [])
     assert cfg.strings == [h, i, b, e, g]
     assert sum(cfg.totals.values()) == len(cfg.labels) == 5
+
+
+def test_33_every_playbook_string_has_a_legal_answer_inside_the_playbook():
+    # the playbook is closed: every string it names, read either way and in
+    # any phase, is refused exactly when its flip would pass the budget, and
+    # is otherwise answered by a legal batch of settled playbook strings
+    cases = 0
+    for k in range(4, 17, 2):
+        for digits in _playbook(k):
+            readings = (digits, digits[::-1])
+            for reading, phase in itertools.product(readings, (1, 2, 3)):
+                old = PathString(reading, range(len(reading) + 1))
+                fresh = fresh_from(len(reading) + 1)
+                cases += 1
+                if max(reading) + 1 > k:
+                    with pytest.raises(IllegalTransitionError):
+                        augment_response(old, k, phase, fresh)
+                    continue
+                out = augment_response(old, k, phase, fresh)
+                compile_strings_to_events(out, [_increment(old)], k)
+                for s in out:
+                    assert s.digits[0] == 0 == s.digits[-1], (k, reading, phase)
+                    classify_string(s.digits, k)  # ``replace`` labels spent ones too
+    assert cases == 954
