@@ -70,7 +70,6 @@ from .stringgame import (
     StringGameAdversary,
     config_matches_graph,
     string_game_adversary,
-    string_ratio,
 )
 
 __version__ = "0.1.0"
@@ -126,7 +125,6 @@ __all__ = [
     "ratio_of",
     "replay",
     "string_game_adversary",
-    "string_ratio",
     "symmetric_difference",
     "write_stream",
 ]

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import math
 from collections import Counter, deque
-from functools import lru_cache
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .adversaries import EXPECTATION_MISS, SCRIPT_COMPLETE, ScriptedAdversary
@@ -43,12 +42,6 @@ class IllegalTransitionError(ValueError):
     """A move set no legal adversary step could have produced."""
 
     code = "illegal-transition"
-
-
-class ZeroAlgError(ValueError):
-    """Ratio of a configuration in which the matcher holds nothing."""
-
-    code = "zero-alg"
 
 
 class BadStringError(ValueError):
@@ -202,52 +195,43 @@ def config_sizes(cfg: StringConfig) -> tuple[int, int]:
     return alg, opt
 
 
-def string_ratio(cfg: StringConfig) -> float:
-    """Optimum-to-matcher ratio the configuration certifies."""
-    alg, opt = config_sizes(cfg)
-    if alg == 0:
-        raise ZeroAlgError("configuration leaves the matcher empty-handed")
-    return opt / alg
-
-
 # ----------------------------------------------------------------------
 # the string families
-
-
-@lru_cache(maxsize=None)
-def _playbook(k: int) -> dict[tuple[int, ...], tuple[str, int]]:
-    """Label of every playbook string for budget ``k``, keyed by the lesser
-    of its two readings. The forms are listed in order of precedence (seed,
-    y, x, a, w, v) and read back to front, so the first family listed wins
-    a string two families share."""
-    # ramp m climbs 0, 1, ..., k-4+m, then falls m-1, ..., 0
-    ramps = [tuple(range(k - 3 + m)) + tuple(range(m - 1, -1, -1)) for m in range(1, 5)]
-    forms = [((0,), ("seed", 0)), ((0, 1, 0), ("y", 0)), ((0, 1, 2, 1, 0), ("y", 0))]
-    forms.append(((0, 1, 0, 1, 0), ("x", 0)))
-    forms += [((0, j - 1, 0), ("a", j)) for j in range(4, k + 1, 2)]
-    forms += [((0, 1, j, 1, 0), ("a", j)) for j in range(4, k + 1, 2)]
-    forms += [
-        (tuple(range(j + 1)) + (j - 1,) + tuple(range(j, -1, -1)), ("w", j))
-        for j in range(2, k - 1)
-    ]
-    forms += [(min(f, f[::-1]), ("v", m)) for m, f in enumerate(ramps, start=1)]
-    return dict(reversed(forms))
 
 
 def classify_string(digits: Sequence[int], k: int) -> tuple[str, int]:
     """Sort a settled string into its playbook family.
 
-    Families: "seed" (a single 0), "y" (010 and 01210), "x" (01010),
-    ("w", j) for the double-peak strings, ("v", m) for the four ramps, and
-    ("a", j) for the reservoir pairs 0,j-1,0 / 0,1,j,1,0 with even j.
+    Families, in order of precedence: "seed" (a single 0), "y" (010 and
+    01210), "x" (01010), ("a", j) for the reservoir pairs 0,j-1,0 /
+    0,1,j,1,0 with even 4 <= j <= k, ("w", j) for the double-peak strings
+    0..j,j-1,j..0 with 2 <= j <= k-2, and ("v", m) for the four ramps that
+    climb 0..k-4+m and fall m-1..0. A family's length fixes its j or m, so
+    each family builds at most one form and compares it with the lesser
+    reading: the cost follows the string's length, not k.
     Anything else is outside the playbook and raises.
     """
     d = tuple(digits)
     c = min(d, d[::-1])
-    label = _playbook(k).get(c)
-    if label is None:
-        raise IllegalTransitionError(f"string {c} is outside the playbook")
-    return label
+    n = len(c)
+    if c == (0,):
+        return ("seed", 0)
+    if c in ((0, 1, 0), (0, 1, 2, 1, 0)):
+        return ("y", 0)
+    if c == (0, 1, 0, 1, 0):
+        return ("x", 0)
+    if n in (3, 5):
+        j = c[1] + 1 if n == 3 else c[2]
+        form = (0, j - 1, 0) if n == 3 else (0, 1, j, 1, 0)
+        if c == form and j % 2 == 0 and 4 <= j <= k:
+            return ("a", j)
+    j = (n - 3) // 2
+    if 2 <= j <= k - 2 and c == tuple(range(j + 1)) + (j - 1,) + tuple(range(j, -1, -1)):
+        return ("w", j)
+    m = (n + 3 - k) // 2  # a ramp climbs first, so it is its own lesser reading
+    if 1 <= m <= 4 and c == tuple(range(k - 3 + m)) + tuple(range(m - 1, -1, -1)):
+        return ("v", m)
+    raise IllegalTransitionError(f"string {c} is outside the playbook")
 
 
 # ----------------------------------------------------------------------
@@ -426,6 +410,12 @@ class StringGameAdversary(ScriptedAdversary):
         if k % 2 != 0:
             raise OddKError(f"string game needs an even budget, got {k}")
         require_int(k, 4, "budget", BadBudgetError)
+        try:
+            float(4 * k - 12)  # ``invariant_threshold`` divides it by the slack
+        except OverflowError:
+            raise BadBudgetError(
+                f"budget of {k.bit_length()} bits is past the float range"
+            ) from None
         if not isinstance(epsilon, (int, float)) or isinstance(epsilon, bool) or not epsilon > 0:
             raise BadParamsError(f"need a positive slack, got {epsilon!r}")  # nan too
         limit = (4 * k - 12) / (k - 1)

@@ -2,14 +2,16 @@
 
 import itertools
 import math
+import tracemalloc
 from collections import Counter
 
 import pytest
 
-from flipmatch.adversaries import EXPECTATION_MISS, SCRIPT_COMPLETE
+from flipmatch.adversaries import EXPECTATION_MISS, MOVE_CAP, SCRIPT_COMPLETE
 from flipmatch.algos import AmpMatcher, GreedyMatcher, LGreedyMatcher
 from flipmatch.bounds import BadBudgetError, BadParamsError, dep_lower_bound
 from flipmatch.core import ARRIVE, DEPART, LIMITED, Graph
+from flipmatch.harness import duel
 from flipmatch.stringgame import (
     BadStringError,
     EpsilonTooLargeError,
@@ -20,9 +22,7 @@ from flipmatch.stringgame import (
     StringConfig,
     StringGameAdversary,
     UsedAdversaryError,
-    ZeroAlgError,
     _increment,
-    _playbook,
     augment_response,
     classify_string,
     compile_strings_to_events,
@@ -30,7 +30,6 @@ from flipmatch.stringgame import (
     config_sizes,
     invariant_balance,
     invariant_threshold,
-    string_ratio,
     validate_strings,
 )
 
@@ -79,24 +78,31 @@ def ramp4(k):
     return tuple(range(k + 1)) + (3, 2, 1, 0)
 
 
+def playbook(k):
+    """Label of every playbook string for budget ``k``, keyed by the lesser
+    of its two readings: the written-out reference ``classify_string`` is
+    checked against. The forms are listed in order of precedence (seed, y,
+    x, a, w, v) and read back to front, so the first family listed wins a
+    string two families share."""
+    # ramp m climbs 0, 1, ..., k-4+m, then falls m-1, ..., 0
+    ramps = [tuple(range(k - 3 + m)) + tuple(range(m - 1, -1, -1)) for m in range(1, 5)]
+    forms = [((0,), ("seed", 0)), ((0, 1, 0), ("y", 0)), ((0, 1, 2, 1, 0), ("y", 0))]
+    forms.append(((0, 1, 0, 1, 0), ("x", 0)))
+    forms += [((0, j - 1, 0), ("a", j)) for j in range(4, k + 1, 2)]
+    forms += [((0, 1, j, 1, 0), ("a", j)) for j in range(4, k + 1, 2)]
+    forms += [(w_digits(j), ("w", j)) for j in range(2, k - 1)]
+    forms += [(min(f, f[::-1]), ("v", m)) for m, f in enumerate(ramps, start=1)]
+    return dict(reversed(forms))
+
+
 # ----------------------------------------------------------------------
-# configurations, sizes, ratios
+# configurations and sizes
 
 
-def test_01_string_ratio_examples():
-    assert string_ratio(cfg_of(4, ["010"])) == pytest.approx(2.0)
-    assert string_ratio(cfg_of(4, ["01410"])) == pytest.approx(1.5)
+def test_01_config_sizes_count_odd_and_even_entries():
     assert config_sizes(cfg_of(4, ["010"])) == (1, 2)
     assert config_sizes(cfg_of(4, ["01410"])) == (2, 3)
     assert config_sizes(cfg_of(4, ["010", "01410"])) == (3, 5)
-
-
-def test_02_string_ratio_needs_a_matched_edge():
-    with pytest.raises(ZeroAlgError) as err:
-        string_ratio(cfg_of(4, ["0"]))
-    assert err.value.code == "zero-alg"
-    with pytest.raises(ZeroAlgError):
-        string_ratio(cfg_of(4, []))
 
 
 def test_03_config_validation():
@@ -508,7 +514,7 @@ def test_29_a_used_adversary_refuses_a_second_game():
 
 @pytest.mark.parametrize("k", [10, 12])
 def test_30_text_round_trips_every_family(k):
-    for digits, label in _playbook(k).items():
+    for digits, label in playbook(k).items():
         for reading in (digits, digits[::-1]):
             text = PathString(reading, range(len(reading) + 1)).text()
             cfg = StringConfig.from_digits(k, 0.05, [text])
@@ -517,58 +523,19 @@ def test_30_text_round_trips_every_family(k):
     assert PathString((0, 1, 10, 1, 0), range(6)).text() == "0-1-10-1-0"
 
 
-def rule_classify(digits, k):
-    """The rule-by-rule classifier the playbook table replaced, kept as the
-    reference the table is checked against."""
-    c = min(tuple(digits), tuple(reversed(tuple(digits))))
-    if c == (0,):
-        return ("seed", 0)
-    if c in ((0, 1, 0), (0, 1, 2, 1, 0)):
-        return ("y", 0)
-    if c == (0, 1, 0, 1, 0):
-        return ("x", 0)
-    n = len(c)
-    if n == 3 and c[0] == 0 == c[2] and c[1] % 2 == 1 and 3 <= c[1] <= k - 1:
-        return ("a", c[1] + 1)
-    if (
-        n == 5
-        and c[:2] == (0, 1)
-        and c[3:] == (1, 0)
-        and c[2] % 2 == 0
-        and 4 <= c[2] <= k
-    ):
-        return ("a", c[2])
-    peak = max(c)
-    if 2 <= peak <= k - 2 and c == w_digits(peak):
-        return ("w", peak)
-    ramps = [
-        tuple(range(k - 2)) + (0,),
-        tuple(range(k - 1)) + (1, 0),
-        tuple(range(k)) + (2, 1, 0),
-        ramp4(k),
-    ]
-    for m, form in enumerate(ramps, start=1):
-        if c == min(form, form[::-1]):
-            return ("v", m)
-    raise IllegalTransitionError(f"string {c} is outside the playbook")
-
-
-def classified(classify, digits, k):
-    try:
-        return classify(digits, k)
-    except IllegalTransitionError:
-        return None
-
-
 @pytest.mark.parametrize("k", [4, 6, 8])
 def test_31_playbook_table_agrees_with_the_rules(k):
+    table = playbook(k)
     for length in range(1, 6):
         for digits in itertools.product(range(k + 1), repeat=length):
-            expected = classified(rule_classify, digits, k)
-            assert classified(classify_string, digits, k) == expected, digits
-    for digits, label in _playbook(k).items():
-        assert rule_classify(digits, k) == label == rule_classify(digits[::-1], k)
-    for stray in [(1,), (0, 2, 0), (0, k + 1, 0), ramp4(k + 2)]:
+            try:
+                label = classify_string(digits, k)
+            except IllegalTransitionError:
+                label = None
+            assert label == table.get(min(digits, digits[::-1])), digits
+    for digits, label in table.items():
+        assert classify_string(digits, k) == label == classify_string(digits[::-1], k)
+    for stray in [(), (1,), (0, 2, 0), (0, k + 1, 0), ramp4(k + 2)]:
         with pytest.raises(IllegalTransitionError):
             classify_string(stray, k)
 
@@ -604,7 +571,7 @@ def test_33_every_playbook_string_has_a_legal_answer_inside_the_playbook():
     # is otherwise answered by a legal batch of settled playbook strings
     cases = 0
     for k in range(4, 17, 2):
-        for digits in _playbook(k):
+        for digits in playbook(k):
             readings = (digits, digits[::-1])
             for reading, phase in itertools.product(readings, (1, 2, 3)):
                 old = PathString(reading, range(len(reading) + 1))
@@ -620,3 +587,38 @@ def test_33_every_playbook_string_has_a_legal_answer_inside_the_playbook():
                     assert s.digits[0] == 0 == s.digits[-1], (k, reading, phase)
                     classify_string(s.digits, k)  # ``replace`` labels spent ones too
     assert cases == 954
+
+
+def test_34_classify_string_memory_follows_the_string_not_the_budget():
+    # no other test uses k = 1002, so nothing an earlier test cached can
+    # hide a per-budget cost here
+    k = 1002
+    w = w_digits(k // 2)
+    for digits, label in [((0,), ("seed", 0)), (w, ("w", k // 2))]:
+        tracemalloc.start()
+        try:
+            assert classify_string(digits, k) == label
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20, (label, peak)
+
+
+def test_35_a_trillion_budget_labels_and_plays():
+    k = 10**12
+    assert classify_string(w_digits(5), k) == ("w", 5)
+    assert classify_string((0, 1, k, 1, 0), k) == ("a", k)
+    assert classify_string((0, k - 1, 0), k) == ("a", k)
+    report = duel(StringGameAdversary(k), GreedyMatcher(k, LIMITED), max_moves=50)
+    assert report.stop_reason == MOVE_CAP
+    assert report.bound_violations == 0
+
+
+def test_36_a_budget_past_the_float_range_is_refused():
+    for k in (2**1100, 10**400):
+        with pytest.raises(BadBudgetError) as err:
+            StringGameAdversary(k)
+        assert err.value.code == "bad-k"
+    report = duel(StringGameAdversary(10**300), GreedyMatcher(10**300, LIMITED), max_moves=50)
+    assert report.stop_reason == MOVE_CAP
+    assert report.bound_violations == 0
